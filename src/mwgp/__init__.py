@@ -14,9 +14,6 @@ from .covariance import (
     RGCovConfig,
     SpaceTimePoint,
     cov_matrix,
-    exp_cov,
-    rg_cov,
-    rg_distance,
     rg_distances,
     rg_tropic_factor,
     wrap_dlon,
@@ -57,7 +54,6 @@ from .ingest import (
     profiles_to_level,
     read_mean_field,
     records_to_blocks,
-    rg_phi_hat,
     subtract_mean,
     write_mean_field,
     write_profiles,
@@ -73,7 +69,6 @@ from .student import (
     predict_student,
     predictive_deviation_sample,
     student_interval,
-    student_pit,
 )
 from .validation import (
     CalibrationReport,
@@ -81,8 +76,6 @@ from .validation import (
     CVResult,
     MetricTable,
     calibration,
-    loo_partition,
-    lofo_partition,
     point_metrics,
     run_cv,
     simulate_field,
@@ -104,7 +97,6 @@ from .windows import (
     map_grid,
     month_halfwidth_days,
     select_window,
-    variance_ratio,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .covariance import CovParams
+from .covariance import KM_PER_DEG, CovParams
 from .errors import InputError, MappingError
 from .gaussian import DEFAULT_OPTS, GaussianPredictive
 from .ingest import (
@@ -56,7 +56,6 @@ from .validation import (
 )
 from .windows import (
     GridSpec,
-    ReferenceParams,
     WindowSpec,
     correlation_at_lag,
     get_variant,
@@ -222,10 +221,7 @@ def _coerce(key: str, raw: str):
             return float(text)
         if key in _OPTIONAL_INTS:
             return int(text)
-        target = type(getattr(RunConfig(), key))
-        if target is bool:
-            return text.lower() in ("1", "true", "yes", "on")
-        return target(text)
+        return type(getattr(RunConfig(), key))(text)
     except ValueError:
         raise InputError(f"bad value for config key {key}: {raw!r}") from None
 
@@ -458,15 +454,6 @@ def _check_eval_year(cfg: RunConfig, blocks) -> None:
             f"eval_year {cfg.eval_year} not among data years {sorted(years)}")
 
 
-def _param_value(params, name: str):
-    if isinstance(params, ReferenceParams):
-        return {"phi": params.phi, "sigma2": params.sigma2}.get(name)
-    cov = params.cov if isinstance(params, StudentParams) else params
-    if name == "nu":
-        return params.nu if isinstance(params, StudentParams) else None
-    return getattr(cov, name, None)
-
-
 def cmd_map(cfg: RunConfig) -> int:
     """Fit every grid cell and write the gridded output files."""
     variant = get_variant(cfg.variant)
@@ -480,6 +467,7 @@ def cmd_map(cfg: RunConfig) -> int:
     wall = time.perf_counter() - start
     os.makedirs(cfg.out, exist_ok=True)
 
+    family = variant.family
     grids = {"prediction": {}, "variance": {}, "variance_ratio": {},
              "interval_lower": {}, "interval_upper": {}}
     param_grids: dict[str, dict] = {}
@@ -491,12 +479,8 @@ def cmd_map(cfg: RunConfig) -> int:
         wall_times[f"{res.i},{res.j}"] = res.wall_time
         if res.fit.params is None:
             continue
-        for name in ("phi", "theta_lat", "theta_lon", "theta_t", "sigma2", "nu"):
-            if name == "theta_t" and variant.spatial:
-                continue
-            value = _param_value(res.fit.params, name)
-            if value is not None:
-                param_grids.setdefault(name, {})[key] = value
+        for name, value in family.param_values(res.fit.params).items():
+            param_grids.setdefault(name, {})[key] = value
         pred = res.fit.prediction_for(grid.eval_year)
         if pred is None:
             continue
@@ -572,7 +556,7 @@ def write_cv_records(cv: CVResult, path) -> None:
                 str(r.year), r.source_id or "",
                 _fmt(r.lat), _fmt(r.lon), _fmt(r.day), _fmt(r.truth),
                 "student" if student else "gaussian",
-                _fmt(r.pred.f_mean if student else r.pred.mean),
+                _fmt(r.pred.mean),
                 "" if student else _fmt(r.pred.variance),
                 _fmt(r.pred.f_var) if student else "",
                 _fmt(r.pred.scale) if student else "",
@@ -762,7 +746,7 @@ def cmd_lagmaps(cfg: RunConfig) -> int:
                     total_normalization=total, spatial=not temporal)
             elif axis == "dlat":
                 corr = correlation_at_lag(
-                    params, dlat=lag / 111.2,
+                    params, dlat=lag / KM_PER_DEG,
                     total_normalization=total, spatial=not temporal)
             else:
                 corr = correlation_at_lag(params, dt=lag,

@@ -16,7 +16,6 @@ antimeridian.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,33 +123,6 @@ class RGCovConfig:
 RG_DEFAULT = RGCovConfig()
 
 
-def _sq_lags_pair(p1, p2):
-    a1 = as_point_array(p1)[0]
-    a2 = as_point_array(p2)[0]
-    dlat = a1[0] - a2[0]
-    dlon = float(wrap_dlon(a1[1] - a2[1]))
-    dt = a1[2] - a2[2]
-    return dlat * dlat, dlon * dlon, dt * dt
-
-
-def anisotropic_distance(p1, p2, params: CovParams, spatial: bool = False) -> float:
-    """Scaled Euclidean lag between two points.
-
-    Each axis lag is divided by its range; with ``spatial`` the time
-    term is dropped entirely.
-    """
-    dlat2, dlon2, dt2 = _sq_lags_pair(p1, p2)
-    d2 = dlat2 / params.theta_lat**2 + dlon2 / params.theta_lon**2
-    if not spatial:
-        d2 += dt2 / params.theta_t**2
-    return math.sqrt(d2)
-
-
-def exp_cov(p1, p2, params: CovParams, spatial: bool = False) -> float:
-    """Exponential covariance phi * exp(-d); never includes the nugget."""
-    return params.phi * math.exp(-anisotropic_distance(p1, p2, params, spatial))
-
-
 def sq_lag_matrices(pts: np.ndarray):
     """Pairwise squared lags (dlat2, dlon2, dt2), each (m, m)."""
     lat = pts[:, 0]
@@ -221,52 +193,18 @@ def rg_tropic_factor(lat):
     return float(out) if out.ndim == 0 else out
 
 
-def _latlon(x) -> tuple[float, float]:
-    """(lat, lon) of a location given as a pair, triple, or point."""
-    if isinstance(x, SpaceTimePoint):
-        return x.lat, x.lon
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size not in (2, 3):
-        raise InvalidParameterError(
-            "a location needs (lat, lon) or (lat, lon, t)")
-    return float(arr[0]), float(wrap_lon(arr[1]))
-
-
-def rg_distance(x1, x2, tropic: bool = True) -> float:
-    """Kilometre distance used by the RG kernel.
+def rg_distances(lat0, lon0, lats, lons, tropic: bool = True) -> np.ndarray:
+    """RG kilometre distances between broadcast-compatible positions.
 
     Flat-earth metric: meridional km from KM_PER_DEG, zonal km scaled
     by cos(midpoint latitude) and, when ``tropic``, by the tropic
     factor at the midpoint latitude.
     """
-    lat1, lon1 = _latlon(x1)
-    lat2, lon2 = _latlon(x2)
-    d = _rg_dist_arrays(lat1, lon1, np.array([lat2]), np.array([lon2]), tropic)
-    return float(d[0])
-
-
-def rg_distances(lat0, lon0, lats, lons, tropic: bool = True) -> np.ndarray:
-    """RG kilometre distances from one point to arrays of points."""
-    lats = np.asarray(lats, dtype=float)
-    lons = np.asarray(lons, dtype=float)
-    return _rg_dist_arrays(float(lat0), float(lon0), lats, lons, tropic)
-
-
-def _rg_dist_arrays(lat0, lon0, lats, lons, tropic: bool) -> np.ndarray:
-    """Vectorized RG distance from one point to arrays of points (km)."""
+    lat0, lon0, lats, lons = (np.asarray(v, dtype=float)
+                              for v in (lat0, lon0, lats, lons))
     dlat_km = (lat0 - lats) * KM_PER_DEG
     midlat = 0.5 * (lat0 + lats)
     dlon_km = wrap_dlon(lon0 - lons) * KM_PER_DEG * np.cos(np.radians(midlat))
-    a = rg_tropic_factor(midlat) if tropic else 1.0
-    return np.hypot(dlat_km, a * dlon_km)
-
-
-def _rg_dist_matrix(lats, lons, tropic: bool) -> np.ndarray:
-    """Pairwise RG distances (km) among points."""
-    dlat_km = (lats[:, None] - lats[None, :]) * KM_PER_DEG
-    midlat = 0.5 * (lats[:, None] + lats[None, :])
-    dlon = wrap_dlon(lons[:, None] - lons[None, :])
-    dlon_km = dlon * KM_PER_DEG * np.cos(np.radians(midlat))
     a = rg_tropic_factor(midlat) if tropic else 1.0
     return np.hypot(dlat_km, a * dlon_km)
 
@@ -279,18 +217,13 @@ def rg_shape(d_km, config: RGCovConfig = RG_DEFAULT) -> np.ndarray:
     return g + e
 
 
-def rg_cov(x1, x2, phi_hat: float, config: RGCovConfig = RG_DEFAULT,
-           tropic: bool = True) -> float:
-    """RG covariance between two locations with plug-in variance phi_hat."""
-    if not (np.isfinite(phi_hat) and phi_hat > 0.0):
-        raise InvalidParameterError(f"phi_hat must be positive, got {phi_hat}")
-    return phi_hat * float(rg_shape(rg_distance(x1, x2, tropic), config))
-
-
 def rg_corr_matrix(lats, lons, config: RGCovConfig = RG_DEFAULT,
                    tropic: bool = True) -> np.ndarray:
     """Pairwise unit-variance RG correlation matrix (diagonal exactly 1)."""
-    R = rg_shape(_rg_dist_matrix(np.asarray(lats, float), np.asarray(lons, float), tropic), config)
+    lats = np.asarray(lats, float)
+    lons = np.asarray(lons, float)
+    R = rg_shape(rg_distances(lats[:, None], lons[:, None], lats[None, :],
+                              lons[None, :], tropic), config)
     np.fill_diagonal(R, 1.0)
     return R
 
@@ -298,6 +231,5 @@ def rg_corr_matrix(lats, lons, config: RGCovConfig = RG_DEFAULT,
 def rg_corr_vector(lat0, lon0, lats, lons, config: RGCovConfig = RG_DEFAULT,
                    tropic: bool = True) -> np.ndarray:
     """RG correlations from (lat0, lon0) to arrays of locations."""
-    d = _rg_dist_arrays(float(lat0), float(wrap_lon(lon0)),
-                        np.asarray(lats, float), np.asarray(lons, float), tropic)
-    return rg_shape(d, config)
+    return rg_shape(rg_distances(lat0, wrap_lon(lon0), lats, lons, tropic),
+                    config)

@@ -18,12 +18,13 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .covariance import (
     CovParams,
     cov_matrix,
     cross_cov_vector,
+    scaled_distance,
     sq_lag_matrices,
     wrap_lon,
 )
@@ -191,11 +192,7 @@ class _Prepared:
 
 
 def _assemble(group, params: CovParams, spatial: bool):
-    dlat2, dlon2, dt2 = group["sq_lags"]
-    d2 = dlat2 / params.theta_lat**2 + dlon2 / params.theta_lon**2
-    if not spatial:
-        d2 = d2 + dt2 / params.theta_t**2
-    D = np.sqrt(d2)
+    D = scaled_distance(group["sq_lags"], params, spatial)
     E = np.exp(-D)
     K = params.phi * E
     Sigma = K + params.sigma2 * np.eye(K.shape[0])
@@ -210,12 +207,9 @@ def _nll(x: np.ndarray, prepared: _Prepared, template: CovParams,
     [log theta_t unless spatial], log sigma2.
     """
     spatial = prepared.spatial
-    if spatial:
-        phi, tlat, tlon, s2 = np.exp(x)
-        tt = template.theta_t
-    else:
-        phi, tlat, tlon, tt, s2 = np.exp(x)
-    params = CovParams(phi, tlat, tlon, tt, s2)
+    params = _decode(x, template, spatial)
+    phi, tlat, tlon, tt, s2 = (params.phi, params.theta_lat, params.theta_lon,
+                               params.theta_t, params.sigma2)
 
     ll = 0.0
     g = np.zeros(5)  # d ll / d (phi, tlat, tlon, tt, s2), raw scale
@@ -373,6 +367,6 @@ def gaussian_interval(pred: GaussianPredictive, alpha: float) -> tuple[float, fl
     """Central (1 - alpha) predictive interval."""
     if not (0.0 < alpha < 1.0):
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     half = z * math.sqrt(max(pred.variance, 0.0))
     return pred.mean - half, pred.mean + half

@@ -15,22 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import wrap_dlon, wrap_lon
+from .covariance import rg_distances, wrap_dlon, wrap_lon
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
     SchemaError,
 )
 from .gaussian import YearBlock
-from .windows import (
-    GridSpec,
-    WindowSpec,
-    cell_key,
-    month_halfwidth_days,
-    reference_phi_hat,
-    select_window,
-)
-from .covariance import RG_DEFAULT, RGCovConfig, rg_distances
+from .windows import GridSpec, cell_key
 
 PROFILE_HEADER = ["source_id", "lat", "lon", "year", "day", "pressure_db", "temp_c"]
 MEAN_GRID_HEADER = ["lat", "lon", "mean_c"]
@@ -405,18 +397,6 @@ def subtract_mean(obs, mean: MeanField, mode: str = "spatio-temporal",
         resid = o.value - mean.evaluate_at(o.lat, o.lon, t)
         kept.append(LevelObs(o.source_id, o.lat, o.lon, o.year, o.day, resid))
     return records_to_blocks(kept), n_excluded
-
-
-def rg_phi_hat(data, center, window: WindowSpec | None = None,
-               config: RGCovConfig = RG_DEFAULT) -> float:
-    """Moving-window plug-in variance for the reference covariance.
-
-    Unbiased empirical variance of the windowed residuals deflated by
-    (1 + noise/signal).  Needs at least two observations.
-    """
-    if window is None:
-        window = WindowSpec(10.0, month_halfwidth_days(1), min_obs=2)
-    return reference_phi_hat(select_window(data, center, window), config)
 
 
 def load_mask(path) -> frozenset:

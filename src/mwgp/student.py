@@ -27,8 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 from scipy.optimize import minimize
-from scipy.special import gammaln
-from scipy.stats import t as t_dist
+from scipy.special import gammaln, stdtrit
 
 from .covariance import CovParams, cov_matrix, cross_cov_vector
 from .errors import (
@@ -76,6 +75,17 @@ class StudentPredictive:
     f_var: float
     scale: float
     dof: float
+
+    @property
+    def mean(self) -> float:
+        return self.f_mean
+
+    @property
+    def variance(self) -> float:
+        """Observation variance; infinite without a second moment."""
+        if self.dof > 2.0:
+            return self.f_var + self.scale ** 2 * nu_variance_factor(self.dof)
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -393,7 +403,9 @@ def predictive_deviation_sample(pred: StudentPredictive, mc: McOptions) -> np.nd
     rng = np.random.default_rng(mc.seed)
     z = rng.standard_normal(mc.n_samples)
     u = rng.random(mc.n_samples)
-    return math.sqrt(pred.f_var) * z + pred.scale * t_dist.ppf(u, pred.dof)
+    t = stdtrit(pred.dof, u)
+    t[u == 0.0] = -math.inf  # stdtrit(dof, 0) is +inf; the 0-quantile is -inf
+    return math.sqrt(pred.f_var) * z + pred.scale * t
 
 
 def student_interval(pred: StudentPredictive, alpha: float,
@@ -411,10 +423,3 @@ def student_interval(pred: StudentPredictive, alpha: float,
     dev = predictive_deviation_sample(pred, mc)
     half = float(np.quantile(dev, 1.0 - alpha / 2.0))
     return pred.f_mean - half, pred.f_mean + half
-
-
-def student_pit(value: float, pred: StudentPredictive,
-                mc: McOptions = McOptions()) -> float:
-    """Monte Carlo probability integral transform P(Y* <= value)."""
-    dev = predictive_deviation_sample(pred, mc)
-    return float(np.mean(pred.f_mean + dev <= value))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .covariance import CovParams, SpaceTimePoint, as_point_array, wrap_dlon
 from .errors import (
@@ -26,22 +26,19 @@ from .gaussian import (
     GaussianPredictive,
     OptimizerOptions,
     YearBlock,
-    predict_gaussian,
 )
 from .student import (
     McOptions,
     StudentParams,
     StudentPredictive,
-    predict_student,
     predictive_deviation_sample,
 )
 from .windows import (
     GridField,
     GridSpec,
     ModelVariant,
-    ReferenceParams,
     WindowSpec,
-    _predict_reference,
+    window_mask,
 )
 
 
@@ -161,37 +158,6 @@ def _held_out(blocks, year_pos: int, obs_index: int) -> HeldOut:
                    float(b.t[obs_index]), float(b.values[obs_index]))
 
 
-def loo_partition(blocks):
-    """Leave-one-observation-out folds: one per observation.
-
-    Yields (held-out observation, remaining blocks) with only that
-    single observation removed from its year.
-    """
-    for year_pos, block in enumerate(blocks):
-        for obs_index in range(block.m):
-            keep = np.ones(block.m, dtype=bool)
-            keep[obs_index] = False
-            remaining = list(blocks)
-            remaining[year_pos] = block.subset(keep)
-            yield _held_out(blocks, year_pos, obs_index), remaining
-
-
-def lofo_partition(blocks):
-    """Leave-one-float-out folds: one per observation, track removed.
-
-    For each held-out observation, every observation sharing its
-    source id is removed from every year.  Requires source ids.
-    """
-    for block in blocks:
-        if block.source_ids is None:
-            raise InputError("track-level holdout requires source_ids")
-    for year_pos, block in enumerate(blocks):
-        for obs_index in range(block.m):
-            sid = block.source_ids[obs_index]
-            remaining = [b.subset(b.source_ids != sid) for b in blocks]
-            yield _held_out(blocks, year_pos, obs_index), remaining
-
-
 @dataclass(frozen=True)
 class CVRecord:
     """One cross-validated prediction of a held-out observation."""
@@ -209,14 +175,8 @@ class CVRecord:
     cell: tuple[int, int]
 
     @property
-    def pred_mean(self) -> float:
-        if isinstance(self.pred, StudentPredictive):
-            return self.pred.f_mean
-        return self.pred.mean
-
-    @property
     def error(self) -> float:
-        return self.truth - self.pred_mean
+        return self.truth - self.pred.mean
 
 
 @dataclass
@@ -271,6 +231,7 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
     if scheme not in ("looo", "lofo"):
         raise InvalidParameterError(f"unknown cv scheme {scheme!r}")
     result = CVResult(scheme, variant.id)
+    family = variant.family
     lookup = _usable_cells(field_)
     cap = radius_steps * max(grid.lat_step, grid.lon_step)
     if eval_filter is not None:
@@ -295,29 +256,15 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
                 result.n_skipped += 1
                 continue
             center = SpaceTimePoint(cell.lat, cell.lon, grid.eval_time)
-            target_block = data[year_pos]
-            wmask = (
-                (np.abs(target_block.lat - center.lat) <= spec.x_win)
-                & (np.abs(wrap_dlon(target_block.lon - center.lon)) <= spec.x_win)
-                & (np.abs(target_block.t - center.t) <= spec.t_win)
-            )
+            wmask = window_mask(block, center, spec)
             if scheme == "looo":
-                wmask = wmask.copy()
                 wmask[obs_index] = False
             else:
-                wmask = wmask & (target_block.source_ids != o.source_id)
-            remaining = target_block.subset(wmask)
+                wmask &= block.source_ids != o.source_id
             target = SpaceTimePoint(o.lat, o.lon, o.day)
-            params = cell.fit.params
             try:
-                if isinstance(params, ReferenceParams):
-                    pred = _predict_reference(target, remaining, params)
-                elif isinstance(params, StudentParams):
-                    pred = predict_student(target, remaining, params,
-                                           spatial=variant.spatial, opts=opts)
-                else:
-                    pred = predict_gaussian(target, remaining, params,
-                                            spatial=variant.spatial, opts=opts)
+                pred = family.predict(target, block.subset(wmask),
+                                      cell.fit.params, opts)
             except Exception:
                 result.n_failed += 1
                 continue
@@ -406,7 +353,7 @@ def calibration(cv: CVResult, levels=DEFAULT_LEVELS,
     for lv in levels:
         if not 0.0 < lv < 1.0:
             raise InvalidParameterError(f"confidence level {lv} outside (0, 1)")
-    z_gauss = {lv: float(norm.ppf(0.5 + lv / 2.0)) for lv in levels}
+    z_gauss = {lv: float(ndtri(0.5 + lv / 2.0)) for lv in levels}
     residuals = np.empty(len(cv.records))
     covered = {lv: np.zeros(len(cv.records), dtype=bool) for lv in levels}
     lengths = {lv: np.empty(len(cv.records)) for lv in levels}
@@ -417,7 +364,7 @@ def calibration(cv: CVResult, levels=DEFAULT_LEVELS,
                                                    rec.obs_index))
             dev = predictive_deviation_sample(rec.pred, rec_mc)
             pit = float(np.mean(rec.pred.f_mean + dev <= rec.truth))
-            z = float(norm.ppf(pit))
+            z = float(ndtri(pit))
             if not math.isfinite(z):
                 n_flagged += 1
             for lv in levels:
@@ -440,7 +387,7 @@ def calibration(cv: CVResult, levels=DEFAULT_LEVELS,
     if finite.size == 0:
         raise EmptyInputError("no finite residuals to build a quantile curve")
     probs = np.arange(1, QUANTILE_GRID_POINTS + 1) / (QUANTILE_GRID_POINTS + 1)
-    q_theory = norm.ppf(probs)
+    q_theory = ndtri(probs)
     q_sample = np.quantile(finite, probs)
     return CalibrationReport(
         residuals=np.sort(residuals),

@@ -52,7 +52,6 @@ from .gaussian import (
 from .student import (
     McOptions,
     StudentParams,
-    StudentPredictive,
     fit_mle_student,
     nu_variance_factor,
     predict_student,
@@ -135,6 +134,15 @@ class ModelVariant:
     @property
     def t_win(self) -> float:
         return month_halfwidth_days(self.months)
+
+    @property
+    def family(self) -> "ModelFamily":
+        """The model family that fits and predicts for this variant."""
+        if self.reference:
+            return ReferenceFamily()
+        if self.nugget == "gaussian":
+            return GaussianFamily(self.spatial)
+        return StudentFamily(self.spatial)
 
 
 VARIANTS: dict[int, ModelVariant] = {
@@ -336,15 +344,15 @@ def select_window(data, center: SpaceTimePoint, spec: WindowSpec) -> list[YearBl
     year).  Empty per-year subsets are kept so that downstream
     prediction can fall back to the prior for data-free years.
     """
-    out = []
-    for block in data:
-        keep = (
-            (np.abs(block.lat - center.lat) <= spec.x_win)
+    return [block.subset(window_mask(block, center, spec)) for block in data]
+
+
+def window_mask(block: YearBlock, center: SpaceTimePoint,
+                spec: WindowSpec) -> np.ndarray:
+    """Boolean mask of the block's observations inside the closed window."""
+    return ((np.abs(block.lat - center.lat) <= spec.x_win)
             & (np.abs(wrap_dlon(block.lon - center.lon)) <= spec.x_win)
-            & (np.abs(block.t - center.t) <= spec.t_win)
-        )
-        out.append(block.subset(keep))
-    return out
+            & (np.abs(block.t - center.t) <= spec.t_win))
 
 
 def pooled_window_variance(blocks) -> float:
@@ -397,38 +405,99 @@ def _predict_reference(target: SpaceTimePoint, block: YearBlock,
     return GaussianPredictive(mean, var)
 
 
-def student_total_variance(pred: StudentPredictive) -> float:
-    """Predictive variance of the observation under the Student nugget.
+def _unit(ratio) -> float:
+    return min(max(float(ratio), 0.0), 1.0)
 
-    Infinite when the fitted dof do not admit a second moment.
+
+class ModelFamily:
+    """Fit, predictive law, interval, variance ratio and parameter names.
+
+    ``ModelVariant.family`` picks one; no caller branches on the variant
+    or the parameter type.  The variance ratio (post- to pre-data
+    predictive variance) lies in [0, 1] and is exactly 1 without data.
     """
-    if pred.dof > 2.0:
-        return pred.f_var + pred.scale ** 2 * nu_variance_factor(pred.dof)
-    return math.inf
+
+    def interval(self, pred, alpha: float, mc: McOptions, stream):
+        """Central (1 - alpha) interval; ``stream`` is (seed, cell, year)."""
+        return gaussian_interval(pred, alpha)
+
+    def predict_cell_year(self, center, block, params, opts, mc, alpha,
+                          seed, flat_index) -> CellPrediction:
+        pred = self.predict(center, block, params, opts)
+        lower, upper = self.interval(pred, alpha, mc, (seed, flat_index, block.year))
+        return CellPrediction(block.year, pred.mean, pred.variance, lower, upper,
+                              self.variance_ratio(pred, params), block.m)
 
 
-def variance_ratio(pred, params) -> float:
-    """Post-data to pre-data predictive variance ratio in [0, 1].
+@dataclass(frozen=True)
+class ReferenceFamily(ModelFamily):
+    """Fixed-shape reference covariance; the fit is the plug-in variance."""
 
-    With no data the ratio is exactly 1.  For Student fits without a
-    second moment the latent-variance ratio f_var/phi is reported
-    instead, since both total variances are infinite with the same
-    nugget contribution.
+    def fit(self, blocks, opts):
+        return ReferenceParams(reference_phi_hat(blocks)), None
+
+    def predict(self, target, block, params, opts):
+        return _predict_reference(target, block, params)
+
+    def variance_ratio(self, pred, params) -> float:
+        return _unit(pred.variance / params.prior_var)
+
+    def param_values(self, params) -> dict:
+        return {"phi": params.phi, "sigma2": params.sigma2}
+
+
+@dataclass(frozen=True)
+class GaussianFamily(ModelFamily):
+    """Locally fitted exponential kernel with a Gaussian nugget."""
+
+    spatial: bool
+
+    def fit(self, blocks, opts):
+        return fit_mle_gaussian(blocks, opts=opts, spatial=self.spatial)
+
+    def predict(self, target, block, params, opts):
+        return predict_gaussian(target, block, params, spatial=self.spatial,
+                                opts=opts)
+
+    def variance_ratio(self, pred, params) -> float:
+        return _unit(pred.variance / (params.phi + params.sigma2))
+
+    def param_values(self, params) -> dict:
+        names = ("phi", "theta_lat", "theta_lon", "sigma2")
+        return {name: getattr(params, name)
+                for name in names + (() if self.spatial else ("theta_t",))}
+
+
+@dataclass(frozen=True)
+class StudentFamily(ModelFamily):
+    """Locally fitted exponential kernel with a Student-t nugget.
+
+    Intervals are Monte Carlo, seeded by (seed, cell, year).  Without a
+    second moment the variance ratio is the latent one, f_var/phi.
     """
-    if isinstance(params, ReferenceParams):
-        prior = params.prior_var
-        ratio = pred.variance / prior
-    elif isinstance(params, StudentParams):
+
+    spatial: bool
+
+    def fit(self, blocks, opts):
+        return fit_mle_student(blocks, opts=opts, spatial=self.spatial)
+
+    def predict(self, target, block, params, opts):
+        return predict_student(target, block, params, spatial=self.spatial,
+                               opts=opts)
+
+    def interval(self, pred, alpha, mc, stream):
+        return student_interval(pred, alpha,
+                                replace(mc, seed=cell_year_seed(*stream)))
+
+    def variance_ratio(self, pred, params) -> float:
         if params.nu > 2.0:
             nug = params.cov.sigma2 * nu_variance_factor(params.nu)
-            ratio = (pred.f_var + nug) / (params.cov.phi + nug)
-        else:
-            ratio = pred.f_var / params.cov.phi
-    elif isinstance(params, CovParams):
-        ratio = pred.variance / (params.phi + params.sigma2)
-    else:
-        raise InvalidParameterError(f"unsupported params type {type(params)!r}")
-    return min(max(float(ratio), 0.0), 1.0)
+            return _unit((pred.f_var + nug) / (params.cov.phi + nug))
+        return _unit(pred.f_var / params.cov.phi)
+
+    def param_values(self, params) -> dict:
+        return {**GaussianFamily(self.spatial).param_values(params.cov),
+                "nu": params.nu}
 
 
 def correlation_at_lag(params: CovParams, dlat: float = 0.0, dlon: float = 0.0,
@@ -502,49 +571,19 @@ def fit_grid_point(data, center: SpaceTimePoint, variant: ModelVariant,
     if n_obs < spec.min_obs:
         return CellFit("insufficient_data", n_obs,
                        message=f"{n_obs} observations < minimum {spec.min_obs}")
+    family = variant.family
     fit_opts = replace(opts, min_obs=spec.min_obs)
     try:
-        if variant.reference:
-            params = ReferenceParams(reference_phi_hat(windowed))
-            report = None
-        elif variant.nugget == "gaussian":
-            params, report = fit_mle_gaussian(windowed, opts=fit_opts,
-                                              spatial=variant.spatial)
-        else:
-            params, report = fit_mle_student(windowed, opts=fit_opts,
-                                             spatial=variant.spatial)
-        preds = []
-        for block in windowed:
-            preds.append(_predict_cell_year(center, block, variant, params,
-                                            fit_opts, mc, alpha, seed, flat_index))
+        params, report = family.fit(windowed, fit_opts)
+        preds = tuple(
+            family.predict_cell_year(center, block, params, fit_opts, mc,
+                                     alpha, seed, flat_index)
+            for block in windowed)
+    except InvalidParameterError:
+        raise
     except Exception as exc:  # degenerate window; record, do not abort
-        if isinstance(exc, InvalidParameterError) and not isinstance(
-                exc, (InsufficientDataError, InsufficientVarianceError)):
-            raise
         return CellFit(_status_for(exc), n_obs, message=str(exc))
-    return CellFit("ok", n_obs, params=params, report=report,
-                   predictions=tuple(preds))
-
-
-def _predict_cell_year(center, block, variant, params, opts, mc, alpha,
-                       seed, flat_index) -> CellPrediction:
-    if variant.reference:
-        pred = _predict_reference(center, block, params)
-        lower, upper = gaussian_interval(pred, alpha)
-        mean, var = pred.mean, pred.variance
-    elif variant.nugget == "gaussian":
-        pred = predict_gaussian(center, block, params,
-                                spatial=variant.spatial, opts=opts)
-        lower, upper = gaussian_interval(pred, alpha)
-        mean, var = pred.mean, pred.variance
-    else:
-        pred = predict_student(center, block, params,
-                               spatial=variant.spatial, opts=opts)
-        block_mc = replace(mc, seed=cell_year_seed(seed, flat_index, block.year))
-        lower, upper = student_interval(pred, alpha, block_mc)
-        mean, var = pred.f_mean, student_total_variance(pred)
-    return CellPrediction(block.year, mean, var, lower, upper,
-                         variance_ratio(pred, params), block.m)
+    return CellFit("ok", n_obs, params=params, report=report, predictions=preds)
 
 
 _PAYLOAD = None
@@ -612,6 +651,7 @@ def _apply_nearest_fallback(field_: GridField, data, variant, spec, opts,
     donors = [r for r in field_.ordered() if r.fit.ok]
     if not donors:
         return
+    family = variant.family
     for res in field_.ordered():
         if res.fit.ok or res.fit.status == "insufficient_data":
             continue
@@ -626,8 +666,8 @@ def _apply_nearest_fallback(field_: GridField, data, variant, spec, opts,
         flat = field_.grid.flat_index(res.i, res.j)
         try:
             preds = tuple(
-                _predict_cell_year(center, block, variant, best.fit.params,
-                                   opts, mc, alpha, seed, flat)
+                family.predict_cell_year(center, block, best.fit.params,
+                                         opts, mc, alpha, seed, flat)
                 for block in windowed
             )
         except Exception as exc:

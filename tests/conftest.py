@@ -1,8 +1,9 @@
 """Shared fixtures and brute-force oracles for the test suite.
 
 The oracles here deliberately use the most transparent formulation
-available (explicit inverses, dense log-determinants, naive sums) so
-that agreement with the library is evidence, not circularity.
+available (explicit inverses, dense log-determinants, naive sums, one
+point pair or one fold at a time) so that agreement with the library
+is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -13,8 +14,23 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from mwgp.covariance import CovParams, SpaceTimePoint, cov_matrix, cross_cov_vector
+from mwgp.covariance import (
+    KM_PER_DEG,
+    RG_DEFAULT,
+    CovParams,
+    RGCovConfig,
+    SpaceTimePoint,
+    as_point_array,
+    cov_matrix,
+    cross_cov_vector,
+    rg_tropic_factor,
+    wrap_dlon,
+    wrap_lon,
+)
+from mwgp.errors import InputError, InvalidParameterError
 from mwgp.gaussian import YearBlock
+from mwgp.student import McOptions, StudentPredictive, predictive_deviation_sample
+from mwgp.validation import _held_out
 
 # Canonical parameter set used across modules when the exact values
 # are immaterial; chosen so no two scales coincide.
@@ -96,6 +112,102 @@ def scalar_laplace_loglik(y, phi, sigma, nu):
     assert curv > 0.0
     return float(log_joint(f_hat) + 0.5 * math.log(2.0 * math.pi)
                  - 0.5 * math.log(curv))
+
+
+def _sq_lags_pair(p1, p2):
+    a1 = as_point_array(p1)[0]
+    a2 = as_point_array(p2)[0]
+    dlat = a1[0] - a2[0]
+    dlon = float(wrap_dlon(a1[1] - a2[1]))
+    dt = a1[2] - a2[2]
+    return dlat * dlat, dlon * dlon, dt * dt
+
+
+def anisotropic_distance(p1, p2, params: CovParams, spatial=False) -> float:
+    """Scaled Euclidean lag between two points, one pair at a time.
+
+    Each axis lag is divided by its range; with ``spatial`` the time
+    term is dropped entirely.
+    """
+    dlat2, dlon2, dt2 = _sq_lags_pair(p1, p2)
+    d2 = dlat2 / params.theta_lat**2 + dlon2 / params.theta_lon**2
+    if not spatial:
+        d2 += dt2 / params.theta_t**2
+    return math.sqrt(d2)
+
+
+def exp_cov(p1, p2, params: CovParams, spatial=False) -> float:
+    """Scalar exponential covariance phi * exp(-d); never the nugget."""
+    return params.phi * math.exp(-anisotropic_distance(p1, p2, params, spatial))
+
+
+def _latlon(x) -> tuple[float, float]:
+    """(lat, lon) of a location given as a pair, triple, or point."""
+    if isinstance(x, SpaceTimePoint):
+        return x.lat, x.lon
+    arr = np.asarray(x, dtype=float).ravel()
+    if arr.size not in (2, 3):
+        raise InvalidParameterError(
+            "a location needs (lat, lon) or (lat, lon, t)")
+    return float(arr[0]), float(wrap_lon(arr[1]))
+
+
+def rg_distance(x1, x2, tropic=True) -> float:
+    """Scalar RG kilometre distance between two locations.
+
+    Flat-earth metric: meridional km from KM_PER_DEG, zonal km scaled
+    by cos(midpoint latitude) and, when ``tropic``, by the tropic
+    factor at the midpoint latitude.
+    """
+    lat1, lon1 = _latlon(x1)
+    lat2, lon2 = _latlon(x2)
+    mid = 0.5 * (lat1 + lat2)
+    dlat_km = (lat1 - lat2) * KM_PER_DEG
+    dlon_km = float(wrap_dlon(lon1 - lon2)) * KM_PER_DEG * math.cos(math.radians(mid))
+    a = rg_tropic_factor(mid) if tropic else 1.0
+    return math.hypot(dlat_km, a * dlon_km)
+
+
+def rg_cov(x1, x2, phi_hat, config: RGCovConfig = RG_DEFAULT,
+           tropic=True) -> float:
+    """Scalar RG covariance between two locations with plug-in variance."""
+    if not (np.isfinite(phi_hat) and phi_hat > 0.0):
+        raise InvalidParameterError(f"phi_hat must be positive, got {phi_hat}")
+    d = rg_distance(x1, x2, tropic)
+    return phi_hat * (config.gauss_weight * math.exp(-(d / config.gauss_scale_km) ** 2)
+                      + config.exp_weight * math.exp(-d / config.exp_scale_km))
+
+
+def loo_partition(blocks):
+    """Leave-one-observation-out folds: (held-out, remaining blocks).
+
+    Only the held observation is removed from its year.
+    """
+    for year_pos, block in enumerate(blocks):
+        for obs_index in range(block.m):
+            keep = np.ones(block.m, dtype=bool)
+            keep[obs_index] = False
+            remaining = list(blocks)
+            remaining[year_pos] = block.subset(keep)
+            yield _held_out(blocks, year_pos, obs_index), remaining
+
+
+def lofo_partition(blocks):
+    """Leave-one-float-out folds: the held source leaves every year."""
+    for block in blocks:
+        if block.source_ids is None:
+            raise InputError("track-level holdout requires source_ids")
+    for year_pos, block in enumerate(blocks):
+        for obs_index in range(block.m):
+            sid = block.source_ids[obs_index]
+            remaining = [b.subset(b.source_ids != sid) for b in blocks]
+            yield _held_out(blocks, year_pos, obs_index), remaining
+
+
+def student_pit(value, pred: StudentPredictive, mc=McOptions()) -> float:
+    """Monte Carlo probability integral transform P(Y* <= value)."""
+    dev = predictive_deviation_sample(pred, mc)
+    return float(np.mean(pred.f_mean + dev <= value))
 
 
 @pytest.fixture

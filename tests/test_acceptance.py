@@ -20,7 +20,8 @@ from mwgp.covariance import (
     CovParams,
     SpaceTimePoint,
     cov_matrix,
-    rg_cov,
+    rg_corr_vector,
+    rg_shape,
     rg_tropic_factor,
 )
 from mwgp.gaussian import YearBlock, fit_mle_gaussian, gauss_loglik, predict_gaussian
@@ -47,7 +48,12 @@ from mwgp.windows import (
     reference_phi_hat,
 )
 
-from conftest import dense_mvn_loglik, explicit_conditional, scalar_laplace_loglik
+from conftest import (
+    dense_mvn_loglik,
+    explicit_conditional,
+    rg_cov,
+    scalar_laplace_loglik,
+)
 
 
 def announce(capsys, index, ok, name, detail):
@@ -410,6 +416,7 @@ def test_10_reference_covariance_constants(capsys):
         RG_DEFAULT.exp_scale_km == 1111.0,
         RG_DEFAULT.noise_signal_ratio == 0.15,
         rg_cov((3.0, 4.0), (3.0, 4.0), 1.7) == 1.7,
+        rg_corr_vector(3.0, 4.0, [3.0], [4.0])[0] == 1.0,
     ]
     # Variance divisor 1.15: the plug-in process variance is the pooled
     # window variance divided by exactly 1 + 0.15.
@@ -424,6 +431,12 @@ def test_10_reference_covariance_constants(capsys):
     dlon = 140.0 / (111.2 * math.cos(math.radians(50.0)))
     got = rg_cov((50.0, 0.0), (50.0, dlon), 1.0)
     checks.append(abs(got - want) / want < 1e-9)
+    got = rg_corr_vector(50.0, 0.0, [50.0], [dlon])[0]
+    checks.append(abs(got - want) / want < 1e-9)
+    # Off the Gaussian scale, where dropping its square would show.
+    for d in (70.0, 280.0):
+        want_d = 0.77 * math.exp(-(d / 140.0) ** 2) + 0.23 * math.exp(-d / 1111.0)
+        checks.append(abs(rg_shape(d) - want_d) / want_d < 1e-12)
     checks.append(abs(want - 0.4861) < 1e-4)
     ok = all(checks)
     announce(capsys, 10, ok, "reference covariance constants",

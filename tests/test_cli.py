@@ -4,10 +4,14 @@ formats, manifests, and error exits."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mwgp
 from mwgp.cli import (
     CV_HEADER,
     RunConfig,
@@ -473,3 +477,19 @@ class TestLagmapsCommand:
                        "--set", "lag_days=0",
                        "--set", "lag_normalization=raw") == 1
         assert "lag_normalization" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a third of a second per interpreter and the
+    # package needs only two of its quantile functions, which come from
+    # scipy.special.  This process already imported scipy.stats (the
+    # test oracles use it), so the check runs in a fresh interpreter.
+    src = os.path.dirname(os.path.dirname(mwgp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mwgp.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

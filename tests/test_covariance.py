@@ -12,24 +12,22 @@ from mwgp.covariance import (
     RGCovConfig,
     RG_DEFAULT,
     SpaceTimePoint,
-    anisotropic_distance,
     as_point_array,
     cov_matrix,
     cross_cov_vector,
-    exp_cov,
+    cross_sq_lags,
     rg_corr_matrix,
     rg_corr_vector,
-    rg_cov,
-    rg_distance,
     rg_distances,
     rg_shape,
     rg_tropic_factor,
+    scaled_distance,
     wrap_dlon,
     wrap_lon,
 )
 from mwgp.errors import EmptyInputError, InvalidParameterError
 
-from conftest import PARAMS
+from conftest import PARAMS, anisotropic_distance, exp_cov, rg_cov, rg_distance
 
 finite_lats = st.floats(-90.0, 90.0)
 finite_lons = st.floats(-1000.0, 1000.0, allow_nan=False)
@@ -38,6 +36,21 @@ days = st.floats(0.0, 366.0)
 
 def pt(lat=0.0, lon=0.0, t=0.0):
     return SpaceTimePoint(lat, lon, t)
+
+
+def lib_rg_distance(x1, x2, tropic=True):
+    """The library's vector RG distance for one pair of (lat, lon)."""
+    return float(rg_distances(x1[0], x1[1], [x2[0]], [x2[1]], tropic)[0])
+
+
+def lib_rg_corr(x1, x2, tropic=True):
+    """The library's RG correlation for one pair of (lat, lon)."""
+    return float(rg_corr_vector(x1[0], x1[1], [x2[0]], [x2[1]],
+                                tropic=tropic)[0])
+
+
+def rg_shape_by_hand(d):
+    return 0.77 * math.exp(-(d / 140.0) ** 2) + 0.23 * math.exp(-d / 1111.0)
 
 
 class TestWrapping:
@@ -122,6 +135,17 @@ class TestAnisotropicDistance:
     def test_longitude_lag_wraps(self):
         d = anisotropic_distance(pt(0, 179.0), pt(0, -179.0), PARAMS)
         assert d == pytest.approx(2.0 / PARAMS.theta_lon)
+
+    @pytest.mark.parametrize("spatial", [False, True])
+    def test_library_matches_pairwise_oracle(self, rng, spatial):
+        pts = [pt(rng.uniform(-60, 60), rng.uniform(-180, 180),
+                  rng.uniform(0, 365)) for _ in range(8)]
+        target = pt(3.0 * PARAMS.theta_lat, 179.5, 17.0)
+        d = scaled_distance(cross_sq_lags(target, as_point_array(pts)),
+                            PARAMS, spatial)
+        expected = [anisotropic_distance(target, p, PARAMS, spatial)
+                    for p in pts]
+        np.testing.assert_allclose(d, expected, rtol=1e-12)
 
 
 class TestExpCov:
@@ -239,35 +263,49 @@ class TestTropicFactor:
 class TestRgDistance:
     def test_identity(self):
         assert rg_distance((10.0, 20.0), (10.0, 20.0)) == 0.0
+        assert lib_rg_distance((10.0, 20.0), (10.0, 20.0)) == 0.0
 
     def test_one_degree_meridional(self):
         d = rg_distance((0.0, 0.0), (1.0, 0.0))
         assert d == pytest.approx(KM_PER_DEG, rel=1e-12)
+        assert lib_rg_distance((0.0, 0.0), (1.0, 0.0)) == \
+            pytest.approx(KM_PER_DEG, rel=1e-12)
         # sanity against a spherical arc length (R=6371 km): within 2%
         arc = 6371.0 * math.radians(1.0)
         assert abs(d - arc) / arc < 0.02
 
     def test_equator_zonal_with_tropic_factor(self):
-        d = rg_distance((0.0, 0.0), (0.0, 1.0))
-        assert d == pytest.approx(0.125 * KM_PER_DEG, rel=1e-9)
+        for dist in (rg_distance, lib_rg_distance):
+            d = dist((0.0, 0.0), (0.0, 1.0))
+            assert d == pytest.approx(0.125 * KM_PER_DEG, rel=1e-9)
 
     def test_tropic_factor_toggle(self):
-        d_plain = rg_distance((0.0, 0.0), (0.0, 1.0), tropic=False)
-        assert d_plain == pytest.approx(KM_PER_DEG, rel=1e-9)
+        for dist in (rg_distance, lib_rg_distance):
+            d_plain = dist((0.0, 0.0), (0.0, 1.0), tropic=False)
+            assert d_plain == pytest.approx(KM_PER_DEG, rel=1e-9)
 
     def test_midpoint_latitude_convention(self):
         # zonal lag at lat 60: cos is taken at the midpoint latitude
-        d = rg_distance((60.0, 0.0), (60.0, 2.0), tropic=False)
-        assert d == pytest.approx(2.0 * KM_PER_DEG * math.cos(math.radians(60.0)),
-                                  rel=1e-9)
+        expected = 2.0 * KM_PER_DEG * math.cos(math.radians(60.0))
+        for dist in (rg_distance, lib_rg_distance):
+            d = dist((60.0, 0.0), (60.0, 2.0), tropic=False)
+            assert d == pytest.approx(expected, rel=1e-9)
 
     def test_vector_form_matches_scalar(self, rng):
         lats = rng.uniform(-40, 40, 12)
         lons = rng.uniform(-170, 170, 12)
-        vec = rg_distances(5.0, 10.0, lats, lons)
-        for k in range(12):
-            assert vec[k] == pytest.approx(
-                rg_distance((5.0, 10.0), (lats[k], lons[k])), rel=1e-12)
+        for tropic in (True, False):
+            vec = rg_distances(5.0, 10.0, lats, lons, tropic)
+            corr = rg_corr_vector(5.0, 10.0, lats, lons, tropic=tropic)
+            R = rg_corr_matrix(np.append(lats, 5.0), np.append(lons, 10.0),
+                               tropic=tropic)
+            for k in range(12):
+                there = (lats[k], lons[k])
+                assert vec[k] == pytest.approx(
+                    rg_distance((5.0, 10.0), there, tropic), rel=1e-12)
+                want = rg_cov((5.0, 10.0), there, 1.0, tropic=tropic)
+                assert corr[k] == pytest.approx(want, rel=1e-12)
+                assert R[12, k] == pytest.approx(want, rel=1e-12)
 
 
 class TestRgCov:
@@ -280,6 +318,8 @@ class TestRgCov:
 
     def test_zero_distance(self):
         assert rg_cov((3.0, 4.0), (3.0, 4.0), 2.5) == pytest.approx(2.5)
+        assert lib_rg_corr((3.0, 4.0), (3.0, 4.0)) == 1.0
+        assert rg_shape(0.0) == 1.0
 
     def test_named_distance_value(self):
         # place two points exactly 140 km apart meridionally
@@ -287,7 +327,17 @@ class TestRgCov:
         val = rg_cov((0.0, 0.0), (dlat, 0.0), 1.0)
         expected = 0.77 * math.exp(-1.0) + 0.23 * math.exp(-140.0 / 1111.0)
         assert val == pytest.approx(expected, rel=1e-12)
+        assert lib_rg_corr((0.0, 0.0), (dlat, 0.0)) == \
+            pytest.approx(expected, rel=1e-12)
+        assert rg_shape(140.0) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(0.4861, abs=2e-4)
+
+    def test_shape_against_closed_form_off_the_gaussian_scale(self):
+        # At d = 140 km the Gaussian term is exp(-1) with or without its
+        # square, so check distances on both sides of that scale too.
+        d = np.array([35.0, 70.0, 280.0, 555.5, 1111.0, 2500.0])
+        np.testing.assert_allclose(
+            rg_shape(d), [rg_shape_by_hand(x) for x in d], rtol=1e-14)
 
     def test_shape_function_far_limit(self):
         assert rg_shape(np.array([1e7]))[0] < 1e-12
@@ -300,6 +350,8 @@ class TestRgCov:
         a = rg_cov((10.0, 5.0), (10.0, 5.0), 1.0, tropic=True)
         b = rg_cov((10.0, 5.0), (10.0, 5.0), 1.0, tropic=False)
         assert a == b == 1.0
+        assert lib_rg_corr((10.0, 5.0), (10.0, 5.0), tropic=True) == 1.0
+        assert lib_rg_corr((10.0, 5.0), (10.0, 5.0), tropic=False) == 1.0
 
     def test_corr_matrix_and_vector_consistent(self, rng):
         lats = rng.uniform(-30, 30, 7)

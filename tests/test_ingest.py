@@ -30,14 +30,19 @@ from mwgp.ingest import (
     profiles_to_level,
     read_mean_field,
     records_to_blocks,
-    rg_phi_hat,
     subtract_mean,
     write_mean_field,
     write_mean_field_gridded,
     write_profiles,
 )
 from mwgp.covariance import SpaceTimePoint
-from mwgp.windows import GridSpec, WindowSpec
+from mwgp.windows import (
+    GridSpec,
+    WindowSpec,
+    month_halfwidth_days,
+    reference_phi_hat,
+    select_window,
+)
 
 
 def make_profile(sid="f1", lat=10.0, lon=20.0, year=2007, day=45.5,
@@ -445,18 +450,22 @@ class TestSubtractMean:
 
 
 class TestWindowedPluginVariance:
+    WINDOW = WindowSpec(10.0, month_halfwidth_days(1), min_obs=2)
+
     def test_two_point_value(self):
         block = YearBlock(0, np.zeros(2), np.zeros(2), np.full(2, 45.5),
                           np.array([-1.0, 1.0]))
         center = SpaceTimePoint(0.0, 0.0, 45.5)
-        assert rg_phi_hat([block], center) == pytest.approx(2.0 / 1.15,
+        windowed = select_window([block], center, self.WINDOW)
+        assert reference_phi_hat(windowed) == pytest.approx(2.0 / 1.15,
                                                             rel=1e-15)
 
     def test_window_excludes_distant_observations(self):
         block = YearBlock(0, np.array([0.0, 0.0, 50.0]), np.zeros(3),
                           np.full(3, 45.5), np.array([-1.0, 1.0, 100.0]))
         center = SpaceTimePoint(0.0, 0.0, 45.5)
-        assert rg_phi_hat([block], center) == pytest.approx(2.0 / 1.15,
+        windowed = select_window([block], center, self.WINDOW)
+        assert reference_phi_hat(windowed) == pytest.approx(2.0 / 1.15,
                                                             rel=1e-15)
 
     def test_custom_window(self):
@@ -465,7 +474,7 @@ class TestWindowedPluginVariance:
         center = SpaceTimePoint(0.0, 0.0, 45.5)
         narrow = WindowSpec(2.0, 20.0, min_obs=2)
         with pytest.raises(InsufficientDataError):
-            rg_phi_hat([block], center, narrow)
+            reference_phi_hat(select_window([block], center, narrow))
 
 
 class TestMaskAndFilters:

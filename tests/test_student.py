@@ -25,11 +25,10 @@ from mwgp.student import (
     predict_student,
     predictive_deviation_sample,
     student_interval,
-    student_pit,
 )
 from mwgp.validation import simulate_field
 
-from conftest import random_block
+from conftest import random_block, student_pit
 
 SP = StudentParams(CovParams(1.0, 2.0, 3.0, 6.0, 0.5), nu=4.0)
 

@@ -22,8 +22,6 @@ from mwgp.validation import (
     CVResult,
     calibration,
     cv_fold_seed,
-    lofo_partition,
-    loo_partition,
     nearest_cell_index,
     point_metrics,
     run_cv,
@@ -39,6 +37,8 @@ from mwgp.windows import (
     map_grid,
     month_halfwidth_days,
 )
+
+from conftest import lofo_partition, loo_partition
 
 TRUE = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
 
@@ -542,11 +542,11 @@ class TestCVRecordProperties:
     def test_gaussian_mean_and_error(self):
         rec = CVRecord(0, 0, 0, None, 0.0, 0.0, 45.0, 2.0,
                        GaussianPredictive(1.5, 1.0), 2, (0, 0))
-        assert rec.pred_mean == 1.5
+        assert rec.pred.mean == 1.5
         assert rec.error == 0.5
 
     def test_student_mean_and_error(self):
         rec = CVRecord(0, 0, 0, "f1", 0.0, 0.0, 45.0, 2.0,
                        StudentPredictive(2.5, 0.5, 0.7, 4.0), 3, (0, 0))
-        assert rec.pred_mean == 2.5
+        assert rec.pred.mean == 2.5
         assert rec.error == -0.5

@@ -7,31 +7,46 @@ nearest-cell parameter fallback).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwgp.covariance import (
-    KM_PER_DEG,
-    CovParams,
-    SpaceTimePoint,
-    exp_cov,
-)
+from mwgp.covariance import KM_PER_DEG, CovParams, SpaceTimePoint
 from mwgp.errors import (
     InsufficientDataError,
     InsufficientVarianceError,
     InvalidParameterError,
 )
-from mwgp.gaussian import GaussianPredictive, YearBlock
-from mwgp.student import StudentParams, StudentPredictive
+from mwgp.gaussian import (
+    DEFAULT_OPTS,
+    GaussianPredictive,
+    YearBlock,
+    fit_mle_gaussian,
+    gaussian_interval,
+    predict_gaussian,
+)
+from mwgp.student import (
+    McOptions,
+    StudentParams,
+    StudentPredictive,
+    fit_mle_student,
+    nu_variance_factor,
+    predict_student,
+    student_interval,
+)
 from mwgp.validation import simulate_field
 from mwgp.windows import (
     VARIANTS,
+    CellPrediction,
+    GaussianFamily,
     GridSpec,
     ModelVariant,
+    ReferenceFamily,
     ReferenceParams,
+    StudentFamily,
     WindowSpec,
     _predict_reference,
     cell_key,
@@ -44,10 +59,10 @@ from mwgp.windows import (
     pooled_window_variance,
     reference_phi_hat,
     select_window,
-    student_total_variance,
-    variance_ratio,
     zonal_km_to_degrees,
 )
+
+from conftest import exp_cov
 
 TRUE = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
 
@@ -348,8 +363,8 @@ class TestReferencePrediction:
                                   params)
         phi, s2 = params.phi, params.sigma2
         expected = (s2 * (phi + s2) + phi * s2) / (phi + s2) ** 2
-        assert variance_ratio(pred, params) == pytest.approx(expected,
-                                                             rel=1e-12)
+        assert ReferenceFamily().variance_ratio(pred, params) == \
+            pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.3225 / 1.3225, rel=1e-15)
 
     def test_mean_is_bitwise_invariant_to_plugin_variance(self):
@@ -375,50 +390,128 @@ class TestReferencePrediction:
 
 
 class TestVarianceSummaries:
+    REFERENCE = ReferenceFamily()
+    GAUSSIAN = GaussianFamily(spatial=True)
+    STUDENT = StudentFamily(spatial=True)
+
     def test_student_total_variance_with_second_moment(self):
         pred = StudentPredictive(0.0, 0.5, 0.7, 4.0)
-        assert student_total_variance(pred) == pytest.approx(
-            0.5 + 0.49 * 2.0, rel=1e-15)
+        assert pred.variance == pytest.approx(0.5 + 0.49 * 2.0, rel=1e-15)
+        assert pred.mean == pred.f_mean
 
     def test_student_total_variance_infinite_below_two_dof(self):
-        assert math.isinf(student_total_variance(
-            StudentPredictive(0.0, 0.5, 0.7, 2.0)))
+        assert math.isinf(StudentPredictive(0.0, 0.5, 0.7, 2.0).variance)
 
     def test_ratio_is_one_with_no_data(self):
         ref = ReferenceParams(2.0)
-        assert variance_ratio(GaussianPredictive(0.0, ref.prior_var), ref) == 1.0
+        assert self.REFERENCE.variance_ratio(
+            GaussianPredictive(0.0, ref.prior_var), ref) == 1.0
         cov = CovParams(1.0, 2.0, 3.0, 4.0, 0.5)
-        assert variance_ratio(GaussianPredictive(0.0, 1.5), cov) == 1.0
+        assert self.GAUSSIAN.variance_ratio(GaussianPredictive(0.0, 1.5),
+                                            cov) == 1.0
         stu = StudentParams(cov, nu=4.0)
-        assert variance_ratio(StudentPredictive(0.0, cov.phi, 1.0, 4.0),
-                              stu) == 1.0
+        assert self.STUDENT.variance_ratio(
+            StudentPredictive(0.0, cov.phi, 1.0, 4.0), stu) == 1.0
 
     def test_gaussian_ratio(self):
         cov = CovParams(1.0, 2.0, 3.0, 4.0, 0.5)
-        assert variance_ratio(GaussianPredictive(0.0, 0.9), cov) == \
-            pytest.approx(0.6, rel=1e-15)
+        assert self.GAUSSIAN.variance_ratio(GaussianPredictive(0.0, 0.9),
+                                            cov) == pytest.approx(0.6, rel=1e-15)
 
     def test_student_ratio_uses_inflated_nugget(self):
         cov = CovParams(1.0, 2.0, 3.0, 4.0, 0.5)
         stu = StudentParams(cov, nu=4.0)
         pred = StudentPredictive(0.0, 0.5, 0.6, 4.0)
-        assert variance_ratio(pred, stu) == pytest.approx(
+        assert self.STUDENT.variance_ratio(pred, stu) == pytest.approx(
             (0.5 + 1.0) / (1.0 + 1.0), rel=1e-15)
 
     def test_student_ratio_without_second_moment_uses_latent_part(self):
         cov = CovParams(2.0, 2.0, 3.0, 4.0, 0.5)
         stu = StudentParams(cov, nu=1.5)
-        assert variance_ratio(StudentPredictive(0.0, 0.5, 0.6, 1.5), stu) == \
+        assert self.STUDENT.variance_ratio(
+            StudentPredictive(0.0, 0.5, 0.6, 1.5), stu) == \
             pytest.approx(0.25, rel=1e-15)
 
     def test_ratio_clamped_to_unit_interval(self):
         cov = CovParams(1.0, 2.0, 3.0, 4.0, 0.5)
-        assert variance_ratio(GaussianPredictive(0.0, 99.0), cov) == 1.0
-        assert variance_ratio(GaussianPredictive(0.0, -0.1), cov) == 0.0
+        assert self.GAUSSIAN.variance_ratio(GaussianPredictive(0.0, 99.0),
+                                            cov) == 1.0
+        assert self.GAUSSIAN.variance_ratio(GaussianPredictive(0.0, -0.1),
+                                            cov) == 0.0
 
-    def test_ratio_rejects_unknown_parameter_type(self):
-        with pytest.raises(InvalidParameterError):
-            variance_ratio(GaussianPredictive(0.0, 1.0), "not params")
+
+class TestModelFamily:
+    FAMILIES = {
+        1: ReferenceFamily(),
+        2: GaussianFamily(spatial=True),
+        3: StudentFamily(spatial=True),
+        4: GaussianFamily(spatial=True),
+        5: GaussianFamily(spatial=False),
+        6: StudentFamily(spatial=False),
+    }
+    CENTER = SpaceTimePoint(0.0, 0.0, 45.5)
+    MC = McOptions(10_000, 3)
+
+    @pytest.mark.parametrize("vid", sorted(VARIANTS))
+    def test_cell_prediction_is_the_direct_composition(self, vid):
+        variant = VARIANTS[vid]
+        assert variant.family == self.FAMILIES[vid]
+        center, mc, alpha, seed, flat = self.CENTER, self.MC, 0.32, 11, 5
+        spec = WindowSpec(10.0, variant.t_win, 20)
+        data = gp_blocks(m=25, n_years=2, seed=19)
+        fit = fit_grid_point(data, center, variant, spec, mc=mc, alpha=alpha,
+                             seed=seed, flat_index=flat)
+        assert fit.ok
+
+        windowed = select_window(data, center, spec)
+        opts = replace(DEFAULT_OPTS, min_obs=spec.min_obs)
+        sp = variant.spatial
+        if vid == 1:
+            params = ReferenceParams(reference_phi_hat(windowed))
+        elif variant.nugget == "gaussian":
+            params, _ = fit_mle_gaussian(windowed, opts=opts, spatial=sp)
+        else:
+            params, _ = fit_mle_student(windowed, opts=opts, spatial=sp)
+        assert fit.params == params
+        assert len(fit.predictions) == len(windowed) == 2
+        for block, cell in zip(windowed, fit.predictions):
+            if vid == 1:
+                pred = _predict_reference(center, block, params)
+            elif variant.nugget == "gaussian":
+                pred = predict_gaussian(center, block, params, spatial=sp,
+                                        opts=opts)
+            else:
+                pred = predict_student(center, block, params, spatial=sp,
+                                       opts=opts)
+            if isinstance(pred, StudentPredictive):
+                block_mc = replace(mc, seed=cell_year_seed(seed, flat,
+                                                           block.year))
+                lower, upper = student_interval(pred, alpha, block_mc)
+                mean = pred.f_mean
+                var = pred.f_var + pred.scale ** 2 * nu_variance_factor(pred.dof)
+                assert params.nu > 2.0
+                nug = params.cov.sigma2 * (params.nu / (params.nu - 2.0))
+                ratio = (pred.f_var + nug) / (params.cov.phi + nug)
+            else:
+                lower, upper = gaussian_interval(pred, alpha)
+                mean, var = pred.mean, pred.variance
+                prior = (params.prior_var if vid == 1
+                         else params.phi + params.sigma2)
+                ratio = var / prior
+            ratio = min(max(ratio, 0.0), 1.0)
+            assert cell == CellPrediction(block.year, mean, var, lower, upper,
+                                          ratio, block.m)
+
+    def test_param_values_name_every_fitted_parameter(self):
+        cov = CovParams(1.0, 2.0, 3.0, 4.0, 0.5)
+        assert ReferenceFamily().param_values(ReferenceParams(2.0)) == {
+            "phi": 2.0, "sigma2": 0.15 * 2.0}
+        assert GaussianFamily(spatial=True).param_values(cov) == {
+            "phi": 1.0, "theta_lat": 2.0, "theta_lon": 3.0, "sigma2": 0.5}
+        assert StudentFamily(spatial=False).param_values(
+            StudentParams(cov, 4.0)) == {
+            "phi": 1.0, "theta_lat": 2.0, "theta_lon": 3.0, "theta_t": 4.0,
+            "sigma2": 0.5, "nu": 4.0}
 
 
 class TestCorrelationAtLag:
