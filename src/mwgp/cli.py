@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .covariance import KM_PER_DEG, CovParams
 from .errors import InputError, MappingError
-from .gaussian import DEFAULT_OPTS, GaussianPredictive
+from .gaussian import GaussianPredictive, OptimizerOptions
 from .ingest import (
     FLOAT_FMT,
     MeanFieldConfig,
@@ -186,9 +186,8 @@ class RunConfig:
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.x_win, self.resolved_t_win(), self.min_obs)
 
-    def optimizer_options(self):
-        return replace(DEFAULT_OPTS, max_iter=self.max_iter,
-                       grad_tol=self.grad_tol, min_obs=self.min_obs)
+    def optimizer_options(self) -> OptimizerOptions:
+        return OptimizerOptions(max_iter=self.max_iter, grad_tol=self.grad_tol)
 
     def mc_options(self) -> McOptions:
         return McOptions(self.mc_samples, self.seed)
@@ -645,7 +644,7 @@ def _run_cv_for_variant(cfg: RunConfig, variant_id: int):
         eval_filter = (cfg.cv_day_min if cfg.cv_day_min is not None else -math.inf,
                        cfg.cv_day_max if cfg.cv_day_max is not None else math.inf)
     cv = run_cv(blocks, grid, field_, variant, spec, cfg.scheme,
-                sub.optimizer_options(), eval_filter, cfg.radius_steps)
+                eval_filter, cfg.radius_steps)
     return cv, field_
 
 

@@ -209,27 +209,25 @@ def rg_distances(lat0, lon0, lats, lons, tropic: bool = True) -> np.ndarray:
     return np.hypot(dlat_km, a * dlon_km)
 
 
-def rg_shape(d_km, config: RGCovConfig = RG_DEFAULT) -> np.ndarray:
+def rg_shape(d_km) -> np.ndarray:
     """Unit-variance RG correlation at kilometre distance ``d_km``."""
     d = np.asarray(d_km, dtype=float)
-    g = config.gauss_weight * np.exp(-((d / config.gauss_scale_km) ** 2))
-    e = config.exp_weight * np.exp(-d / config.exp_scale_km)
+    c = RG_DEFAULT
+    g = c.gauss_weight * np.exp(-((d / c.gauss_scale_km) ** 2))
+    e = c.exp_weight * np.exp(-d / c.exp_scale_km)
     return g + e
 
 
-def rg_corr_matrix(lats, lons, config: RGCovConfig = RG_DEFAULT,
-                   tropic: bool = True) -> np.ndarray:
+def rg_corr_matrix(lats, lons, tropic: bool = True) -> np.ndarray:
     """Pairwise unit-variance RG correlation matrix (diagonal exactly 1)."""
     lats = np.asarray(lats, float)
     lons = np.asarray(lons, float)
     R = rg_shape(rg_distances(lats[:, None], lons[:, None], lats[None, :],
-                              lons[None, :], tropic), config)
+                              lons[None, :], tropic))
     np.fill_diagonal(R, 1.0)
     return R
 
 
-def rg_corr_vector(lat0, lon0, lats, lons, config: RGCovConfig = RG_DEFAULT,
-                   tropic: bool = True) -> np.ndarray:
+def rg_corr_vector(lat0, lon0, lats, lons, tropic: bool = True) -> np.ndarray:
     """RG correlations from (lat0, lon0) to arrays of locations."""
-    return rg_shape(rg_distances(lat0, wrap_lon(lon0), lats, lons, tropic),
-                    config)
+    return rg_shape(rg_distances(lat0, wrap_lon(lon0), lats, lons, tropic))

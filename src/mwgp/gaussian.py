@@ -37,6 +37,7 @@ from .errors import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+PENALTY = 1e12  # objective at points the exp transform cannot decode
 
 
 @dataclass
@@ -96,20 +97,11 @@ class GaussianPredictive:
 
 @dataclass
 class OptimizerOptions:
-    """Knobs for the quasi-Newton fits and factorizations."""
+    """Iteration limit, gradient tolerance and minimum fit size."""
 
     max_iter: int = 200
     grad_tol: float = 1e-6
-    step_tol: float = 1e-9
     min_obs: int = 20
-    ridge: float = 1e-10        # relative to phi, applied only on chol failure
-    ridge_growth: float = 100.0
-    ridge_tries: int = 4
-    fd_eps: float = 1e-6        # finite-difference step for the Student fit
-    mode_max_iter: int = 60
-    mode_tol: float = 1e-10     # target per-obs gradient norm in mode finding
-    mode_accept_tol: float = 1e-8
-    student_init_nu: float = 5.0
 
 
 DEFAULT_OPTS = OptimizerOptions()
@@ -129,25 +121,31 @@ class FitReport:
     n_mode_failures: int = 0
 
 
-def chol_spd(mat: np.ndarray, scale: float, opts: OptimizerOptions = DEFAULT_OPTS,
+STEP_TOL = 1e-9  # L-BFGS-B relative objective-decrease tolerance
+RIDGE = 1e-10    # relative to the scale, applied only on chol failure
+RIDGE_GROWTH = 100.0
+RIDGE_TRIES = 4
+
+
+def chol_spd(mat: np.ndarray, scale: float,
              year_index: int | None = None) -> np.ndarray:
     """Lower Cholesky factor, escalating a ridge only on failure.
 
-    The ridge starts at opts.ridge * scale and grows by opts.ridge_growth
-    per retry; after opts.ridge_tries failures a FactorizationError is
-    raised carrying the offending year index.
+    The ridge starts at RIDGE * scale and grows by RIDGE_GROWTH per
+    retry; after RIDGE_TRIES failures a FactorizationError is raised
+    carrying the offending year index.
     """
     try:
         return sla.cholesky(mat, lower=True, check_finite=False)
     except sla.LinAlgError:
         pass
-    ridge = opts.ridge * scale
-    for _ in range(opts.ridge_tries):
+    ridge = RIDGE * scale
+    for _ in range(RIDGE_TRIES):
         try:
             return sla.cholesky(mat + ridge * np.eye(mat.shape[0]),
                                 lower=True, check_finite=False)
         except sla.LinAlgError:
-            ridge *= opts.ridge_growth
+            ridge *= RIDGE_GROWTH
     raise FactorizationError("covariance factorization failed", year_index)
 
 
@@ -200,14 +198,19 @@ def _assemble(group, params: CovParams, spatial: bool):
 
 
 def _nll(x: np.ndarray, prepared: _Prepared, template: CovParams,
-         opts: OptimizerOptions, want_grad: bool):
+         want_grad: bool):
     """Negative loglik (and gradient wrt log-parameters) at log-point x.
 
     Parameter order: log phi, log theta_lat, log theta_lon,
-    [log theta_t unless spatial], log sigma2.
+    [log theta_t unless spatial], log sigma2.  A point whose parameters
+    over- or underflow the exp transform scores PENALTY with a zero
+    gradient, so a line-search excursion makes the optimizer back off.
     """
     spatial = prepared.spatial
-    params = _decode(x, template, spatial)
+    try:
+        params = _decode(x, template, spatial)
+    except InvalidParameterError:
+        return (PENALTY, np.zeros_like(x)) if want_grad else PENALTY
     phi, tlat, tlon, tt, s2 = (params.phi, params.theta_lat, params.theta_lon,
                                params.theta_t, params.sigma2)
 
@@ -216,7 +219,7 @@ def _nll(x: np.ndarray, prepared: _Prepared, template: CovParams,
     for group in prepared.groups:
         D, E, K, Sigma = _assemble(group, params, spatial)
         m = K.shape[0]
-        L = chol_spd(Sigma, phi, opts, group["year"])
+        L = chol_spd(Sigma, phi, group["year"])
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         nb = len(group["ys"])
         quad = 0.0
@@ -249,8 +252,7 @@ def _nll(x: np.ndarray, prepared: _Prepared, template: CovParams,
     return -ll, -glog
 
 
-def gauss_loglik(blocks, params: CovParams, spatial: bool = False,
-                 opts: OptimizerOptions = DEFAULT_OPTS) -> float:
+def gauss_loglik(blocks, params: CovParams, spatial: bool = False) -> float:
     """Sum of year-block Gaussian log-likelihoods.
 
     Empty blocks contribute exactly zero.
@@ -259,7 +261,7 @@ def gauss_loglik(blocks, params: CovParams, spatial: bool = False,
     if prepared.n_obs == 0:
         return 0.0
     x = _encode(params, spatial)
-    return -float(_nll(x, prepared, params, opts, want_grad=False))
+    return -float(_nll(x, prepared, params, want_grad=False))
 
 
 def _encode(params: CovParams, spatial: bool) -> np.ndarray:
@@ -270,11 +272,11 @@ def _encode(params: CovParams, spatial: bool) -> np.ndarray:
 
 
 def _decode(x: np.ndarray, template: CovParams, spatial: bool) -> CovParams:
+    with np.errstate(over="ignore"):  # inf is rejected by CovParams
+        v = np.exp(x)
     if spatial:
-        phi, tlat, tlon, s2 = np.exp(x)
-        return CovParams(phi, tlat, tlon, template.theta_t, s2)
-    phi, tlat, tlon, tt, s2 = np.exp(x)
-    return CovParams(phi, tlat, tlon, tt, s2)
+        return CovParams(*v[:3], template.theta_t, v[3])
+    return CovParams(*v)
 
 
 def degenerate_variance(values: np.ndarray, var: float) -> bool:
@@ -322,10 +324,10 @@ def fit_mle_gaussian(blocks, init: CovParams | None = None,
         init = default_init(blocks)
     x0 = _encode(init, spatial)
     res = minimize(
-        _nll, x0, args=(prepared, init, opts, True), jac=True,
+        _nll, x0, args=(prepared, init, True), jac=True,
         method="L-BFGS-B",
         options={"maxiter": opts.max_iter, "gtol": opts.grad_tol,
-                 "ftol": opts.step_tol, "maxcor": 20},
+                 "ftol": STEP_TOL, "maxcor": 20},
     )
     fitted = _decode(res.x, init, spatial)
     report = FitReport(
@@ -341,8 +343,7 @@ def fit_mle_gaussian(blocks, init: CovParams | None = None,
 
 
 def predict_gaussian(target, block: YearBlock, params: CovParams,
-                     spatial: bool = False,
-                     opts: OptimizerOptions = DEFAULT_OPTS) -> GaussianPredictive:
+                     spatial: bool = False) -> GaussianPredictive:
     """Kriging predictive distribution for a new noisy observation.
 
     An empty block yields the prior (0, phi + sigma2).  The variance is
@@ -353,7 +354,7 @@ def predict_gaussian(target, block: YearBlock, params: CovParams,
         return GaussianPredictive(0.0, prior_var)
     K = cov_matrix(block.points, params, spatial)
     Sigma = K + params.sigma2 * np.eye(block.m)
-    L = chol_spd(Sigma, params.phi, opts, block.year)
+    L = chol_spd(Sigma, params.phi, block.year)
     alpha = sla.cho_solve((L, True), block.values, check_finite=False)
     k_star = cross_cov_vector(target, block.points, params, spatial)
     mean = float(k_star @ alpha)

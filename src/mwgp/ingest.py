@@ -248,7 +248,6 @@ class MeanFieldConfig:
     n_neighbors: int = 300
     weight_scale_km: float = 500.0
     n_harmonics: int = 6
-    ridge: float = 1e-8
 
     def __post_init__(self):
         if self.n_neighbors < 1:
@@ -257,8 +256,6 @@ class MeanFieldConfig:
             raise InvalidParameterError("weight_scale_km must be > 0")
         if self.n_harmonics < 0:
             raise InvalidParameterError("n_harmonics must be >= 0")
-        if self.ridge < 0.0:
-            raise InvalidParameterError("ridge must be >= 0")
 
 
 def coef_names(n_harmonics: int) -> list[str]:
@@ -333,6 +330,9 @@ class MeanField:
         return float(row @ beta)
 
 
+MEAN_RIDGE = 1e-8  # rank-deficient designs: relative to mean diagonal + 1
+
+
 def estimate_mean_field(obs, grid: GridSpec,
                         config: MeanFieldConfig = MeanFieldConfig()) -> MeanField:
     """Weighted local least squares of the mean basis at every cell.
@@ -364,7 +364,7 @@ def estimate_mean_field(obs, grid: GridSpec,
         beta, _, rank, _ = np.linalg.lstsq(sw[:, None] * X, sw * yn, rcond=None)
         if rank < ncols:
             A = (X * w[:, None]).T @ X
-            lam = config.ridge * (np.trace(A) / ncols + 1.0)
+            lam = MEAN_RIDGE * (np.trace(A) / ncols + 1.0)
             beta = np.linalg.solve(A + lam * np.eye(ncols), (X * w[:, None]).T @ yn)
             ridge_cells.add((i, j))
         coefs[(i, j)] = beta

@@ -39,12 +39,20 @@ from .errors import (
 )
 from .gaussian import (
     DEFAULT_OPTS,
+    PENALTY,
+    STEP_TOL,
     FitReport,
     OptimizerOptions,
     YearBlock,
     chol_spd,
     fit_mle_gaussian,
 )
+
+FD_EPS = 1e-6            # finite-difference step of the fit's gradient
+MODE_MAX_ITER = 60
+MODE_TOL = 1e-10         # target per-obs gradient norm in mode finding
+MODE_ACCEPT_TOL = 1e-8   # per-obs norm at which a capped search is accepted
+STUDENT_INIT_NU = 5.0
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,7 @@ def _t_w_raw(resid: np.ndarray, sigma: float, nu: float) -> np.ndarray:
 
 
 def _newton(y: np.ndarray, K: np.ndarray, sigma: float, nu: float,
-            f0: np.ndarray, a0: np.ndarray, opts: OptimizerOptions):
+            f0: np.ndarray, a0: np.ndarray):
     """Damped Newton ascent on Psi(f) = log p(y|f) - f'K^-1 f / 2.
 
     Returns (f, a, psi, grad_norm, iterations, converged).  The pair
@@ -151,9 +159,9 @@ def _newton(y: np.ndarray, K: np.ndarray, sigma: float, nu: float,
     m = y.size
     f, a = f0.copy(), a0.copy()
     psi = _t_loglik(y - f, sigma, nu) - 0.5 * float(f @ a)
-    target = opts.mode_tol * m
+    target = MODE_TOL * m
     flat_steps = 0
-    for it in range(opts.mode_max_iter):
+    for it in range(MODE_MAX_ITER):
         g = _t_grad(y - f, sigma, nu)
         grad = g - a
         gn = float(np.linalg.norm(grad))
@@ -196,18 +204,17 @@ def _newton(y: np.ndarray, K: np.ndarray, sigma: float, nu: float,
         break
     g = _t_grad(y - f, sigma, nu)
     gn = float(np.linalg.norm(g - a))
-    return f, a, psi, gn, opts.mode_max_iter, gn <= opts.mode_accept_tol * m
+    return f, a, psi, gn, MODE_MAX_ITER, gn <= MODE_ACCEPT_TOL * m
 
 
-def find_mode(block: YearBlock, params: StudentParams, spatial: bool = False,
-              opts: OptimizerOptions = DEFAULT_OPTS) -> LaplaceState:
+def find_mode(block: YearBlock, params: StudentParams,
+              spatial: bool = False) -> LaplaceState:
     """Posterior mode of the latent GP values for one year block.
 
     Starts from the Gaussian-limit smoother (variance-matched nugget),
     falling back to f = 0; among converged runs the one with higher
     Psi wins.  Raises ModeFindingError with per-start diagnostics if
-    no run reaches the acceptance gradient norm of
-    opts.mode_accept_tol * m.
+    no run reaches the acceptance gradient norm of MODE_ACCEPT_TOL * m.
     """
     if block.m == 0:
         raise InputError("find_mode needs at least one observation")
@@ -222,14 +229,14 @@ def find_mode(block: YearBlock, params: StudentParams, spatial: bool = False,
     # (capped for nu near/below 2 where it blows up).
     ratio = nu / (nu - 2.0) if nu > 2.2 else 10.0
     s2 = cov.sigma2 * ratio
-    L = chol_spd(K + s2 * np.eye(m), cov.phi, opts, block.year)
+    L = chol_spd(K + s2 * np.eye(m), cov.phi, block.year)
     a_gauss = sla.cho_solve((L, True), y, check_finite=False)
     f_gauss = K @ a_gauss
 
     attempts, diags = [], {}
     for name, f0, a0 in (("gauss", f_gauss, a_gauss),
                          ("zero", np.zeros(m), np.zeros(m))):
-        f, a, psi, gn, it, ok = _newton(y, K, sigma, nu, f0, a0, opts)
+        f, a, psi, gn, it, ok = _newton(y, K, sigma, nu, f0, a0)
         diags[name] = {"grad_norm": gn, "psi": psi, "iterations": it,
                        "converged": ok}
         if ok:
@@ -254,8 +261,7 @@ def find_mode(block: YearBlock, params: StudentParams, spatial: bool = False,
                         grad_norm=gn, iterations=it, start=name)
 
 
-def laplace_loglik(blocks, params: StudentParams, spatial: bool = False,
-                   opts: OptimizerOptions = DEFAULT_OPTS) -> float:
+def laplace_loglik(blocks, params: StudentParams, spatial: bool = False) -> float:
     """Laplace-approximate log marginal likelihood, summed over blocks.
 
     Empty blocks contribute exactly zero.
@@ -264,7 +270,7 @@ def laplace_loglik(blocks, params: StudentParams, spatial: bool = False,
     for b in blocks:
         if b.m == 0:
             continue
-        total += find_mode(b, params, spatial, opts).log_q
+        total += find_mode(b, params, spatial).log_q
     return total
 
 
@@ -279,16 +285,15 @@ def _encode_student(params: StudentParams, spatial: bool) -> np.ndarray:
 
 
 def _decode_student(x: np.ndarray, template: CovParams, spatial: bool) -> StudentParams:
-    if spatial:
-        phi, tlat, tlon = np.exp(x[:3])
-        tt = template.theta_t
-        sigma = math.exp(x[3])
-        nu = 1.0 + math.exp(x[4])
-    else:
-        phi, tlat, tlon, tt = np.exp(x[:4])
-        sigma = math.exp(x[4])
-        nu = 1.0 + math.exp(x[5])
-    return StudentParams(CovParams(phi, tlat, tlon, tt, sigma * sigma), nu)
+    k = 3 if spatial else 4
+    with np.errstate(over="ignore"):  # inf is rejected by CovParams
+        v = np.exp(x[:k])
+    try:
+        sigma, nu = math.exp(x[k]), 1.0 + math.exp(x[k + 1])
+    except OverflowError:
+        raise InvalidParameterError("t scale or dof overflows") from None
+    tt = template.theta_t if spatial else v[3]
+    return StudentParams(CovParams(*v[:3], tt, sigma * sigma), nu)
 
 
 def fit_mle_student(blocks, init: StudentParams | None = None,
@@ -312,7 +317,7 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
         raise InsufficientVarianceError("all window values identical")
     if init is None:
         gfit, _ = fit_mle_gaussian(blocks, opts=opts, spatial=spatial)
-        nu0 = opts.student_init_nu
+        nu0 = STUDENT_INIT_NU
         # A near-interpolating Gaussian fit (sigma2 ~ 0) would hand the
         # mode search an un-evaluable start; floor the initial scale at
         # a small fraction of the data variance and let the optimizer
@@ -330,10 +335,10 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
         # penalize instead of aborting so the optimizer backs off.
         try:
             params = _decode_student(x, init.cov, spatial)
-            val = -laplace_loglik(blocks, params, spatial, opts)
+            val = -laplace_loglik(blocks, params, spatial)
         except (ModeFindingError, sla.LinAlgError, InvalidParameterError):
             failures[0] += 1
-            return 1e12
+            return PENALTY
         if val < best["fun"]:
             best["fun"] = val
             best["x"] = x.copy()
@@ -343,15 +348,17 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
     res = minimize(
         objective, x0, method="L-BFGS-B",
         options={"maxiter": opts.max_iter, "gtol": opts.grad_tol,
-                 "ftol": opts.step_tol, "eps": opts.fd_eps, "maxcor": 20},
+                 "ftol": STEP_TOL, "eps": FD_EPS, "maxcor": 20},
     )
     if best["x"] is None:
         raise ModeFindingError("Student fit never found a usable iterate",
                                diagnostics={"n_failures": failures[0]})
     # The optimizer can terminate inside the overflow plateau (nu running
     # to the Gaussian limit flattens the likelihood until exp overflows);
-    # fall back to the best finite iterate and flag non-convergence.
-    stranded = res.fun > best["fun"]
+    # only then is the fit flagged unconverged on top of scipy's verdict.
+    # The best evaluated point is returned either way; it may be a
+    # finite-difference probe within FD_EPS of the final iterate.
+    stranded = res.fun >= PENALTY
     fitted = _decode_student(best["x"], init.cov, spatial)
     report = FitReport(
         loglik=-float(best["fun"]),
@@ -369,7 +376,6 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
 
 def predict_student(target, block: YearBlock, params: StudentParams,
                     spatial: bool = False,
-                    opts: OptimizerOptions = DEFAULT_OPTS,
                     state: LaplaceState | None = None) -> StudentPredictive:
     """Laplace predictive for a new observation location.
 
@@ -381,7 +387,7 @@ def predict_student(target, block: YearBlock, params: StudentParams,
     if block.m == 0:
         return StudentPredictive(0.0, cov.phi, math.sqrt(cov.sigma2), params.nu)
     if state is None:
-        state = find_mode(block, params, spatial, opts)
+        state = find_mode(block, params, spatial)
     k_star = cross_cov_vector(target, block.points, cov, spatial)
     f_mean = float(k_star @ state.a)
     sw = np.sqrt(state.w)

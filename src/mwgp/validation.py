@@ -21,12 +21,7 @@ from .errors import (
     InputError,
     InvalidParameterError,
 )
-from .gaussian import (
-    DEFAULT_OPTS,
-    GaussianPredictive,
-    OptimizerOptions,
-    YearBlock,
-)
+from .gaussian import GaussianPredictive, YearBlock
 from .student import (
     McOptions,
     StudentParams,
@@ -217,9 +212,8 @@ def nearest_cell_index(lat: float, lon: float, cell_lat, cell_lon, flat) -> int:
 
 
 def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
-           spec: WindowSpec, scheme: str = "looo",
-           opts: OptimizerOptions = DEFAULT_OPTS,
-           eval_filter=None, radius_steps: float = 2.0) -> CVResult:
+           spec: WindowSpec, scheme: str = "looo", eval_filter=None,
+           radius_steps: float = 2.0) -> CVResult:
     """Score held-out observations with frozen per-cell parameters.
 
     Each observation is predicted from the window of its nearest
@@ -264,7 +258,7 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
             target = SpaceTimePoint(o.lat, o.lon, o.day)
             try:
                 pred = family.predict(target, block.subset(wmask),
-                                      cell.fit.params, opts)
+                                      cell.fit.params)
             except Exception:
                 result.n_failed += 1
                 continue

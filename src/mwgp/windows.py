@@ -24,7 +24,6 @@ from .covariance import (
     KM_PER_DEG,
     RG_DEFAULT,
     CovParams,
-    RGCovConfig,
     SpaceTimePoint,
     rg_corr_matrix,
     rg_corr_vector,
@@ -170,14 +169,17 @@ def cell_key(lat: float, lon: float) -> tuple[float, float]:
     return (round(float(lat), 6), round(float(wrap_lon(lon)), 6))
 
 
+LAT_LIMIT = 80.0  # cells poleward of it are skipped: zonal geometry degenerates
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular prediction grid of cell centers.
 
     ``mask`` lists cell centers to exclude from computation (for
-    example land cells).  Cells poleward of ``lat_limit`` are skipped
-    because the zonal geometry degenerates there.  ``eval_time`` and
-    ``eval_year`` fix the space-time slice that gridded outputs report.
+    example land cells); cells poleward of LAT_LIMIT are skipped.
+    ``eval_time`` and ``eval_year`` fix the space-time slice that
+    gridded outputs report.
     """
 
     lat_min: float
@@ -189,7 +191,6 @@ class GridSpec:
     eval_time: float = 45.5
     eval_year: int = 0
     mask: frozenset = frozenset()
-    lat_limit: float = 80.0
 
     def __post_init__(self):
         if self.lat_step <= 0.0 or self.lon_step <= 0.0:
@@ -227,7 +228,7 @@ class GridSpec:
         lats = self.lats
         lons = self.lons
         for i, lat in enumerate(lats):
-            if abs(lat) > self.lat_limit:
+            if abs(lat) > LAT_LIMIT:
                 continue
             for j, lon in enumerate(lons):
                 if cell_key(lat, lon) in self.mask:
@@ -245,7 +246,6 @@ class ReferenceParams:
     """
 
     phi_hat: float
-    config: RGCovConfig = RG_DEFAULT
 
     def __post_init__(self):
         if not (np.isfinite(self.phi_hat) and self.phi_hat > 0.0):
@@ -257,11 +257,11 @@ class ReferenceParams:
 
     @property
     def sigma2(self) -> float:
-        return self.config.noise_signal_ratio * self.phi_hat
+        return RG_DEFAULT.noise_signal_ratio * self.phi_hat
 
     @property
     def prior_var(self) -> float:
-        return self.phi_hat * (1.0 + self.config.noise_signal_ratio)
+        return self.phi_hat * (1.0 + RG_DEFAULT.noise_signal_ratio)
 
 
 @dataclass(frozen=True)
@@ -365,7 +365,7 @@ def pooled_window_variance(blocks) -> float:
     return float(np.var(np.concatenate(values), ddof=1))
 
 
-def reference_phi_hat(blocks, config: RGCovConfig = RG_DEFAULT) -> float:
+def reference_phi_hat(blocks) -> float:
     """Plug-in process variance for the reference covariance.
 
     The windowed empirical variance estimates the total variance
@@ -378,7 +378,7 @@ def reference_phi_hat(blocks, config: RGCovConfig = RG_DEFAULT) -> float:
         raise InsufficientVarianceError(
             "windowed values are numerically constant; no usable "
             "plug-in variance")
-    return var / (1.0 + config.noise_signal_ratio)
+    return var / (1.0 + RG_DEFAULT.noise_signal_ratio)
 
 
 def _predict_reference(target: SpaceTimePoint, block: YearBlock,
@@ -389,19 +389,18 @@ def _predict_reference(target: SpaceTimePoint, block: YearBlock,
     noise-to-signal nugget) so the predictive mean is exactly
     invariant to the plug-in variance; only the variance rescales.
     """
-    cfg = params.config
     if block.m == 0:
         return GaussianPredictive(0.0, params.prior_var)
-    R = rg_corr_matrix(block.lat, block.lon, cfg)
-    A = R + cfg.noise_signal_ratio * np.eye(block.m)
+    ratio = RG_DEFAULT.noise_signal_ratio
+    R = rg_corr_matrix(block.lat, block.lon)
+    A = R + ratio * np.eye(block.m)
     L = sla.cholesky(A, lower=True, check_finite=False)
-    r_star = rg_corr_vector(target.lat, target.lon, block.lat, block.lon, cfg)
+    r_star = rg_corr_vector(target.lat, target.lon, block.lat, block.lon)
     alpha = sla.cho_solve((L, True), block.values, check_finite=False)
     mean = float(r_star @ alpha)
     w = sla.solve_triangular(L, r_star, lower=True, check_finite=False)
-    corr_var = 1.0 + cfg.noise_signal_ratio - float(w @ w)
-    var = params.phi_hat * min(max(corr_var, 0.0),
-                               1.0 + cfg.noise_signal_ratio)
+    corr_var = 1.0 + ratio - float(w @ w)
+    var = params.phi_hat * min(max(corr_var, 0.0), 1.0 + ratio)
     return GaussianPredictive(mean, var)
 
 
@@ -421,9 +420,9 @@ class ModelFamily:
         """Central (1 - alpha) interval; ``stream`` is (seed, cell, year)."""
         return gaussian_interval(pred, alpha)
 
-    def predict_cell_year(self, center, block, params, opts, mc, alpha,
+    def predict_cell_year(self, center, block, params, mc, alpha,
                           seed, flat_index) -> CellPrediction:
-        pred = self.predict(center, block, params, opts)
+        pred = self.predict(center, block, params)
         lower, upper = self.interval(pred, alpha, mc, (seed, flat_index, block.year))
         return CellPrediction(block.year, pred.mean, pred.variance, lower, upper,
                               self.variance_ratio(pred, params), block.m)
@@ -436,7 +435,7 @@ class ReferenceFamily(ModelFamily):
     def fit(self, blocks, opts):
         return ReferenceParams(reference_phi_hat(blocks)), None
 
-    def predict(self, target, block, params, opts):
+    def predict(self, target, block, params):
         return _predict_reference(target, block, params)
 
     def variance_ratio(self, pred, params) -> float:
@@ -455,9 +454,8 @@ class GaussianFamily(ModelFamily):
     def fit(self, blocks, opts):
         return fit_mle_gaussian(blocks, opts=opts, spatial=self.spatial)
 
-    def predict(self, target, block, params, opts):
-        return predict_gaussian(target, block, params, spatial=self.spatial,
-                                opts=opts)
+    def predict(self, target, block, params):
+        return predict_gaussian(target, block, params, spatial=self.spatial)
 
     def variance_ratio(self, pred, params) -> float:
         return _unit(pred.variance / (params.phi + params.sigma2))
@@ -481,9 +479,8 @@ class StudentFamily(ModelFamily):
     def fit(self, blocks, opts):
         return fit_mle_student(blocks, opts=opts, spatial=self.spatial)
 
-    def predict(self, target, block, params, opts):
-        return predict_student(target, block, params, spatial=self.spatial,
-                               opts=opts)
+    def predict(self, target, block, params):
+        return predict_student(target, block, params, spatial=self.spatial)
 
     def interval(self, pred, alpha, mc, stream):
         return student_interval(pred, alpha,
@@ -572,11 +569,11 @@ def fit_grid_point(data, center: SpaceTimePoint, variant: ModelVariant,
         return CellFit("insufficient_data", n_obs,
                        message=f"{n_obs} observations < minimum {spec.min_obs}")
     family = variant.family
-    fit_opts = replace(opts, min_obs=spec.min_obs)
     try:
-        params, report = family.fit(windowed, fit_opts)
+        params, report = family.fit(windowed,
+                                    replace(opts, min_obs=spec.min_obs))
         preds = tuple(
-            family.predict_cell_year(center, block, params, fit_opts, mc,
+            family.predict_cell_year(center, block, params, mc,
                                      alpha, seed, flat_index)
             for block in windowed)
     except InvalidParameterError:
@@ -635,12 +632,11 @@ def map_grid(data, grid: GridSpec, variant: ModelVariant, spec: WindowSpec,
     field_ = GridField(grid, variant.id,
                        {(r.i, r.j): r for r in results})
     if fallback_nearest:
-        _apply_nearest_fallback(field_, data, variant, spec, opts, mc,
-                                alpha, seed)
+        _apply_nearest_fallback(field_, data, variant, spec, mc, alpha, seed)
     return field_
 
 
-def _apply_nearest_fallback(field_: GridField, data, variant, spec, opts,
+def _apply_nearest_fallback(field_: GridField, data, variant, spec,
                             mc, alpha, seed) -> None:
     """Borrow parameters from the nearest fitted cell for failed cells.
 
@@ -667,7 +663,7 @@ def _apply_nearest_fallback(field_: GridField, data, variant, spec, opts,
         try:
             preds = tuple(
                 family.predict_cell_year(center, block, best.fit.params,
-                                         opts, mc, alpha, seed, flat)
+                                         mc, alpha, seed, flat)
                 for block in windowed
             )
         except Exception as exc:

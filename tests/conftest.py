@@ -18,7 +18,6 @@ from mwgp.covariance import (
     KM_PER_DEG,
     RG_DEFAULT,
     CovParams,
-    RGCovConfig,
     SpaceTimePoint,
     as_point_array,
     cov_matrix,
@@ -168,14 +167,14 @@ def rg_distance(x1, x2, tropic=True) -> float:
     return math.hypot(dlat_km, a * dlon_km)
 
 
-def rg_cov(x1, x2, phi_hat, config: RGCovConfig = RG_DEFAULT,
-           tropic=True) -> float:
+def rg_cov(x1, x2, phi_hat, tropic=True) -> float:
     """Scalar RG covariance between two locations with plug-in variance."""
     if not (np.isfinite(phi_hat) and phi_hat > 0.0):
         raise InvalidParameterError(f"phi_hat must be positive, got {phi_hat}")
     d = rg_distance(x1, x2, tropic)
-    return phi_hat * (config.gauss_weight * math.exp(-(d / config.gauss_scale_km) ** 2)
-                      + config.exp_weight * math.exp(-d / config.exp_scale_km))
+    c = RG_DEFAULT
+    return phi_hat * (c.gauss_weight * math.exp(-(d / c.gauss_scale_km) ** 2)
+                      + c.exp_weight * math.exp(-d / c.exp_scale_km))
 
 
 def loo_partition(blocks):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from mwgp.covariance import (
     KM_PER_DEG,
     CovParams,
-    RGCovConfig,
     RG_DEFAULT,
     SpaceTimePoint,
     as_point_array,
@@ -361,11 +360,6 @@ class TestRgCov:
         np.testing.assert_allclose(np.diag(R), 1.0)
         r = rg_corr_vector(lats[0], lons[0], lats, lons)
         np.testing.assert_allclose(r, R[0], rtol=1e-12)
-
-    def test_custom_config(self):
-        cfg = RGCovConfig(gauss_weight=0.5, exp_weight=0.5)
-        val = rg_shape(np.array([0.0]), cfg)[0]
-        assert val == pytest.approx(1.0)
 
 
 class TestSimulatedCovarianceOracle:

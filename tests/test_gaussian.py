@@ -1,6 +1,7 @@
 """Gaussian-nugget likelihood, fitting, and kriging tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from mwgp.errors import (
     InvalidParameterError,
 )
 from mwgp.gaussian import (
+    PENALTY,
     GaussianPredictive,
-    OptimizerOptions,
     YearBlock,
+    _encode,
+    _nll,
+    _Prepared,
     chol_spd,
     default_init,
     fit_mle_gaussian,
@@ -89,10 +93,27 @@ class TestCholSpd:
         np.testing.assert_allclose(L @ L.T, spd, rtol=1e-10, atol=1e-10)
 
     def test_failure_reported(self):
+        # Eigenvalue -1: the escalating ridge tops out at 1e-4 * scale.
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(FactorizationError):
-            chol_spd(bad, scale=1.0,
-                     opts=OptimizerOptions(ridge=1e-18, ridge_tries=1))
+            chol_spd(bad, scale=1.0)
+
+
+class TestNll:
+    @pytest.mark.parametrize("spatial", [False, True])
+    def test_overflowing_point_is_penalized_silently(self, rng, spatial):
+        # A line-search step to log phi = 800 overflows exp; the
+        # objective backs the optimizer off instead of raising or warning.
+        block = random_block(rng, 12)
+        x = _encode(PARAMS, spatial)
+        x[0] = 800.0
+        prepared = _Prepared([block], spatial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, grad = _nll(x, prepared, PARAMS, want_grad=True)
+            assert _nll(x, prepared, PARAMS, want_grad=False) == PENALTY
+        assert val == PENALTY
+        np.testing.assert_array_equal(grad, np.zeros_like(x))
 
 
 class TestFitMleGaussian:

@@ -277,7 +277,7 @@ SMALL_GRID = GridSpec(-2.0, 2.0, -2.0, 2.0, eval_time=45.5)
 class TestMeanFieldConfig:
     @pytest.mark.parametrize("kwargs", [
         {"n_neighbors": 0}, {"weight_scale_km": 0.0},
-        {"n_harmonics": -1}, {"ridge": -1e-9},
+        {"n_harmonics": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameterError):

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
+import mwgp.student
 from mwgp.covariance import CovParams, SpaceTimePoint, cov_matrix, cross_cov_vector
 from mwgp.errors import InsufficientDataError, InvalidParameterError
-from mwgp.gaussian import YearBlock, gauss_loglik, predict_gaussian
+from mwgp.gaussian import PENALTY, YearBlock, gauss_loglik, predict_gaussian
 from mwgp.student import (
     McOptions,
     StudentParams,
@@ -21,6 +22,8 @@ from mwgp.student import (
     find_mode,
     fit_mle_student,
     laplace_loglik,
+    _decode_student,
+    _encode_student,
     nu_variance_factor,
     predict_student,
     predictive_deviation_sample,
@@ -198,6 +201,53 @@ class TestFitMleStudent:
             fitted, _ = fit_mle_student(blocks)
             assert 2.5 < fitted.nu < 10.0
             assert 0.3 < fitted.cov.phi < 2.5
+
+    @staticmethod
+    def _spied_fit(monkeypatch, alter=None):
+        """Seeded spatial fit, returning scipy's result alongside it."""
+        seen = {}
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if alter is not None:
+                alter(res)
+            seen["res"] = res
+            return res
+
+        real = mwgp.student.minimize
+        monkeypatch.setattr(mwgp.student, "minimize", spy)
+        truth = StudentParams(CovParams(1.0, 3.0, 5.0, 5.0, 0.5), nu=4.0)
+        rng = np.random.default_rng(5)
+        locs = np.column_stack([rng.uniform(-6, 6, 40), rng.uniform(-6, 6, 40),
+                                rng.uniform(0, 60, 40)])
+        blocks = simulate_field(truth, locs, 2, seed=5, spatial=True)
+        fitted, report = fit_mle_student(blocks, spatial=True)
+        return seen["res"], report
+
+    def test_converged_when_scipy_succeeds(self, monkeypatch):
+        # The best evaluated point can be a finite-difference probe just
+        # below the final iterate; that alone must not flag the fit.
+        res, report = self._spied_fit(monkeypatch)
+        assert res.success
+        assert report.converged
+        assert report.message == str(res.message)
+
+    def test_unconverged_when_ending_on_the_penalty(self, monkeypatch):
+        def strand(res):
+            res.fun = PENALTY
+
+        res, report = self._spied_fit(monkeypatch, strand)
+        assert res.success
+        assert not report.converged
+        assert "beyond the finite range" in report.message
+
+    def test_decode_overflow_is_an_invalid_parameter(self):
+        x = _encode_student(SP, spatial=False)
+        for k in (4, 5):  # log sigma, log(nu - 1)
+            big = x.copy()
+            big[k] = 800.0
+            with pytest.raises(InvalidParameterError):
+                _decode_student(big, SP.cov, spatial=False)
 
     @pytest.mark.slow
     def test_full_scale_recovery_study(self):

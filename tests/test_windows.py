@@ -205,7 +205,7 @@ class TestGridSpec:
         ]
 
     def test_cells_skip_high_latitudes(self):
-        g = GridSpec(78.5, 81.5, 0.0, 0.0, lat_limit=80.0)
+        g = GridSpec(78.5, 81.5, 0.0, 0.0)
         lats = [lat for _, _, lat, _ in g.cells()]
         assert lats == [78.5, 79.5]
 
@@ -478,11 +478,9 @@ class TestModelFamily:
             if vid == 1:
                 pred = _predict_reference(center, block, params)
             elif variant.nugget == "gaussian":
-                pred = predict_gaussian(center, block, params, spatial=sp,
-                                        opts=opts)
+                pred = predict_gaussian(center, block, params, spatial=sp)
             else:
-                pred = predict_student(center, block, params, spatial=sp,
-                                       opts=opts)
+                pred = predict_student(center, block, params, spatial=sp)
             if isinstance(pred, StudentPredictive):
                 block_mc = replace(mc, seed=cell_year_seed(seed, flat,
                                                            block.year))
