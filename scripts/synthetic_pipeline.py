@@ -73,11 +73,10 @@ def main() -> None:
 
     run("cv", "--profiles", profiles, "--mean", mean_field,
         "--variant", 2, "--out", out / "cv", *grid,
-        "--set", "baseline_variant=1", "--set", "radius_steps=10",
-        "--set", "mc_samples=20000")
+        "--set", "baseline_variant=1", "--set", "radius_steps=10")
 
     run("calibrate", "--records", out / "cv" / "cv_records.csv",
-        "--out", out / "cal", "--set", "mc_samples=20000")
+        "--out", out / "cal")
 
     run("lagmaps", "--params-dir", out / "map", "--out", out / "lag")
 

@@ -60,14 +60,13 @@ from .ingest import (
 )
 from .student import (
     LaplaceState,
-    McOptions,
     StudentParams,
     StudentPredictive,
     find_mode,
     fit_mle_student,
     laplace_loglik,
     predict_student,
-    predictive_deviation_sample,
+    student_cdf,
     student_interval,
 )
 from .validation import (

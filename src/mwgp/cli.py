@@ -5,8 +5,10 @@ estimation), ``map`` (gridded fields), ``cv`` (cross-validated
 metrics and calibration), ``calibrate`` (re-derive calibration from
 stored CV records), ``lagmaps`` (fitted-correlation maps at fixed
 lags).  Configuration comes from a key=value file plus flag
-overrides; flags win.  Every run writes a JSON manifest with the
-configuration, its hash, seeds, and library versions.
+overrides; flags win.  Each subcommand returns its output file names
+and manifest fields; ``main`` then writes the JSON manifest with the
+configuration, its hash, library versions and the subcommand's wall
+time.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .ingest import (
     write_profiles,
     ProfileRecord,
 )
-from .student import McOptions, StudentParams, StudentPredictive
+from .student import StudentParams, StudentPredictive
 from .validation import (
     CVRecord,
     CVResult,
@@ -104,9 +106,8 @@ class RunConfig:
     # optimizer
     max_iter: int = 200
     grad_tol: float = 1e-6
-    # intervals and Monte Carlo
+    # intervals
     alpha: float = 0.32
-    mc_samples: int = 100_000
     levels: str = "0.5,0.68,0.8,0.9,0.95,0.99"
     # mean field
     n_neighbors: int = 300
@@ -188,9 +189,6 @@ class RunConfig:
 
     def optimizer_options(self) -> OptimizerOptions:
         return OptimizerOptions(max_iter=self.max_iter, grad_tol=self.grad_tol)
-
-    def mc_options(self) -> McOptions:
-        return McOptions(self.mc_samples, self.seed)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -362,14 +360,13 @@ def _level_obs_to_profiles(blocks, pressure: float) -> list:
     return records
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig) -> tuple[list, dict]:
     """Write a synthetic single-level profile dataset."""
     os.makedirs(cfg.out, exist_ok=True)
     out_path = os.path.join(cfg.out, "profiles.csv")
     if cfg.sim_years == 0:
         write_profiles([], out_path)
-        write_manifest(cfg, "simulate", ["profiles.csv"])
-        return 0
+        return ["profiles.csv"], {}
     cov = CovParams(cfg.sim_phi, cfg.sim_theta_lat, cfg.sim_theta_lon,
                     cfg.sim_theta_t, cfg.sim_sigma2)
     params = StudentParams(cov, cfg.sim_nu) if cfg.sim_nu > 1.0 else cov
@@ -391,8 +388,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         blocks = simulate_field(params, locs, cfg.sim_years, field_seed,
                                 start_year=cfg.sim_start_year)
     write_profiles(_level_obs_to_profiles(blocks, cfg.pressure), out_path)
-    write_manifest(cfg, "simulate", ["profiles.csv"])
-    return 0
+    return ["profiles.csv"], {}
 
 
 def _load_level_obs(cfg: RunConfig):
@@ -453,7 +449,7 @@ def _check_eval_year(cfg: RunConfig, blocks) -> None:
             f"eval_year {cfg.eval_year} not among data years {sorted(years)}")
 
 
-def cmd_map(cfg: RunConfig) -> int:
+def cmd_map(cfg: RunConfig) -> tuple[list, dict]:
     """Fit every grid cell and write the gridded output files."""
     variant = get_variant(cfg.variant)
     blocks, mask, n_excluded = _load_blocks(cfg, variant)
@@ -461,8 +457,8 @@ def cmd_map(cfg: RunConfig) -> int:
     grid = cfg.grid_spec(mask)
     start = time.perf_counter()
     field_ = map_grid(blocks, grid, variant, cfg.window_spec(),
-                      cfg.optimizer_options(), cfg.mc_options(), cfg.alpha,
-                      cfg.seed, cfg.resolved_threads(), cfg.fallback_nearest)
+                      cfg.optimizer_options(), cfg.alpha,
+                      cfg.resolved_threads(), cfg.fallback_nearest)
     wall = time.perf_counter() - start
     os.makedirs(cfg.out, exist_ok=True)
 
@@ -513,17 +509,16 @@ def cmd_map(cfg: RunConfig) -> int:
             writer.writerow([_fmt(res.lat), _fmt(res.lon), res.fit.status])
     outputs.append("status.csv")
 
-    write_manifest(cfg, "map", outputs, extra={
+    return outputs, {
         "statuses": statuses,
         "status_counts": dict(field_.status_counts),
         "n_excluded_by_mean": n_excluded,
-        "wall_time_s": wall,
+        "wall_time_s": wall,  # the sweep alone
         "cell_wall_times_s": wall_times,
-    })
-    return 0
+    }
 
 
-def cmd_mean(cfg: RunConfig) -> int:
+def cmd_mean(cfg: RunConfig) -> tuple[list, dict]:
     """Estimate the mean field and write it in both formats."""
     obs, mask = _load_level_obs(cfg)
     mean = estimate_mean_field(
@@ -533,10 +528,8 @@ def cmd_mean(cfg: RunConfig) -> int:
     write_mean_field(mean, os.path.join(cfg.out, "mean_field.csv"))
     write_mean_field_gridded(mean, os.path.join(cfg.out, "mean_grid.csv"),
                              cfg.eval_time)
-    write_manifest(cfg, "mean", ["mean_field.csv", "mean_grid.csv"],
-                   extra={"n_obs": len(obs),
-                          "n_ridge_cells": len(mean.ridge_cells)})
-    return 0
+    return ["mean_field.csv", "mean_grid.csv"], {
+        "n_obs": len(obs), "n_ridge_cells": len(mean.ridge_cells)}
 
 
 CV_HEADER = ["scheme", "variant", "year_pos", "obs_index", "year", "source_id",
@@ -637,8 +630,7 @@ def _run_cv_for_variant(cfg: RunConfig, variant_id: int):
     grid = sub.grid_spec(mask)
     spec = sub.window_spec()
     field_ = map_grid(blocks, grid, variant, spec, sub.optimizer_options(),
-                      sub.mc_options(), sub.alpha, sub.seed,
-                      sub.resolved_threads(), sub.fallback_nearest)
+                      sub.alpha, sub.resolved_threads(), sub.fallback_nearest)
     eval_filter = None
     if cfg.cv_day_min is not None or cfg.cv_day_max is not None:
         eval_filter = (cfg.cv_day_min if cfg.cv_day_min is not None else -math.inf,
@@ -648,7 +640,7 @@ def _run_cv_for_variant(cfg: RunConfig, variant_id: int):
     return cv, field_
 
 
-def cmd_cv(cfg: RunConfig) -> int:
+def cmd_cv(cfg: RunConfig) -> tuple[list, dict]:
     """Cross-validate and write records, metrics, and calibration."""
     cv, field_ = _run_cv_for_variant(cfg, cfg.variant)
     os.makedirs(cfg.out, exist_ok=True)
@@ -670,28 +662,26 @@ def cmd_cv(cfg: RunConfig) -> int:
         tables[f"variant {cfg.variant}"] = point_metrics(cv)
     _write_metrics(os.path.join(cfg.out, "metrics.csv"), tables)
     if cv.records:
-        report = calibration(cv, cfg.level_list(), cfg.mc_options())
+        report = calibration(cv, cfg.level_list())
         outputs += _write_calibration(cfg.out, report)
         extra["coverage"] = {str(k): v for k, v in report.coverage.items()}
         extra["n_flagged"] = report.n_flagged
-    write_manifest(cfg, "cv", outputs, extra=extra)
-    return 0
+    return outputs, extra
 
 
-def cmd_calibrate(cfg: RunConfig) -> int:
+def cmd_calibrate(cfg: RunConfig) -> tuple[list, dict]:
     """Recompute calibration outputs from stored CV records."""
     path = cfg.records or os.path.join(cfg.out, "cv_records.csv")
     cv = read_cv_records(path)
-    report = calibration(cv, cfg.level_list(), cfg.mc_options())
+    report = calibration(cv, cfg.level_list())
     os.makedirs(cfg.out, exist_ok=True)
     outputs = _write_calibration(cfg.out, report)
-    write_manifest(cfg, "calibrate", outputs, extra={
+    return outputs, {
         "n_folds": len(cv.records), "n_flagged": report.n_flagged,
-        "coverage": {str(k): v for k, v in report.coverage.items()}})
-    return 0
+        "coverage": {str(k): v for k, v in report.coverage.items()}}
 
 
-def cmd_lagmaps(cfg: RunConfig) -> int:
+def cmd_lagmaps(cfg: RunConfig) -> tuple[list, dict]:
     """Correlation maps at fixed zonal/meridional/temporal lags."""
     src = cfg.params_dir or cfg.out
     need = ["param_phi", "param_sigma2", "param_theta_lat", "param_theta_lon"]
@@ -753,8 +743,7 @@ def cmd_lagmaps(cfg: RunConfig) -> int:
             rows.append((lat, lon, corr))
         write_grid_csv(os.path.join(cfg.out, f"{name}.csv"), rows)
         outputs.append(f"{name}.csv")
-    write_manifest(cfg, "lagmaps", outputs)
-    return 0
+    return outputs, {}
 
 
 COMMANDS = {
@@ -792,7 +781,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--threads", type=int,
                        help=f"worker processes (default ${THREADS_ENV} or 1)")
-        p.add_argument("--seed", type=int, help="base random seed")
+        p.add_argument("--seed", type=int, help="random seed of simulate")
         p.add_argument("--variant", type=int, choices=range(1, 7),
                        help="model variant 1-6")
         p.add_argument("--pressure", type=float, help="pressure level (db)")
@@ -814,7 +803,11 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        return COMMANDS[args.command](cfg)
+        start = time.perf_counter()
+        outputs, extra = COMMANDS[args.command](cfg)
+        write_manifest(cfg, args.command, outputs,
+                       {"wall_time_s": time.perf_counter() - start, **extra})
+        return 0
     except (MappingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,11 @@ is guaranteed valid at a strict local maximum.
 All mode-dependent algebra tracks the pair (f, a = K^-1 f) so that no
 solve against K alone — often near-singular for close points — is
 ever performed.
+
+A new observation is f_mean + sd Z + s T, a Gaussian scale mixture.
+Its CDF (the PIT) and its central intervals come from one fixed
+quadrature rule over the mixing variable, so they are exact to
+rounding and draw no random numbers.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 from scipy.optimize import minimize
-from scipy.special import gammaln, stdtrit
+from scipy.special import digamma, gammaln, ndtr, ndtri, polygamma, stdtrit
 
 from .covariance import CovParams, cov_matrix, cross_cov_vector
 from .errors import (
@@ -53,6 +58,10 @@ MODE_MAX_ITER = 60
 MODE_TOL = 1e-10         # target per-obs gradient norm in mode finding
 MODE_ACCEPT_TOL = 1e-8   # per-obs norm at which a capped search is accepted
 STUDENT_INIT_NU = 5.0
+LAW_STEP = 0.1           # trapezoid step of the predictive law, standardized log G
+LAW_SPAN = (-30.0, 8.0)  # standardized log-G range of that rule
+HALF_WIDTH_RTOL = 1e-12  # relative Newton step at which a half-width is final
+HALF_WIDTH_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -94,14 +103,6 @@ class StudentPredictive:
         if self.dof > 2.0:
             return self.f_var + self.scale ** 2 * nu_variance_factor(self.dof)
         return math.inf
-
-
-@dataclass(frozen=True)
-class McOptions:
-    """Monte Carlo settings for predictive intervals and PIT values."""
-
-    n_samples: int = 100_000
-    seed: int = 0
 
 
 @dataclass
@@ -399,33 +400,52 @@ def predict_student(target, block: YearBlock, params: StudentParams,
     return StudentPredictive(f_mean, f_var, math.sqrt(cov.sigma2), params.nu)
 
 
-def predictive_deviation_sample(pred: StudentPredictive, mc: McOptions) -> np.ndarray:
-    """Seeded draws of (observation - f_mean) under the predictive law.
+def _scale_mixture(pred: StudentPredictive) -> tuple[np.ndarray, np.ndarray]:
+    """Scales tau_k and weights w_k with Y - f_mean ~ sum_k w_k N(0, tau_k^2).
 
-    The t component uses inverse-CDF sampling so that runs sharing a
-    seed are coupled across dof values (common random numbers).
-    Draw order: latent normals first, then the t uniforms.
+    A unit t is Z'/sqrt(G) with G ~ Gamma(nu/2, rate nu/2), so given G
+    the deviation sd Z + s T is normal with variance sd^2 + s^2/G.  The
+    rule is a trapezoid in u = log G, whose density is proportional to
+    exp(nu/2 (u - e^u)), standardized by its mean and sd.
     """
-    rng = np.random.default_rng(mc.seed)
-    z = rng.standard_normal(mc.n_samples)
-    u = rng.random(mc.n_samples)
-    t = stdtrit(pred.dof, u)
-    t[u == 0.0] = -math.inf  # stdtrit(dof, 0) is +inf; the 0-quantile is -inf
-    return math.sqrt(pred.f_var) * z + pred.scale * t
+    k = 0.5 * pred.dof
+    v = LAW_SPAN[0] + LAW_STEP * np.arange(round(np.ptp(LAW_SPAN) / LAW_STEP) + 1)
+    u = digamma(k) - math.log(k) + math.sqrt(polygamma(1, k)) * v
+    log_w = -k * (np.expm1(u) - u)  # u - e^u + 1, no cancellation as u -> 0
+    w = np.exp(log_w - log_w.max())
+    return np.sqrt(pred.f_var + pred.scale ** 2 * np.exp(-u)), w / w.sum()
 
 
-def student_interval(pred: StudentPredictive, alpha: float,
-                     mc: McOptions = McOptions()) -> tuple[float, float]:
-    """Central (1 - alpha) Monte Carlo predictive interval.
+def student_cdf(pred: StudentPredictive, x: float) -> float:
+    """P(Y <= x) under the predictive law: the PIT of an observed x."""
+    tau, w = _scale_mixture(pred)
+    return float(np.sum(w * ndtr((x - pred.f_mean) / tau)))
 
-    Symmetric about f_mean by construction: the half-width is the
-    (1 - alpha/2) sample quantile of the predictive deviation.
+
+def student_interval(pred: StudentPredictive, alpha):
+    """Central (1 - alpha) predictive interval, symmetric about f_mean.
+
+    ``alpha`` may be an array; the bounds are then arrays of its shape.
+    The half-width h solves P(Y - f_mean <= -h) = alpha/2 by Newton
+    steps on all levels at once.  They start from the lower bound
+    max(sd z(1 - alpha), s t(1 - alpha), 0) (P(|X + Y| > c) >= P(|X| > c)/2
+    for independent symmetric X, Y) and, the tail mass being convex in
+    h, rise monotonically to the root without overshooting.
     """
-    if not (0.0 < alpha < 1.0):
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((a > 0.0) & (a < 1.0)):
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if mc.n_samples < 10_000:
-        raise InvalidParameterError(
-            f"interval Monte Carlo needs >= 1e4 samples, got {mc.n_samples}")
-    dev = predictive_deviation_sample(pred, mc)
-    half = float(np.quantile(dev, 1.0 - alpha / 2.0))
-    return pred.f_mean - half, pred.f_mean + half
+    tau, w = _scale_mixture(pred)
+    h = np.maximum(np.maximum(math.sqrt(pred.f_var) * ndtri(1.0 - a),
+                              pred.scale * stdtrit(pred.dof, 1.0 - a)), 0.0)
+    for _ in range(HALF_WIDTH_MAX_ITER):
+        r = h[..., None] / tau
+        gap = a / 2.0 - np.sum(w * ndtr(-r), axis=-1)
+        dens = np.sum(w * np.exp(-0.5 * r * r) / tau, axis=-1) / math.sqrt(2.0 * math.pi)
+        step = gap / dens
+        h = h - step
+        if np.all(np.abs(step) <= HALF_WIDTH_RTOL * h):
+            break
+    if a.ndim == 0:
+        h = float(h)
+    return pred.f_mean - h, pred.f_mean + h

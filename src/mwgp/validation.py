@@ -9,7 +9,7 @@ estimates fixed, mirroring how the mapped product would be scored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -20,13 +20,14 @@ from .errors import (
     FactorizationError,
     InputError,
     InvalidParameterError,
+    MappingError,
 )
 from .gaussian import GaussianPredictive, YearBlock
 from .student import (
-    McOptions,
     StudentParams,
     StudentPredictive,
-    predictive_deviation_sample,
+    student_cdf,
+    student_interval,
 )
 from .windows import (
     GridField,
@@ -188,12 +189,6 @@ class CVResult:
         return np.array([r.error for r in self.records])
 
 
-def cv_fold_seed(seed: int, year_pos: int, obs_index: int) -> int:
-    """Deterministic Monte Carlo seed for one cross-validation fold."""
-    ss = np.random.SeedSequence([int(seed), int(year_pos), int(obs_index)])
-    return int(ss.generate_state(1)[0])
-
-
 def _usable_cells(field_: GridField):
     cells = [r for r in field_.ordered() if r.fit.params is not None]
     if not cells:
@@ -259,7 +254,7 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
             try:
                 pred = family.predict(target, block.subset(wmask),
                                       cell.fit.params)
-            except Exception:
+            except (MappingError, np.linalg.LinAlgError):
                 result.n_failed += 1
                 continue
             result.records.append(CVRecord(
@@ -330,16 +325,15 @@ class CalibrationReport:
 DEFAULT_LEVELS = (0.50, 0.68, 0.80, 0.90, 0.95, 0.99)
 
 
-def calibration(cv: CVResult, levels=DEFAULT_LEVELS,
-                mc: McOptions = McOptions()) -> CalibrationReport:
+def calibration(cv: CVResult, levels=DEFAULT_LEVELS) -> CalibrationReport:
     """Standard-normal residual diagnostics of CV predictions.
 
     Gaussian predictions standardize directly; Student predictions map
-    the Monte Carlo probability integral transform through the normal
-    quantile function, reusing one deviation sample per record for the
-    transform and every interval level (common random numbers).  Every
-    zero-variance prediction is flagged; one that also misses the truth
-    becomes an infinite residual, as does a degenerate transform.
+    the exact probability integral transform (``student_cdf``) through
+    the normal quantile function and take every interval level from one
+    ``student_interval`` call.  Every zero-variance prediction is
+    flagged; one that also misses the truth becomes an infinite
+    residual, as does a transform that rounds to 0 or 1.
     """
     if not cv.records:
         raise EmptyInputError("no cross-validation records to calibrate")
@@ -348,23 +342,20 @@ def calibration(cv: CVResult, levels=DEFAULT_LEVELS,
         if not 0.0 < lv < 1.0:
             raise InvalidParameterError(f"confidence level {lv} outside (0, 1)")
     z_gauss = {lv: float(ndtri(0.5 + lv / 2.0)) for lv in levels}
+    alphas = 1.0 - np.array(levels)
     residuals = np.empty(len(cv.records))
     covered = {lv: np.zeros(len(cv.records), dtype=bool) for lv in levels}
     lengths = {lv: np.empty(len(cv.records)) for lv in levels}
     n_flagged = 0
     for k, rec in enumerate(cv.records):
         if isinstance(rec.pred, StudentPredictive):
-            rec_mc = replace(mc, seed=cv_fold_seed(mc.seed, rec.year_pos,
-                                                   rec.obs_index))
-            dev = predictive_deviation_sample(rec.pred, rec_mc)
-            pit = float(np.mean(rec.pred.f_mean + dev <= rec.truth))
-            z = float(ndtri(pit))
+            z = float(ndtri(student_cdf(rec.pred, rec.truth)))
             if not math.isfinite(z):
                 n_flagged += 1
-            for lv in levels:
-                half = float(np.quantile(dev, 0.5 + lv / 2.0))
-                covered[lv][k] = abs(rec.truth - rec.pred.f_mean) <= half
-                lengths[lv][k] = 2.0 * half
+            lower, upper = student_interval(rec.pred, alphas)
+            for lv, lo, hi in zip(levels, lower, upper):
+                covered[lv][k] = lo <= rec.truth <= hi
+                lengths[lv][k] = hi - lo
         else:
             sd = math.sqrt(max(rec.pred.variance, 0.0))
             err = rec.truth - rec.pred.mean

@@ -6,7 +6,7 @@ kept separate), covariance parameters are estimated for the requested
 model variant, and per-year predictive distributions are produced at
 the cell center.  Cells are independent tasks, so the sweep can run on
 a process pool; results merge deterministically by cell index and are
-bitwise identical across parallelism degrees for a fixed seed.
+bitwise identical across parallelism degrees.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     InsufficientDataError,
     InsufficientVarianceError,
     InvalidParameterError,
+    MappingError,
     ModeFindingError,
 )
 from .gaussian import (
@@ -49,7 +50,6 @@ from .gaussian import (
     predict_gaussian,
 )
 from .student import (
-    McOptions,
     StudentParams,
     fit_mle_student,
     nu_variance_factor,
@@ -416,14 +416,13 @@ class ModelFamily:
     predictive variance) lies in [0, 1] and is exactly 1 without data.
     """
 
-    def interval(self, pred, alpha: float, mc: McOptions, stream):
-        """Central (1 - alpha) interval; ``stream`` is (seed, cell, year)."""
+    def interval(self, pred, alpha: float):
+        """Central (1 - alpha) predictive interval."""
         return gaussian_interval(pred, alpha)
 
-    def predict_cell_year(self, center, block, params, mc, alpha,
-                          seed, flat_index) -> CellPrediction:
+    def predict_cell_year(self, center, block, params, alpha) -> CellPrediction:
         pred = self.predict(center, block, params)
-        lower, upper = self.interval(pred, alpha, mc, (seed, flat_index, block.year))
+        lower, upper = self.interval(pred, alpha)
         return CellPrediction(block.year, pred.mean, pred.variance, lower, upper,
                               self.variance_ratio(pred, params), block.m)
 
@@ -470,8 +469,9 @@ class GaussianFamily(ModelFamily):
 class StudentFamily(ModelFamily):
     """Locally fitted exponential kernel with a Student-t nugget.
 
-    Intervals are Monte Carlo, seeded by (seed, cell, year).  Without a
-    second moment the variance ratio is the latent one, f_var/phi.
+    Intervals come from the exact predictive law, a latent normal plus
+    scaled t noise, and draw no random numbers.  Without a second moment
+    the variance ratio is the latent one, f_var/phi.
     """
 
     spatial: bool
@@ -482,9 +482,8 @@ class StudentFamily(ModelFamily):
     def predict(self, target, block, params):
         return predict_student(target, block, params, spatial=self.spatial)
 
-    def interval(self, pred, alpha, mc, stream):
-        return student_interval(pred, alpha,
-                                replace(mc, seed=cell_year_seed(*stream)))
+    def interval(self, pred, alpha):
+        return student_interval(pred, alpha)
 
     def variance_ratio(self, pred, params) -> float:
         if params.nu > 2.0:
@@ -527,16 +526,6 @@ def zonal_km_to_degrees(km: float, lat: float) -> float:
     return km / (KM_PER_DEG * c)
 
 
-def cell_year_seed(seed: int, flat_index: int, year: int) -> int:
-    """Deterministic Monte Carlo seed for one (cell, year) pair.
-
-    Derived with a seed-sequence spawn so streams are independent of
-    scheduling and parallelism.  Years are folded into uint32 range.
-    """
-    ss = np.random.SeedSequence([int(seed), int(flat_index), int(year) & 0xFFFFFFFF])
-    return int(ss.generate_state(1)[0])
-
-
 _FIT_ERRORS = {
     InsufficientDataError: "insufficient_data",
     InsufficientVarianceError: "no_variance",
@@ -554,8 +543,7 @@ def _status_for(exc: Exception) -> str:
 
 def fit_grid_point(data, center: SpaceTimePoint, variant: ModelVariant,
                    spec: WindowSpec, opts: OptimizerOptions = DEFAULT_OPTS,
-                   mc: McOptions = McOptions(), alpha: float = 0.32,
-                   seed: int = 0, flat_index: int = 0) -> CellFit:
+                   alpha: float = 0.32) -> CellFit:
     """Fit one grid cell and predict every year at the cell center.
 
     Failures are converted to statuses, never raised: a grid sweep
@@ -572,10 +560,8 @@ def fit_grid_point(data, center: SpaceTimePoint, variant: ModelVariant,
     try:
         params, report = family.fit(windowed,
                                     replace(opts, min_obs=spec.min_obs))
-        preds = tuple(
-            family.predict_cell_year(center, block, params, mc,
-                                     alpha, seed, flat_index)
-            for block in windowed)
+        preds = tuple(family.predict_cell_year(center, block, params, alpha)
+                      for block in windowed)
     except InvalidParameterError:
         raise
     except Exception as exc:  # degenerate window; record, do not abort
@@ -593,13 +579,12 @@ def _init_worker(payload):
 
 def _run_cell(task):
     """Fit one cell from the worker-global payload; never raises."""
-    i, j, lat, lon, flat = task
-    data, variant, spec, opts, mc, alpha, seed, eval_time = _PAYLOAD
+    i, j, lat, lon = task
+    data, variant, spec, opts, alpha, eval_time = _PAYLOAD
     center = SpaceTimePoint(lat, lon, eval_time)
     start = time.perf_counter()
     try:
-        fit = fit_grid_point(data, center, variant, spec, opts, mc,
-                             alpha, seed, flat)
+        fit = fit_grid_point(data, center, variant, spec, opts, alpha)
     except Exception as exc:
         fit = CellFit("error", 0, message=f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - start
@@ -607,19 +592,17 @@ def _run_cell(task):
 
 
 def map_grid(data, grid: GridSpec, variant: ModelVariant, spec: WindowSpec,
-             opts: OptimizerOptions = DEFAULT_OPTS, mc: McOptions = McOptions(),
-             alpha: float = 0.32, seed: int = 0, n_workers: int = 1,
-             fallback_nearest: bool = False) -> GridField:
+             opts: OptimizerOptions = DEFAULT_OPTS, alpha: float = 0.32,
+             n_workers: int = 1, fallback_nearest: bool = False) -> GridField:
     """Sweep the grid, fitting every unmasked cell independently.
 
     The numeric output is bitwise independent of ``n_workers`` and of
-    task scheduling: per-cell randomness is derived from (seed, flat
-    cell index, year) and results merge by cell index.  Per-cell wall
-    times are recorded for diagnostics only.
+    task scheduling: each cell is a deterministic function of its
+    window, no cell draws random numbers, and results merge by cell
+    index.  Per-cell wall times are recorded for diagnostics only.
     """
-    tasks = [(i, j, lat, lon, grid.flat_index(i, j))
-             for i, j, lat, lon in grid.cells()]
-    payload = (data, variant, spec, opts, mc, alpha, seed, grid.eval_time)
+    tasks = list(grid.cells())
+    payload = (data, variant, spec, opts, alpha, grid.eval_time)
     if n_workers <= 1 or len(tasks) <= 1:
         _init_worker(payload)
         results = [_run_cell(t) for t in tasks]
@@ -632,12 +615,12 @@ def map_grid(data, grid: GridSpec, variant: ModelVariant, spec: WindowSpec,
     field_ = GridField(grid, variant.id,
                        {(r.i, r.j): r for r in results})
     if fallback_nearest:
-        _apply_nearest_fallback(field_, data, variant, spec, mc, alpha, seed)
+        _apply_nearest_fallback(field_, data, variant, spec, alpha)
     return field_
 
 
 def _apply_nearest_fallback(field_: GridField, data, variant, spec,
-                            mc, alpha, seed) -> None:
+                            alpha) -> None:
     """Borrow parameters from the nearest fitted cell for failed cells.
 
     Predictions are recomputed with the donor's parameters and the
@@ -659,14 +642,12 @@ def _apply_nearest_fallback(field_: GridField, data, variant, spec,
         )
         center = SpaceTimePoint(res.lat, res.lon, field_.grid.eval_time)
         windowed = select_window(data, center, spec)
-        flat = field_.grid.flat_index(res.i, res.j)
         try:
             preds = tuple(
-                family.predict_cell_year(center, block, best.fit.params,
-                                         mc, alpha, seed, flat)
+                family.predict_cell_year(center, block, best.fit.params, alpha)
                 for block in windowed
             )
-        except Exception as exc:
+        except (MappingError, np.linalg.LinAlgError) as exc:
             res.fit.message += f"; fallback failed: {exc}"
             continue
         res.fit = CellFit(

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from scipy import optimize, stats
+from scipy.special import stdtrit
 
 from mwgp.covariance import (
     KM_PER_DEG,
@@ -28,7 +29,7 @@ from mwgp.covariance import (
 )
 from mwgp.errors import InputError, InvalidParameterError
 from mwgp.gaussian import YearBlock
-from mwgp.student import McOptions, StudentPredictive, predictive_deviation_sample
+from mwgp.student import StudentPredictive
 from mwgp.validation import _held_out
 
 # Canonical parameter set used across modules when the exact values
@@ -203,10 +204,19 @@ def lofo_partition(blocks):
             yield _held_out(blocks, year_pos, obs_index), remaining
 
 
-def student_pit(value, pred: StudentPredictive, mc=McOptions()) -> float:
-    """Monte Carlo probability integral transform P(Y* <= value)."""
-    dev = predictive_deviation_sample(pred, mc)
-    return float(np.mean(pred.f_mean + dev <= value))
+def deviation_sample(pred: StudentPredictive, n_samples: int,
+                     seed: int) -> np.ndarray:
+    """Seeded draws of (observation - f_mean) under the Student predictive law.
+
+    The Monte Carlo oracle for the library's quadrature law.  Draw
+    order: latent normals first, then the inverse-CDF t uniforms.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n_samples)
+    u = rng.random(n_samples)
+    t = stdtrit(pred.dof, u)
+    t[u == 0.0] = -math.inf  # stdtrit(dof, 0) is +inf; the 0-quantile is -inf
+    return math.sqrt(pred.f_var) * z + pred.scale * t
 
 
 @pytest.fixture

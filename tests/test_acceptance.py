@@ -26,7 +26,6 @@ from mwgp.covariance import (
 )
 from mwgp.gaussian import YearBlock, fit_mle_gaussian, gauss_loglik, predict_gaussian
 from mwgp.student import (
-    McOptions,
     StudentParams,
     find_mode,
     laplace_loglik,
@@ -320,7 +319,6 @@ def test_07_student_calibration_advantage(capsys):
     true = StudentParams(CovParams(1.0, 3.0, 5.0, 5.0, 1.0), 3.0)
     grid = GridSpec(0.0, 0.0, 0.0, 0.0)
     spec = WindowSpec(10.0, 15.21875)
-    mc = McOptions(20_000, 0)
     start = time.perf_counter()
     wins = 0
     for seed in range(20):
@@ -331,11 +329,11 @@ def test_07_student_calibration_advantage(capsys):
         data = simulate_field(true, locs, 2, seed=900 + seed, spatial=True)
         coverage = {}
         for vid in (3, 2):
-            field_ = map_grid(data, grid, VARIANTS[vid], spec, mc=mc)
+            field_ = map_grid(data, grid, VARIANTS[vid], spec)
             cv = run_cv(data, grid, field_, VARIANTS[vid], spec, "looo",
                         radius_steps=20.0)
             assert len(cv.records) == 240
-            coverage[vid] = calibration(cv, levels=(0.68,), mc=mc).coverage[0.68]
+            coverage[vid] = calibration(cv, levels=(0.68,)).coverage[0.68]
         wins += abs(coverage[3] - 0.68) < abs(coverage[2] - 0.68)
     elapsed = time.perf_counter() - start
     ok = wins >= 15

@@ -68,11 +68,9 @@ def pipeline(tmp_path_factory):
     assert run_cli(
         "cv", "--profiles", profiles, "--mean", mean / "mean_field.csv",
         "--variant", 2, "--out", cv, *GRID_ARGS,
-        "--set", "baseline_variant=1", "--set", "radius_steps=10",
-        "--set", "mc_samples=10000") == 0
+        "--set", "baseline_variant=1", "--set", "radius_steps=10") == 0
     assert run_cli(
-        "calibrate", "--records", cv / "cv_records.csv", "--out", cal,
-        "--set", "mc_samples=10000") == 0
+        "calibrate", "--records", cv / "cv_records.csv", "--out", cal) == 0
     assert run_cli("lagmaps", "--params-dir", map_out, "--out", lag) == 0
     return {"root": root, "sim": sim, "profiles": profiles, "mean": mean,
             "map": map_out, "cv": cv, "cal": cal, "lag": lag}
@@ -412,6 +410,47 @@ class TestCalibrateCommand:
         assert run_cli("calibrate", "--records", tmp_path / "nope.csv",
                        "--out", tmp_path / "c") == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestManifests:
+    STAGES = ("sim", "mean", "map", "cv", "cal", "lag")
+
+    def test_every_subcommand_records_wall_time(self, pipeline):
+        for stage in self.STAGES:
+            manifest = json.loads((pipeline[stage] / "manifest.json").read_text())
+            assert manifest["wall_time_s"] >= 0.0, stage
+
+    def test_wall_time_stays_out_of_every_csv(self, pipeline):
+        for stage in self.STAGES:
+            for path in pipeline[stage].glob("*.csv"):
+                assert "wall" not in path.read_text(encoding="utf-8"), path
+
+
+class TestSeedIndependence:
+    ONE_CELL = ["--set", "lat_min=0", "--set", "lat_max=0",
+                "--set", "lon_min=0", "--set", "lon_max=0"]
+
+    def test_student_outputs_do_not_depend_on_the_seed(self, tmp_path, pipeline):
+        # Only simulate draws random numbers; the Student intervals and
+        # PIT values come from the exact predictive law.
+        common = ["--profiles", pipeline["profiles"], "--variant", 3,
+                  *self.ONE_CELL]
+        for seed in (1, 2):
+            out = tmp_path / f"s{seed}"
+            assert run_cli("map", *common, "--seed", seed,
+                           "--out", out / "map") == 0
+            assert run_cli("cv", *common, "--seed", seed, "--out", out / "cv",
+                           "--set", "radius_steps=10") == 0
+            assert run_cli("calibrate", "--records", out / "cv" / "cv_records.csv",
+                           "--seed", seed, "--out", out / "cal") == 0
+        names = sorted(p.relative_to(tmp_path / "s1")
+                       for p in (tmp_path / "s1").rglob("*.csv"))
+        assert len(names) == 17  # 11 map, 4 cv and 2 calibrate files
+        status = (tmp_path / "s1" / "map" / "status.csv").read_text()
+        assert status.splitlines()[1:] == ["0,0,ok"]
+        for name in names:
+            assert (tmp_path / "s1" / name).read_bytes() == \
+                (tmp_path / "s2" / name).read_bytes(), name
 
 
 class TestLagmapsCommand:

@@ -10,13 +10,13 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
+from scipy.special import ndtri, stdtrit
 
 import mwgp.student
 from mwgp.covariance import CovParams, SpaceTimePoint, cov_matrix, cross_cov_vector
 from mwgp.errors import InsufficientDataError, InvalidParameterError
 from mwgp.gaussian import PENALTY, YearBlock, gauss_loglik, predict_gaussian
 from mwgp.student import (
-    McOptions,
     StudentParams,
     StudentPredictive,
     find_mode,
@@ -26,12 +26,12 @@ from mwgp.student import (
     _encode_student,
     nu_variance_factor,
     predict_student,
-    predictive_deviation_sample,
+    student_cdf,
     student_interval,
 )
 from mwgp.validation import simulate_field
 
-from conftest import random_block, student_pit
+from conftest import deviation_sample, random_block
 
 SP = StudentParams(CovParams(1.0, 2.0, 3.0, 6.0, 0.5), nu=4.0)
 
@@ -313,73 +313,63 @@ class TestPredictStudent:
 
 class TestStudentInterval:
     PRED = StudentPredictive(f_mean=0.7, f_var=0.4, scale=0.8, dof=4.0)
-    MC = McOptions(100_000, 31)
 
     def test_midpoint_exact(self):
-        lo, hi = student_interval(self.PRED, 0.1, self.MC)
+        lo, hi = student_interval(self.PRED, 0.1)
         assert 0.5 * (lo + hi) == pytest.approx(self.PRED.f_mean, abs=1e-12)
 
     def test_gaussian_limit_halfwidth(self):
         pred = StudentPredictive(0.0, 0.0, 1.0, 1e6)
-        lo, hi = student_interval(pred, 0.05, self.MC)
+        lo, hi = student_interval(pred, 0.05)
         assert 0.5 * (hi - lo) == pytest.approx(1.96, abs=0.03)
 
     def test_deterministic_given_seed(self):
-        assert student_interval(self.PRED, 0.2, self.MC) == \
-            student_interval(self.PRED, 0.2, self.MC)
+        assert student_interval(self.PRED, 0.2) == \
+            student_interval(self.PRED, 0.2)
 
     def test_nesting_at_common_seed(self):
-        lo_90, hi_90 = student_interval(self.PRED, 0.10, self.MC)
-        lo_50, hi_50 = student_interval(self.PRED, 0.50, self.MC)
+        lo_90, hi_90 = student_interval(self.PRED, 0.10)
+        lo_50, hi_50 = student_interval(self.PRED, 0.50)
         assert lo_90 <= lo_50 and hi_50 <= hi_90
 
     def test_halfwidth_nonincreasing_in_dof(self):
         widths = []
         for nu in (2.0, 5.0, 50.0):
             pred = StudentPredictive(0.0, 0.3, 1.0, nu)
-            lo, hi = student_interval(pred, 0.05, self.MC)
+            lo, hi = student_interval(pred, 0.05)
             widths.append(hi - lo)
         assert widths[0] >= widths[1] >= widths[2]
 
-    def test_small_sample_count_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            student_interval(self.PRED, 0.1, McOptions(5000, 0))
-
     def test_alpha_validated(self):
         with pytest.raises(InvalidParameterError):
-            student_interval(self.PRED, 1.2, self.MC)
+            student_interval(self.PRED, 1.2)
 
-    def test_common_random_numbers_couple_dof(self):
-        # inverse-CDF sampling means draws at different dof share the
-        # same uniforms, so the two samples are comonotone (identical
-        # rank order) even though heavy tails break linear correlation
-        mc = McOptions(50_000, 9)
-        d1 = predictive_deviation_sample(StudentPredictive(0, 0.0, 1.0, 3.0), mc)
-        d2 = predictive_deviation_sample(StudentPredictive(0, 0.0, 1.0, 30.0), mc)
-        assert np.array_equal(np.argsort(d1), np.argsort(d2))
+    def test_array_of_levels_matches_one_call_per_level(self):
+        alphas = np.array([0.5, 0.32, 0.1, 0.01])
+        lower, upper = student_interval(self.PRED, alphas)
+        for a, lo, hi in zip(alphas, lower, upper):
+            assert (lo, hi) == student_interval(self.PRED, float(a))
 
 
 class TestStudentPit:
     PRED = StudentPredictive(f_mean=0.4, f_var=0.5, scale=0.7, dof=5.0)
-    MC = McOptions(100_000, 17)
 
     def test_median_at_mean(self):
-        assert student_pit(self.PRED.f_mean, self.PRED, self.MC) == \
+        assert student_cdf(self.PRED, self.PRED.f_mean) == \
             pytest.approx(0.5, abs=0.01)
 
     def test_far_left_tail(self):
         sd = math.sqrt(self.PRED.f_var + self.PRED.scale ** 2
                        * nu_variance_factor(self.PRED.dof))
-        assert student_pit(self.PRED.f_mean - 1e3 * sd, self.PRED, self.MC) == 0.0
+        assert 0.0 <= student_cdf(self.PRED, self.PRED.f_mean - 1e3 * sd) < 1e-15
 
     def test_monotone_in_value(self):
         values = np.linspace(-3.0, 4.0, 15)
-        pits = [student_pit(v, self.PRED, self.MC) for v in values]
+        pits = [student_cdf(self.PRED, v) for v in values]
         assert all(a <= b for a, b in zip(pits, pits[1:]))
 
     def test_deterministic_given_seed(self):
-        assert student_pit(1.0, self.PRED, self.MC) == \
-            student_pit(1.0, self.PRED, self.MC)
+        assert student_cdf(self.PRED, 1.0) == student_cdf(self.PRED, 1.0)
 
     def test_quadrature_oracle(self):
         pred = self.PRED
@@ -394,5 +384,100 @@ class TestStudentPit:
             return val
 
         for v in (-1.0, 0.2, 0.4, 1.5, 3.0):
-            assert student_pit(v, pred, self.MC) == \
-                pytest.approx(exact_pit(v), abs=0.005)
+            assert student_cdf(pred, v) == pytest.approx(exact_pit(v), abs=0.005)
+
+
+LAW_DOF = (1.05, 2.05, 3.0, 5.0, 30.0, 1e3, 1e6)
+LAW_SD_RATIOS = (0.0, 0.02, 0.3, 1.0, 1.5, 5.0, 50.0)  # sd / s
+LAW_ALPHAS = 1.0 - np.array([0.5, 0.68, 0.8, 0.9, 0.95, 0.99])
+
+
+def law_grid(scale=0.7):
+    for nu in LAW_DOF:
+        for ratio in LAW_SD_RATIOS:
+            yield StudentPredictive(0.3, (ratio * scale) ** 2, scale, nu)
+
+
+def quadrature_cdf(pred, x):
+    """P(Y <= x) by adaptive quadrature over the latent normal."""
+    sd = math.sqrt(pred.f_var)
+    d = x - pred.f_mean
+    if sd == 0.0:
+        return float(stats.t.cdf(d / pred.scale, pred.dof))
+    kink = [d / sd] if abs(d / sd) < 40.0 else None
+    val, err = integrate.quad(
+        lambda z: stats.norm.pdf(z) * stats.t.cdf((d - sd * z) / pred.scale, pred.dof),
+        -40.0, 40.0, points=kink, limit=500, epsabs=1e-14, epsrel=1e-12)
+    assert err < 1e-11
+    return val
+
+
+def half_widths(pred, alphas=LAW_ALPHAS):
+    lower, upper = student_interval(pred, alphas)
+    return 0.5 * (upper - lower)
+
+
+class TestPredictiveLaw:
+    """The scale-mixture rule against quadrature, itself and Monte Carlo."""
+
+    def test_cdf_matches_quadrature(self):
+        worst = 0.0
+        for pred in law_grid():
+            width = math.sqrt(pred.f_var) + pred.scale
+            for k in (-20.0, -3.0, -1.0, -0.2, 0.0, 0.5, 2.0, 8.0):
+                x = pred.f_mean + k * width
+                worst = max(worst, abs(student_cdf(pred, x) - quadrature_cdf(pred, x)))
+        assert worst <= 1e-9
+
+    def test_converged_in_the_step(self, monkeypatch):
+        preds = list(law_grid())
+        xs = [p.f_mean - 1.3 * (math.sqrt(p.f_var) + p.scale) for p in preds]
+        cdf = [student_cdf(p, x) for p, x in zip(preds, xs)]
+        half = [half_widths(p) for p in preds]
+        monkeypatch.setattr(mwgp.student, "LAW_STEP", 0.5 * mwgp.student.LAW_STEP)
+        for p, x, c, h in zip(preds, xs, cdf, half):
+            assert abs(student_cdf(p, x) - c) <= 1e-8
+            np.testing.assert_allclose(half_widths(p), h, rtol=1e-8, atol=0.0)
+
+    def test_half_widths_solve_the_cdf(self):
+        for pred in law_grid():
+            for a, h in zip(LAW_ALPHAS, half_widths(pred)):
+                assert student_cdf(pred, pred.f_mean - h) == \
+                    pytest.approx(a / 2.0, rel=1e-12)
+
+    def test_reference_half_width(self):
+        lo, hi = student_interval(StudentPredictive(0.0, 0.3, 0.5, 3.0), 0.32)
+        assert hi == pytest.approx(0.842872, abs=5e-7)
+
+    def test_no_latent_variance_is_the_scaled_t(self):
+        for nu in LAW_DOF:
+            pred = StudentPredictive(1.0, 0.0, 0.6, nu)
+            expected = pred.scale * stdtrit(nu, 1.0 - LAW_ALPHAS / 2.0)
+            np.testing.assert_allclose(half_widths(pred), expected, rtol=1e-10)
+
+    def test_huge_dof_is_the_gaussian_interval(self):
+        for f_var in (0.0, 0.3, 4.0):
+            pred = StudentPredictive(-2.0, f_var, 0.8, 1e12)
+            expected = math.sqrt(f_var + 0.64) * ndtri(1.0 - LAW_ALPHAS / 2.0)
+            np.testing.assert_allclose(half_widths(pred), expected, rtol=1e-8)
+
+    def test_monte_carlo_oracle(self):
+        # 10^7 draws in ten seeded chunks: every interval's coverage and
+        # every PIT value lies within 4 binomial standard errors.
+        n_chunk, n_chunks = 1_000_000, 10
+        n = n_chunk * n_chunks
+        for pred in (StudentPredictive(0.7, 0.3, 0.5, 3.0),
+                     StudentPredictive(0.0, 0.02, 0.9, 1.5)):
+            half = half_widths(pred)
+            xs = pred.f_mean + np.array([-2.0, -0.5, 0.3, 1.5])
+            inside = np.zeros(half.size)
+            below = np.zeros(xs.size)
+            for k in range(n_chunks):
+                dev = deviation_sample(pred, n_chunk, seed=1000 + k)
+                inside += np.sum(np.abs(dev)[:, None] <= half, axis=0)
+                below += np.sum(pred.f_mean + dev[:, None] <= xs, axis=0)
+            for p_hat, p in zip(inside / n, 1.0 - LAW_ALPHAS):
+                assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+            for p_hat, x in zip(below / n, xs):
+                p = student_cdf(pred, x)
+                assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)

@@ -14,14 +14,13 @@ from mwgp.errors import (
     InvalidParameterError,
 )
 from mwgp.gaussian import GaussianPredictive, YearBlock, predict_gaussian
-from mwgp.student import McOptions, StudentParams, StudentPredictive
+from mwgp.student import StudentParams, StudentPredictive
 from mwgp.validation import (
     DEFAULT_LEVELS,
     QUANTILE_GRID_POINTS,
     CVRecord,
     CVResult,
     calibration,
-    cv_fold_seed,
     nearest_cell_index,
     point_metrics,
     run_cv,
@@ -30,6 +29,7 @@ from mwgp.validation import (
 )
 from mwgp.windows import (
     VARIANTS,
+    GaussianFamily,
     GridSpec,
     ReferenceParams,
     WindowSpec,
@@ -266,6 +266,16 @@ class TestRunCV:
         z = np.array([r.error / math.sqrt(r.pred.variance)
                       for r in cv.records])
         assert 0.7 < np.sqrt(np.mean(z ** 2)) < 1.4
+
+    def test_programming_error_in_predict_raises(self, monkeypatch):
+        data, field_ = self.mapped()
+
+        def broken(self, target, block, params):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(GaussianFamily, "predict", broken)
+        with pytest.raises(TypeError, match="injected"):
+            run_cv(data, self.GRID, field_, VARIANTS[2], self.SPEC)
 
     def test_holdout_matches_manual_masked_prediction(self):
         locs = scatter_locations(25, 23, span=4.0)
@@ -504,9 +514,8 @@ class TestCalibration:
 
     def test_student_records_reuse_fold_deviation_samples(self):
         result = self.student_result(n=50)
-        mc = McOptions(n_samples=20_000, seed=9)
-        a = calibration(result, mc=mc)
-        b = calibration(result, mc=mc)
+        a = calibration(result)
+        b = calibration(result)
         np.testing.assert_array_equal(a.residuals, b.residuals)
         for lv in DEFAULT_LEVELS:
             assert a.coverage[lv] == b.coverage[lv]
@@ -514,28 +523,13 @@ class TestCalibration:
 
     def test_student_truths_from_the_predictive_are_calibrated(self):
         result = self.student_result(n=600, seed=5)
-        report = calibration(result, levels=(0.5, 0.9),
-                             mc=McOptions(n_samples=20_000, seed=1))
+        report = calibration(result, levels=(0.5, 0.9))
         assert report.coverage[0.5] == pytest.approx(0.5, abs=0.06)
         assert report.coverage[0.9] == pytest.approx(0.9, abs=0.04)
         # Heavier-than-Gaussian predictive: the normalized residuals
         # should still look standard normal through the transform.
         finite = report.residuals[np.isfinite(report.residuals)]
         assert abs(np.std(finite) - 1.0) < 0.1
-
-
-class TestFoldSeeds:
-    def test_deterministic(self):
-        assert cv_fold_seed(1, 2, 3) == cv_fold_seed(1, 2, 3)
-
-    def test_distinct_across_components(self):
-        seeds = {cv_fold_seed(0, 0, 0), cv_fold_seed(1, 0, 0),
-                 cv_fold_seed(0, 1, 0), cv_fold_seed(0, 0, 1)}
-        assert len(seeds) == 4
-
-    def test_unsigned_32_bit_range(self):
-        s = cv_fold_seed(999, 12, 3456)
-        assert 0 <= s < 2 ** 32
 
 
 class TestCVRecordProperties:

@@ -29,7 +29,6 @@ from mwgp.gaussian import (
     predict_gaussian,
 )
 from mwgp.student import (
-    McOptions,
     StudentParams,
     StudentPredictive,
     fit_mle_student,
@@ -50,7 +49,6 @@ from mwgp.windows import (
     WindowSpec,
     _predict_reference,
     cell_key,
-    cell_year_seed,
     correlation_at_lag,
     fit_grid_point,
     get_variant,
@@ -450,17 +448,15 @@ class TestModelFamily:
         6: StudentFamily(spatial=False),
     }
     CENTER = SpaceTimePoint(0.0, 0.0, 45.5)
-    MC = McOptions(10_000, 3)
 
     @pytest.mark.parametrize("vid", sorted(VARIANTS))
     def test_cell_prediction_is_the_direct_composition(self, vid):
         variant = VARIANTS[vid]
         assert variant.family == self.FAMILIES[vid]
-        center, mc, alpha, seed, flat = self.CENTER, self.MC, 0.32, 11, 5
+        center, alpha = self.CENTER, 0.32
         spec = WindowSpec(10.0, variant.t_win, 20)
         data = gp_blocks(m=25, n_years=2, seed=19)
-        fit = fit_grid_point(data, center, variant, spec, mc=mc, alpha=alpha,
-                             seed=seed, flat_index=flat)
+        fit = fit_grid_point(data, center, variant, spec, alpha=alpha)
         assert fit.ok
 
         windowed = select_window(data, center, spec)
@@ -482,9 +478,7 @@ class TestModelFamily:
             else:
                 pred = predict_student(center, block, params, spatial=sp)
             if isinstance(pred, StudentPredictive):
-                block_mc = replace(mc, seed=cell_year_seed(seed, flat,
-                                                           block.year))
-                lower, upper = student_interval(pred, alpha, block_mc)
+                lower, upper = student_interval(pred, alpha)
                 mean = pred.f_mean
                 var = pred.f_var + pred.scale ** 2 * nu_variance_factor(pred.dof)
                 assert params.nu > 2.0
@@ -567,23 +561,6 @@ class TestZonalConversion:
     def test_pole_rejected(self, lat):
         with pytest.raises(InvalidParameterError):
             zonal_km_to_degrees(800.0, lat)
-
-
-class TestCellYearSeed:
-    def test_deterministic(self):
-        assert cell_year_seed(3, 41, 7) == cell_year_seed(3, 41, 7)
-
-    def test_distinct_across_each_component(self):
-        seeds = {cell_year_seed(0, 0, 0), cell_year_seed(1, 0, 0),
-                 cell_year_seed(0, 1, 0), cell_year_seed(0, 0, 1)}
-        assert len(seeds) == 4
-
-    def test_fits_unsigned_32_bits(self):
-        s = cell_year_seed(12345, 54321, 2007)
-        assert 0 <= s < 2 ** 32
-
-    def test_negative_years_fold_into_unsigned_range(self):
-        assert cell_year_seed(5, 7, -1) == cell_year_seed(5, 7, 0xFFFFFFFF)
 
 
 class TestFitGridPoint:
@@ -726,6 +703,19 @@ class TestMapGrid:
         pred = borrowed.fit.prediction_for(0)
         assert pred is not None
         assert math.isfinite(pred.mean) and pred.variance > 0.0
+
+    def test_programming_error_in_fallback_raises(self, monkeypatch):
+        data, grid, spec = self.fallback_setup()
+        predict = GaussianFamily.predict
+
+        def broken(self, target, block, params):
+            if target.lon > 15.0:  # only the failed cell's fallback
+                raise TypeError("injected")
+            return predict(self, target, block, params)
+
+        monkeypatch.setattr(GaussianFamily, "predict", broken)
+        with pytest.raises(TypeError, match="injected"):
+            map_grid(data, grid, VARIANTS[2], spec, fallback_nearest=True)
 
     def test_fallback_leaves_data_starved_cells_alone(self):
         data = gp_blocks(m=30, seed=31, span=2.0)
