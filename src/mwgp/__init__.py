@@ -42,7 +42,6 @@ from .gaussian import (
     predict_gaussian,
 )
 from .ingest import (
-    LevelObs,
     MeanField,
     MeanFieldConfig,
     ProfileRecord,
@@ -53,7 +52,6 @@ from .ingest import (
     parse_profiles,
     profiles_to_level,
     read_mean_field,
-    records_to_blocks,
     subtract_mean,
     write_mean_field,
     write_profiles,

@@ -33,13 +33,15 @@ from .gaussian import GaussianPredictive, OptimizerOptions
 from .ingest import (
     FLOAT_FMT,
     MeanFieldConfig,
+    _data_rows,
+    _parse_float,
+    _parse_int,
     apply_filters,
     estimate_mean_field,
     load_mask,
     parse_profiles,
     profiles_to_level,
     read_mean_field,
-    records_to_blocks,
     subtract_mean,
     write_mean_field,
     write_mean_field_gridded,
@@ -316,18 +318,18 @@ def write_grid_csv(path, rows) -> None:
 
 
 def read_grid_csv(path):
-    """Rows of a lat,lon,value grid file, in file order."""
-    rows = []
+    """Rows of a lat,lon,value grid file, in file order.
+
+    Values may be non-finite, as written (an infinite Student variance).
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["lat", "lon", "value"]:
             raise InputError(f"{path}: expected header lat,lon,value")
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            rows.append((float(row[0]), float(row[1]), float(row[2])))
-    return rows
+        return [tuple(_parse_float(text, name, k, finite=False)
+                      for text, name in zip(row, ("lat", "lon", "value")))
+                for k, row in _data_rows(reader, 3)]
 
 
 def write_grid_binary(path, grid: GridSpec, values: dict) -> None:
@@ -391,7 +393,8 @@ def cmd_simulate(cfg: RunConfig) -> tuple[list, dict]:
     return ["profiles.csv"], {}
 
 
-def _load_level_obs(cfg: RunConfig):
+def _load_level_blocks(cfg: RunConfig):
+    """Parse, filter and interpolate the input profiles into year blocks."""
     if not cfg.profiles:
         raise InputError("profiles path is required (profiles=... or --profiles)")
     records = parse_profiles(cfg.profiles)
@@ -405,40 +408,13 @@ def _load_level_obs(cfg: RunConfig):
     return profiles_to_level(records, cfg.pressure), mask
 
 
-def _mean_grid(path, cfg: RunConfig) -> GridSpec:
-    """Grid geometry implied by a mean-field file's own cell centers.
-
-    The mean field may live on a different (usually larger) grid than
-    the prediction grid, so its geometry comes from the file.
-    """
-    lats, lons = set(), set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            lats.add(float(row[0]))
-            lons.add(float(row[1]))
-    if not lats:
-        raise InputError(f"{path}: empty mean-field file")
-    la, lo = sorted(lats), sorted(lons)
-    lat_step = float(min(np.diff(la))) if len(la) > 1 else cfg.lat_step
-    lon_step = float(min(np.diff(lo))) if len(lo) > 1 else cfg.lon_step
-    return GridSpec(la[0], la[-1], lo[0], lo[-1], lat_step, lon_step,
-                    cfg.eval_time, cfg.eval_year)
-
-
 def _load_blocks(cfg: RunConfig, variant):
-    """Parse, filter, interpolate, and residualize the input profiles."""
-    obs, mask = _load_level_obs(cfg)
+    """Year blocks, residualized when a mean-field file is given."""
+    blocks, mask = _load_level_blocks(cfg)
     n_excluded = 0
     if cfg.mean:
-        mean = read_mean_field(cfg.mean, _mean_grid(cfg.mean, cfg))
-        blocks, n_excluded = subtract_mean(obs, mean, variant.mean_mode,
-                                           cfg.eval_time)
-    else:
-        blocks = records_to_blocks(obs)
+        blocks, n_excluded = subtract_mean(blocks, read_mean_field(cfg.mean),
+                                           variant.mean_mode, cfg.eval_time)
     return blocks, mask, n_excluded
 
 
@@ -520,16 +496,16 @@ def cmd_map(cfg: RunConfig) -> tuple[list, dict]:
 
 def cmd_mean(cfg: RunConfig) -> tuple[list, dict]:
     """Estimate the mean field and write it in both formats."""
-    obs, mask = _load_level_obs(cfg)
+    blocks, mask = _load_level_blocks(cfg)
     mean = estimate_mean_field(
-        obs, cfg.grid_spec(mask),
+        blocks, cfg.grid_spec(mask),
         MeanFieldConfig(cfg.n_neighbors, cfg.weight_scale_km, cfg.n_harmonics))
     os.makedirs(cfg.out, exist_ok=True)
     write_mean_field(mean, os.path.join(cfg.out, "mean_field.csv"))
     write_mean_field_gridded(mean, os.path.join(cfg.out, "mean_grid.csv"),
                              cfg.eval_time)
     return ["mean_field.csv", "mean_grid.csv"], {
-        "n_obs": len(obs), "n_ridge_cells": len(mean.ridge_cells)}
+        "n_obs": sum(b.m for b in blocks), "n_ridge_cells": len(mean.ridge_cells)}
 
 
 CV_HEADER = ["scheme", "variant", "year_pos", "obs_index", "year", "source_id",
@@ -566,21 +542,23 @@ def read_cv_records(path) -> CVResult:
         scheme = "looo"
         variant_id = 0
         records = []
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
+        for k, row in _data_rows(reader, len(CV_HEADER)):
+            def num(c):
+                return _parse_float(row[c], CV_HEADER[c], k, finite=False)
+
+            def count(c):
+                return _parse_int(row[c], CV_HEADER[c], k)
+
             scheme = row[0]
-            variant_id = int(row[1])
-            kind = row[10]
-            if kind == "student":
-                pred = StudentPredictive(float(row[11]), float(row[13]),
-                                         float(row[14]), float(row[15]))
+            variant_id = count(1)
+            if row[10] == "student":
+                pred = StudentPredictive(num(11), num(13), num(14), num(15))
             else:
-                pred = GaussianPredictive(float(row[11]), float(row[12]))
+                pred = GaussianPredictive(num(11), num(12))
             records.append(CVRecord(
-                int(row[2]), int(row[3]), int(row[4]), row[5] or None,
-                float(row[6]), float(row[7]), float(row[8]), float(row[9]),
-                pred, variant_id, (int(row[16]), int(row[17]))))
+                count(2), count(3), count(4), row[5] or None,
+                num(6), num(7), num(8), num(9),
+                pred, variant_id, (count(16), count(17))))
     result = CVResult(scheme, variant_id)
     result.records = records
     return result

@@ -2,9 +2,12 @@
 
 The canonical input is a profile CSV (one row per profile level, rows
 of a profile contiguous and pressure-ascending).  Profiles are
-linearly interpolated to a single pressure level, a local weighted
-regression mean field is estimated on the mapping grid, and residuals
-are grouped into per-year blocks for the moving-window fits.
+linearly interpolated to a single pressure level and grouped into
+per-year ``YearBlock`` columns, the one observation type from there
+on.  A local weighted-regression mean field is estimated on the
+mapping grid from those blocks, or read from a file on its own
+lattice, and ``subtract_mean`` turns the blocks into residual blocks
+for the moving-window fits, one pass per block and nearest mean cell.
 """
 
 from __future__ import annotations
@@ -67,25 +70,14 @@ class ProfileRecord:
         return np.array([v for _, v in self.levels])
 
 
-@dataclass(frozen=True)
-class LevelObs:
-    """A profile reduced to a single pressure level."""
-
-    source_id: str
-    lat: float
-    lon: float
-    year: int
-    day: float
-    value: float
-
-
-def _parse_float(text: str, name: str, line_number: int) -> float:
+def _parse_float(text: str, name: str, line_number: int,
+                 finite: bool = True) -> float:
     try:
         value = float(text)
     except ValueError:
         raise SchemaError(f"field {name} is not a number: {text!r}",
                           line_number) from None
-    if not math.isfinite(value):
+    if finite and not math.isfinite(value):
         raise SchemaError(f"field {name} is not finite: {text!r}", line_number)
     return value
 
@@ -104,6 +96,17 @@ def _check_header(row, expected, line_number=1):
         raise SchemaError(
             f"expected header {','.join(expected)}, got {','.join(got)}",
             line_number)
+
+
+def _data_rows(rows, n_fields: int, start: int = 2):
+    """(line number, row) for each non-blank row, which must have n_fields."""
+    for line_number, row in enumerate(rows, start=start):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != n_fields:
+            raise SchemaError(f"expected {n_fields} fields, got {len(row)}",
+                              line_number)
+        yield line_number, row
 
 
 def parse_profiles(path) -> list[ProfileRecord]:
@@ -132,16 +135,11 @@ def parse_profiles(path) -> list[ProfileRecord]:
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for line_number, row in enumerate(reader, start=1):
-            if line_number == 1:
-                _check_header(row, PROFILE_HEADER)
-                continue
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(PROFILE_HEADER):
-                raise SchemaError(
-                    f"expected {len(PROFILE_HEADER)} fields, got {len(row)}",
-                    line_number)
+        header = next(reader, None)
+        if header is None:
+            return records
+        _check_header(header, PROFILE_HEADER)
+        for line_number, row in _data_rows(reader, len(PROFILE_HEADER)):
             sid = row[0].strip()
             if not sid:
                 raise SchemaError("empty source_id", line_number)
@@ -202,37 +200,21 @@ def interpolate_to_pressure(profile: ProfileRecord, level: float) -> float | Non
     return float(np.interp(level, pressures, profile.values))
 
 
-def profiles_to_level(records, level: float) -> list[LevelObs]:
+def profiles_to_level(records, level: float) -> list[YearBlock]:
     """Reduce each profile to one observation at a pressure level.
 
-    Profiles not sampling the level are dropped.
+    Profiles not sampling the level are dropped.  Observations are
+    grouped into per-year blocks, years ascending and rows within a
+    year in input order, with their source ids.
     """
-    out = []
+    by_year: dict[int, list] = {}
     for rec in records:
         value = interpolate_to_pressure(rec, level)
         if value is not None:
-            out.append(LevelObs(rec.source_id, rec.lat, rec.lon,
-                                rec.year, rec.day, value))
-    return out
-
-
-def records_to_blocks(obs) -> list[YearBlock]:
-    """Group level observations into per-year blocks (years ascending)."""
-    by_year: dict[int, list[LevelObs]] = {}
-    for o in obs:
-        by_year.setdefault(o.year, []).append(o)
-    blocks = []
-    for year in sorted(by_year):
-        group = by_year[year]
-        blocks.append(YearBlock(
-            year,
-            np.array([o.lat for o in group]),
-            np.array([o.lon for o in group]),
-            np.array([o.day for o in group]),
-            np.array([o.value for o in group]),
-            np.array([o.source_id for o in group]),
-        ))
-    return blocks
+            by_year.setdefault(rec.year, []).append(
+                (rec.lat, rec.lon, rec.day, value, rec.source_id))
+    return [YearBlock(year, *map(np.array, zip(*by_year[year])))
+            for year in sorted(by_year)]
 
 
 @dataclass(frozen=True)
@@ -300,12 +282,13 @@ class MeanField:
     pressure: float | None = None
     ridge_cells: set = field(default_factory=set)
 
-    def nearest_cell(self, lat: float, lon: float) -> tuple[int, int]:
-        i = int(np.clip(round((lat - self.grid.lat_min) / self.grid.lat_step),
-                        0, self.grid.n_lat - 1))
-        j = int(np.clip(round((wrap_lon(lon) - self.grid.lon_min) / self.grid.lon_step),
-                        0, self.grid.n_lon - 1))
-        return i, j
+    def nearest_cell(self, lat, lon):
+        """Indices (i, j) of the grid cells nearest each location, clipped."""
+        g = self.grid
+        i = np.clip(np.rint((lat - g.lat_min) / g.lat_step), 0, g.n_lat - 1)
+        j = np.clip(np.rint((wrap_lon(lon) - g.lon_min) / g.lon_step),
+                    0, g.n_lon - 1)
+        return i.astype(int), j.astype(int)
 
     def evaluate(self, i: int, j: int, t: float | None = None) -> float:
         """Mean at the cell center; harmonics included when t is given."""
@@ -315,41 +298,56 @@ class MeanField:
             value += _harmonic_sum(beta, t, self.n_harmonics)
         return value
 
-    def evaluate_at(self, lat: float, lon: float, t: float | None = None) -> float:
-        """Mean at an off-center location via the cell's full basis."""
+    def evaluate_at(self, lat, lon, t=None) -> np.ndarray:
+        """Mean at off-center locations via each nearest cell's full basis.
+
+        One pass per distinct nearest cell, which must hold a mean; each
+        row is its own dot product with the cell's coefficients.  The
+        seasonal part is left out when ``t`` is None.
+        """
+        lat, lon = np.atleast_1d(lat, lon)
+        seasonal = t is not None
+        t = np.broadcast_to(t if seasonal else 0.0, lat.shape)
+        lats, lons = self.grid.lats, self.grid.lons
         i, j = self.nearest_cell(lat, lon)
-        beta = self.coefs[(i, j)]
-        if beta.shape[0] == 1:
-            return float(beta[0])
-        clat = self.grid.lats[i]
-        clon = self.grid.lons[j]
-        row = _basis(lat - clat, float(wrap_dlon(lon - clon)),
-                     0.0 if t is None else t, self.n_harmonics)[0]
-        if t is None:
-            row[len(SPATIAL_COEF_NAMES):] = 0.0
-        return float(row @ beta)
+        flat = i * lons.size + j
+        order = np.argsort(flat, kind="stable")
+        cells, starts = np.unique(flat[order], return_index=True)
+        out = np.empty(lat.shape)
+        for cell, rows in zip(cells, np.split(order, starts[1:])):
+            ci, cj = divmod(int(cell), lons.size)
+            beta = self.coefs[(ci, cj)]
+            if beta.shape[0] == 1:
+                out[rows] = beta[0]
+                continue
+            X = _basis(lat[rows] - lats[ci], wrap_dlon(lon[rows] - lons[cj]),
+                       t[rows], self.n_harmonics)
+            if not seasonal:
+                X[:, len(SPATIAL_COEF_NAMES):] = 0.0
+            out[rows] = [x @ beta for x in X]
+        return out
 
 
 MEAN_RIDGE = 1e-8  # rank-deficient designs: relative to mean diagonal + 1
 
 
-def estimate_mean_field(obs, grid: GridSpec,
+def estimate_mean_field(blocks, grid: GridSpec,
                         config: MeanFieldConfig = MeanFieldConfig()) -> MeanField:
     """Weighted local least squares of the mean basis at every cell.
 
-    Each cell is fit to its ``n_neighbors`` nearest observations under
-    the plain (non-elongated) great-circle-style distance, weighted by
-    exp(-(d/L)^2).  Rank-deficient designs fall back to a scale-free
-    ridge and flag the cell.
+    Each cell is fit to its ``n_neighbors`` nearest observations of the
+    year blocks, taken in block order, under the plain (non-elongated)
+    great-circle-style distance, weighted by exp(-(d/L)^2).
+    Rank-deficient designs fall back to a scale-free ridge and flag
+    the cell.
     """
-    if len(obs) < config.n_neighbors:
+    n_obs = sum(b.m for b in blocks)
+    if n_obs < config.n_neighbors:
         raise InsufficientDataError(
             f"mean field needs >= {config.n_neighbors} observations, "
-            f"got {len(obs)}")
-    lat = np.array([o.lat for o in obs])
-    lon = np.array([o.lon for o in obs])
-    t = np.array([o.day for o in obs])
-    y = np.array([o.value for o in obs])
+            f"got {n_obs}")
+    lat, lon, t, y = (np.concatenate([getattr(b, name) for b in blocks])
+                      for name in ("lat", "lon", "t", "values"))
     ncols = len(SPATIAL_COEF_NAMES) + 2 * config.n_harmonics
     coefs = {}
     ridge_cells = set()
@@ -371,32 +369,36 @@ def estimate_mean_field(obs, grid: GridSpec,
     return MeanField(grid, coefs, config.n_harmonics, ridge_cells=ridge_cells)
 
 
-def subtract_mean(obs, mean: MeanField, mode: str = "spatio-temporal",
+def subtract_mean(blocks, mean: MeanField, mode: str = "spatio-temporal",
                   eval_time: float | None = None):
-    """Residualize observations against the mean field.
+    """Residualize year blocks against the mean field.
 
     The mean is evaluated at each observation's own location through
     the nearest cell's full local basis.  Spatial mode evaluates the
     seasonal part at a fixed ``eval_time`` (constant over the window);
     spatio-temporal mode at each observation's own time.  Observations
-    whose nearest cell has no mean are excluded.  Returns (per-year
-    residual blocks, number excluded).
+    whose nearest cell has no mean are excluded, and a year left empty
+    yields no block.  Returns (residual blocks, number excluded).
     """
     if mode not in ("spatial", "spatio-temporal"):
         raise InvalidParameterError(f"unknown mean mode {mode!r}")
     if mode == "spatial" and eval_time is None:
         raise InvalidParameterError("spatial mean mode requires eval_time")
-    kept = []
+    has_mean = np.zeros((mean.grid.n_lat, mean.grid.n_lon), dtype=bool)
+    for ij in mean.coefs:
+        has_mean[ij] = True
+    out = []
     n_excluded = 0
-    for o in obs:
-        ij = mean.nearest_cell(o.lat, o.lon)
-        if ij not in mean.coefs:
-            n_excluded += 1
+    for block in blocks:
+        keep = has_mean[mean.nearest_cell(block.lat, block.lon)]
+        n_excluded += block.m - int(np.count_nonzero(keep))
+        if not keep.any():
             continue
-        t = eval_time if mode == "spatial" else o.day
-        resid = o.value - mean.evaluate_at(o.lat, o.lon, t)
-        kept.append(LevelObs(o.source_id, o.lat, o.lon, o.year, o.day, resid))
-    return records_to_blocks(kept), n_excluded
+        kept = block.subset(keep)
+        t = eval_time if mode == "spatial" else kept.t
+        kept.values = kept.values - mean.evaluate_at(kept.lat, kept.lon, t)
+        out.append(kept)
+    return out, n_excluded
 
 
 def load_mask(path) -> frozenset:
@@ -404,15 +406,10 @@ def load_mask(path) -> frozenset:
     cells = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for line_number, row in enumerate(reader, start=1):
-            if line_number == 1:
-                _check_header(row, MASK_HEADER)
-                continue
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"expected 2 fields, got {len(row)}",
-                                  line_number)
+        header = next(reader, None)
+        if header is not None:
+            _check_header(header, MASK_HEADER)
+        for line_number, row in _data_rows(reader, len(MASK_HEADER)):
             lat = _parse_float(row[0], "lat", line_number)
             lon = _parse_float(row[1], "lon", line_number)
             cells.add(cell_key(lat, lon))
@@ -486,50 +483,48 @@ def _cell_for(grid: GridSpec, lat: float, lon: float, line_number: int):
     return i, j
 
 
-def read_mean_field(path, grid: GridSpec) -> MeanField:
-    """Load a mean field in either gridded or coefficient form."""
+def read_mean_field(path) -> MeanField:
+    """Load a mean field in either gridded or coefficient form.
+
+    The grid is the file's own lattice: it spans the cell centers in the
+    file, and each step is the smallest spacing between distinct center
+    coordinates (1 for a single row or column, where no step changes
+    the nearest cell).  It may differ from the prediction grid.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows:
         raise SchemaError("empty mean-field file", 1)
     header = [c.strip() for c in rows[0]]
-    if header == MEAN_GRID_HEADER:
-        coefs = {}
-        for k, row in enumerate(rows[1:], start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise SchemaError(f"expected 3 fields, got {len(row)}", k)
-            lat = _parse_float(row[0], "lat", k)
-            lon = _parse_float(row[1], "lon", k)
-            value = _parse_float(row[2], "mean_c", k)
-            coefs[_cell_for(grid, lat, lon, k)] = np.array([value])
-        return MeanField(grid, coefs, n_harmonics=0)
-    if header == MEAN_COEF_HEADER:
-        by_cell: dict = {}
-        max_harmonic = 0
-        for k, row in enumerate(rows[1:], start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"expected 4 fields, got {len(row)}", k)
-            lat = _parse_float(row[0], "lat", k)
-            lon = _parse_float(row[1], "lon", k)
-            name = row[2].strip()
-            value = _parse_float(row[3], "coef_value", k)
-            ij = _cell_for(grid, lat, lon, k)
-            by_cell.setdefault(ij, {})[name] = value
-            if name[:3] in ("sin", "cos"):
-                try:
-                    max_harmonic = max(max_harmonic, int(name[3:]))
-                except ValueError:
-                    raise SchemaError(f"unknown coefficient {name!r}", k) from None
-            elif name not in SPATIAL_COEF_NAMES:
-                raise SchemaError(f"unknown coefficient {name!r}", k)
-        names = coef_names(max_harmonic)
-        coefs = {}
-        for ij, mapping in by_cell.items():
-            coefs[ij] = np.array([mapping.get(name, 0.0) for name in names])
-        return MeanField(grid, coefs, n_harmonics=max_harmonic)
-    raise SchemaError(f"unrecognized mean-field header {','.join(header)}", 1)
+    if header not in (MEAN_GRID_HEADER, MEAN_COEF_HEADER):
+        raise SchemaError(
+            f"unrecognized mean-field header {','.join(header)}", 1)
+    entries = []  # (line number, lat, lon, coefficient name, value)
+    max_harmonic = 0
+    for k, row in _data_rows(rows[1:], len(header)):
+        name = row[2].strip() if header == MEAN_COEF_HEADER else "intercept"
+        if name[:3] in ("sin", "cos"):
+            try:
+                max_harmonic = max(max_harmonic, int(name[3:]))
+            except ValueError:
+                raise SchemaError(f"unknown coefficient {name!r}", k) from None
+        elif name not in SPATIAL_COEF_NAMES:
+            raise SchemaError(f"unknown coefficient {name!r}", k)
+        entries.append((k, _parse_float(row[0], "lat", k),
+                        _parse_float(row[1], "lon", k), name,
+                        _parse_float(row[-1], header[-1], k)))
+    if not entries:
+        raise SchemaError("mean-field file has no cells")
+    lats = sorted({e[1] for e in entries})
+    lons = sorted({e[2] for e in entries})
+    grid = GridSpec(lats[0], lats[-1], lons[0], lons[-1],
+                    min(np.diff(lats), default=1.0),
+                    min(np.diff(lons), default=1.0))
+    by_cell: dict = {}
+    for k, lat, lon, name, value in entries:
+        by_cell.setdefault(_cell_for(grid, lat, lon, k), {})[name] = value
+    names = (coef_names(max_harmonic) if header == MEAN_COEF_HEADER
+             else ["intercept"])
+    coefs = {ij: np.array([c.get(name, 0.0) for name in names])
+             for ij, c in by_cell.items()}
+    return MeanField(grid, coefs, n_harmonics=max_harmonic)

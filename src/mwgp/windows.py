@@ -6,15 +6,17 @@ kept separate), covariance parameters are estimated for the requested
 model variant, and per-year predictive distributions are produced at
 the cell center.  Cells are independent tasks, so the sweep can run on
 a process pool; results merge deterministically by cell index and are
-bitwise identical across parallelism degrees.
+bitwise identical across parallelism degrees and BLAS thread counts.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -569,12 +571,61 @@ def fit_grid_point(data, center: SpaceTimePoint, variant: ModelVariant,
     return CellFit("ok", n_obs, params=params, report=report, predictions=preds)
 
 
+def _blas_thread_controls():
+    """(get, set) thread-count functions of each loaded OpenBLAS copy.
+
+    numpy and scipy wheels each bundle one; other BLAS builds give none.
+    """
+    controls = []
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh
+                            if "openblas" in ln.lower()})
+        for lib in map(ctypes.CDLL, paths):
+            for name in ("scipy_openblas_%s_num_threads64_",
+                         "openblas_%s_num_threads64_",
+                         "scipy_openblas_%s_num_threads",
+                         "openblas_%s_num_threads"):
+                if hasattr(lib, name % "get"):
+                    controls.append((getattr(lib, name % "get"),
+                                     getattr(lib, name % "set")))
+                    break
+    except OSError:
+        pass
+    return controls
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread, then restore.
+
+    Threaded OpenBLAS takes other code paths (blocked Cholesky, split
+    reductions), so fits would otherwise depend on the thread count; one
+    thread per process also keeps a worker pool from oversubscribing.
+    """
+    saved = [(set_, get()) for get, set_ in _blas_thread_controls()]
+    try:
+        for set_, _ in saved:
+            set_(1)
+        yield
+    finally:
+        for set_, n in saved:
+            set_(n)
+
+
 _PAYLOAD = None
 
 
 def _init_worker(payload):
     global _PAYLOAD
     _PAYLOAD = payload
+
+
+def _init_pool_worker(payload):
+    # A forked worker inherits the parent's setting; a spawned one does not.
+    for _, set_ in _blas_thread_controls():
+        set_(1)
+    _init_worker(payload)
 
 
 def _run_cell(task):
@@ -596,26 +647,28 @@ def map_grid(data, grid: GridSpec, variant: ModelVariant, spec: WindowSpec,
              n_workers: int = 1, fallback_nearest: bool = False) -> GridField:
     """Sweep the grid, fitting every unmasked cell independently.
 
-    The numeric output is bitwise independent of ``n_workers`` and of
-    task scheduling: each cell is a deterministic function of its
-    window, no cell draws random numbers, and results merge by cell
+    The numeric output is bitwise independent of ``n_workers``, of the
+    BLAS thread count and of task scheduling: each cell is a
+    deterministic function of its window, fitted with OpenBLAS at one
+    thread, no cell draws random numbers, and results merge by cell
     index.  Per-cell wall times are recorded for diagnostics only.
     """
     tasks = list(grid.cells())
     payload = (data, variant, spec, opts, alpha, grid.eval_time)
-    if n_workers <= 1 or len(tasks) <= 1:
-        _init_worker(payload)
-        results = [_run_cell(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (4 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 initializer=_init_worker,
-                                 initargs=(payload,)) as ex:
-            results = list(ex.map(_run_cell, tasks, chunksize=chunk))
-    field_ = GridField(grid, variant.id,
-                       {(r.i, r.j): r for r in results})
-    if fallback_nearest:
-        _apply_nearest_fallback(field_, data, variant, spec, alpha)
+    with single_blas_thread():
+        if n_workers <= 1 or len(tasks) <= 1:
+            _init_worker(payload)
+            results = [_run_cell(t) for t in tasks]
+        else:
+            chunk = max(1, len(tasks) // (4 * n_workers))
+            with ProcessPoolExecutor(max_workers=n_workers,
+                                     initializer=_init_pool_worker,
+                                     initargs=(payload,)) as ex:
+                results = list(ex.map(_run_cell, tasks, chunksize=chunk))
+        field_ = GridField(grid, variant.id,
+                           {(r.i, r.j): r for r in results})
+        if fallback_nearest:
+            _apply_nearest_fallback(field_, data, variant, spec, alpha)
     return field_
 
 

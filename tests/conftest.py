@@ -219,6 +219,40 @@ def deviation_sample(pred: StudentPredictive, n_samples: int,
     return math.sqrt(pred.f_var) * z + pred.scale * t
 
 
+def subtract_mean_loop(blocks, mean, mode="spatio-temporal", eval_time=None):
+    """Residualize one observation at a time, then regroup by year.
+
+    The per-observation oracle for ``ingest.subtract_mean``: Python
+    rounding for the nearest cell, an explicit basis row with ``math``
+    harmonics, and one dot product per observation.  Returns (blocks,
+    number excluded); a year with nothing kept has no block.
+    """
+    g = mean.grid
+    omega = 2.0 * math.pi / 365.25
+    by_year, n_excluded = {}, 0
+    for b in blocks:
+        for k in range(b.m):
+            lat, lon, day = float(b.lat[k]), float(b.lon[k]), float(b.t[k])
+            i = min(max(round((lat - g.lat_min) / g.lat_step), 0), g.n_lat - 1)
+            j = min(max(round((float(wrap_lon(lon)) - g.lon_min) / g.lon_step),
+                        0), g.n_lon - 1)
+            beta = mean.coefs.get((i, j))
+            if beta is None:
+                n_excluded += 1
+                continue
+            t = eval_time if mode == "spatial" else day
+            dlat = lat - g.lats[i]
+            dlon = float(wrap_dlon(lon - g.lons[j]))
+            row = [1.0, dlat, dlon, dlat * dlat, dlon * dlon, dlat * dlon]
+            for h in range(1, mean.n_harmonics + 1):
+                row += [math.sin(omega * h * t), math.cos(omega * h * t)]
+            mu = float(beta[0]) if beta.shape[0] == 1 else float(np.dot(row, beta))
+            by_year.setdefault(b.year, []).append(
+                (lat, lon, day, b.values[k] - mu, b.source_ids[k]))
+    return ([YearBlock(year, *map(np.array, zip(*rows)))
+             for year, rows in sorted(by_year.items())], n_excluded)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -188,6 +188,12 @@ class TestGridFileIO:
         write_grid_csv(path, rows)
         assert read_grid_csv(path) == rows
 
+    def test_csv_round_trip_keeps_infinite_values(self, tmp_path):
+        rows = [(0.5, 0.5, math.inf)]  # a Student variance with nu <= 2
+        path = tmp_path / "grid.csv"
+        write_grid_csv(path, rows)
+        assert read_grid_csv(path) == rows
+
     def test_csv_header_enforced(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -353,6 +359,17 @@ class TestMapCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status_counts"] == {}
 
+    def test_malformed_mean_file_fails_with_line_number(self, tmp_path,
+                                                        pipeline, capsys):
+        path = tmp_path / "mean_grid.csv"
+        path.write_text("lat,lon,mean_c\n0.0,0.0,1.0\nnorth,1.0,1.0\n",
+                        encoding="utf-8")
+        assert run_cli("map", "--profiles", pipeline["profiles"],
+                       "--mean", path, "--out", tmp_path / "m",
+                       *GRID_ARGS) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3:") and "lat" in err
+
     def test_missing_profiles_flag_fails(self, tmp_path, capsys):
         assert run_cli("map", "--out", tmp_path / "m") == 1
         assert "profiles" in capsys.readouterr().err
@@ -405,6 +422,23 @@ class TestCalibrateCommand:
         for name in ("coverage.csv", "quantile_curve.csv"):
             assert (pipeline["cal"] / name).read_bytes() == \
                 (pipeline["cv"] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage", ["short row", "non-numeric field"])
+    def test_malformed_records_fail_with_line_number(self, pipeline, tmp_path,
+                                                     capsys, damage):
+        lines = (pipeline["cv"] / "cv_records.csv").read_text(
+            encoding="utf-8").splitlines()
+        fields = lines[3].split(",")
+        if damage == "short row":
+            fields = fields[:9]
+        else:
+            fields[CV_HEADER.index("truth")] = "warm"
+        lines[3] = ",".join(fields)
+        path = tmp_path / "cv_records.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("calibrate", "--records", path,
+                       "--out", tmp_path / "c") == 1
+        assert capsys.readouterr().err.startswith("error: line 4:")
 
     def test_missing_records_fails(self, tmp_path, capsys):
         assert run_cli("calibrate", "--records", tmp_path / "nope.csv",
@@ -508,6 +542,16 @@ class TestLagmapsCommand:
         p = read_grid_csv(process_dir / "lag_zonal.csv")[0][2]
         assert p == pytest.approx(t * (1.2 + 0.4) / 1.2, rel=1e-12)
         assert p > t
+
+    @pytest.mark.parametrize("row", ["0.5,0.5", "0.5,0.5,wide"])
+    def test_malformed_param_grid_fails_with_line_number(self, tmp_path,
+                                                         capsys, row):
+        src = self.spatial_params_dir(tmp_path)
+        (src / "param_theta_lon.csv").write_text(
+            f"lat,lon,value\n{row}\n", encoding="utf-8")
+        assert run_cli("lagmaps", "--params-dir", src, "--out",
+                       tmp_path / "lag", "--set", "lag_days=0") == 1
+        assert capsys.readouterr().err.startswith("error: line 2:")
 
     def test_bad_normalization_rejected(self, tmp_path, capsys):
         src = self.spatial_params_dir(tmp_path)

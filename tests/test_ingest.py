@@ -17,7 +17,6 @@ from mwgp.gaussian import YearBlock
 from mwgp.ingest import (
     MEAN_COEF_HEADER,
     PROFILE_HEADER,
-    LevelObs,
     MeanField,
     MeanFieldConfig,
     ProfileRecord,
@@ -29,7 +28,6 @@ from mwgp.ingest import (
     parse_profiles,
     profiles_to_level,
     read_mean_field,
-    records_to_blocks,
     subtract_mean,
     write_mean_field,
     write_mean_field_gridded,
@@ -44,10 +42,18 @@ from mwgp.windows import (
     select_window,
 )
 
+from conftest import subtract_mean_loop
+
 
 def make_profile(sid="f1", lat=10.0, lon=20.0, year=2007, day=45.5,
                  levels=((290.0, 10.0), (310.0, 9.0))):
     return ProfileRecord(sid, lat, lon, year, day, levels)
+
+
+def level_blocks(*obs):
+    """Year blocks of (source_id, lat, lon, year, day, value) observations."""
+    return profiles_to_level([ProfileRecord(*o[:5], ((300.0, o[5]),))
+                              for o in obs], 300.0)
 
 
 def write_lines(path, lines):
@@ -234,21 +240,20 @@ class TestVerticalInterpolation:
     def test_profiles_not_sampling_level_dropped(self):
         deep = make_profile("deep", levels=((100.0, 15.0), (400.0, 8.0)))
         shallow = make_profile("shallow", levels=((5.0, 18.0), (50.0, 16.0)))
-        obs = profiles_to_level([deep, shallow], 300.0)
-        assert [o.source_id for o in obs] == ["deep"]
-        assert obs[0].value == pytest.approx(15.0 - 7.0 * 200.0 / 300.0)
-        assert (obs[0].lat, obs[0].lon, obs[0].year, obs[0].day) == \
+        [block] = profiles_to_level([deep, shallow], 300.0)
+        assert list(block.source_ids) == ["deep"]
+        assert block.values[0] == pytest.approx(15.0 - 7.0 * 200.0 / 300.0)
+        assert (block.lat[0], block.lon[0], block.year, block.t[0]) == \
             (10.0, 20.0, 2007, 45.5)
 
 
-class TestRecordsToBlocks:
+class TestLevelBlocks:
     def test_groups_by_year_ascending(self):
-        obs = [
-            LevelObs("a", 1.0, 2.0, 2001, 40.0, 0.1),
-            LevelObs("b", 3.0, 4.0, 1999, 50.0, 0.2),
-            LevelObs("c", 5.0, 6.0, 2001, 60.0, 0.3),
-        ]
-        blocks = records_to_blocks(obs)
+        blocks = level_blocks(
+            ("a", 1.0, 2.0, 2001, 40.0, 0.1),
+            ("b", 3.0, 4.0, 1999, 50.0, 0.2),
+            ("c", 5.0, 6.0, 2001, 60.0, 0.3),
+        )
         assert [b.year for b in blocks] == [1999, 2001]
         assert blocks[0].m == 1 and blocks[1].m == 2
         np.testing.assert_array_equal(blocks[1].values, [0.1, 0.3])
@@ -256,7 +261,7 @@ class TestRecordsToBlocks:
         np.testing.assert_array_equal(blocks[1].t, [40.0, 60.0])
 
     def test_empty_input(self):
-        assert records_to_blocks([]) == []
+        assert profiles_to_level([], 300.0) == []
 
 
 def polynomial_obs(m=240, seed=5, span=10.0):
@@ -267,8 +272,15 @@ def polynomial_obs(m=240, seed=5, span=10.0):
     day = rng.uniform(0.0, 365.0, m)
     value = (2.0 + 0.5 * lat - 0.3 * lon + 0.05 * lat ** 2
              + 0.02 * lon ** 2 + 0.01 * lat * lon)
-    return [LevelObs(f"f{i}", lat[i], lon[i], 2007, day[i], value[i])
-            for i in range(m)]
+    return [YearBlock(2007, lat, lon, day, value,
+                      [f"f{i}" for i in range(m)])]
+
+
+def near_center(blocks, n=None):
+    """The observations within 2 degrees of the origin (the first n)."""
+    return [b.subset(np.flatnonzero((np.abs(b.lat) <= 2)
+                                    & (np.abs(b.lon) <= 2))[:n])
+            for b in blocks]
 
 
 SMALL_GRID = GridSpec(-2.0, 2.0, -2.0, 2.0, eval_time=45.5)
@@ -324,8 +336,7 @@ class TestMeanFieldEstimation:
         day = rng.uniform(0.0, 365.25, m)
         omega = 2.0 * math.pi / 365.25
         value = 1.5 + 2.0 * np.sin(omega * day) - 0.75 * np.cos(omega * day)
-        obs = [LevelObs(f"f{i}", lat[i], lon[i], 2007, day[i], value[i])
-               for i in range(m)]
+        obs = [YearBlock(2007, lat, lon, day, value)]
         mean = estimate_mean_field(obs, SMALL_GRID,
                                    MeanFieldConfig(n_neighbors=200,
                                                    n_harmonics=2))
@@ -341,11 +352,10 @@ class TestMeanFieldEstimation:
         assert mean.evaluate(2, 2) == pytest.approx(1.5, abs=1e-6)
 
     def test_constant_field(self):
-        obs = [LevelObs(f"f{i}", lat, lon, 2007, day, 3.5)
-               for i, (lat, lon, day) in enumerate(
-                   zip(np.random.default_rng(1).uniform(-3, 3, 120),
-                       np.random.default_rng(2).uniform(-3, 3, 120),
-                       np.random.default_rng(3).uniform(0, 365, 120)))]
+        obs = [YearBlock(2007, np.random.default_rng(1).uniform(-3, 3, 120),
+                         np.random.default_rng(2).uniform(-3, 3, 120),
+                         np.random.default_rng(3).uniform(0, 365, 120),
+                         np.full(120, 3.5))]
         mean = estimate_mean_field(obs, SMALL_GRID,
                                    MeanFieldConfig(n_neighbors=100,
                                                    n_harmonics=1))
@@ -354,8 +364,8 @@ class TestMeanFieldEstimation:
 
     def test_rank_deficient_design_falls_back_to_ridge(self):
         # Every observation at the same point: the local design collapses.
-        obs = [LevelObs(f"f{i}", 0.0, 0.0, 2007, 45.5, 2.0)
-               for i in range(60)]
+        obs = [YearBlock(2007, np.zeros(60), np.zeros(60), np.full(60, 45.5),
+                         np.full(60, 2.0))]
         mean = estimate_mean_field(obs, SMALL_GRID,
                                    MeanFieldConfig(n_neighbors=50,
                                                    n_harmonics=0))
@@ -380,8 +390,8 @@ def zero_mean_field(grid=SMALL_GRID):
 
 class TestSubtractMean:
     def test_zero_mean_returns_raw_values_as_blocks(self):
-        obs = [LevelObs("a", 0.3, 0.4, 2001, 40.0, 1.5),
-               LevelObs("b", -0.2, 0.1, 2002, 50.0, -0.7)]
+        obs = level_blocks(("a", 0.3, 0.4, 2001, 40.0, 1.5),
+                           ("b", -0.2, 0.1, 2002, 50.0, -0.7))
         blocks, n_excluded = subtract_mean(obs, zero_mean_field())
         assert n_excluded == 0
         assert [b.year for b in blocks] == [2001, 2002]
@@ -393,13 +403,13 @@ class TestSubtractMean:
         mean = estimate_mean_field(obs, SMALL_GRID,
                                    MeanFieldConfig(n_neighbors=120,
                                                    n_harmonics=0))
-        near = [o for o in obs if abs(o.lat) <= 2 and abs(o.lon) <= 2]
+        near = near_center(obs)
         blocks, _ = subtract_mean(near, mean, mode="spatial", eval_time=45.5)
         resid = np.concatenate([b.values for b in blocks])
         assert np.max(np.abs(resid)) < 1e-6
 
     def test_mode_validation(self):
-        obs = [LevelObs("a", 0.0, 0.0, 2001, 40.0, 1.0)]
+        obs = level_blocks(("a", 0.0, 0.0, 2001, 40.0, 1.0))
         with pytest.raises(InvalidParameterError):
             subtract_mean(obs, zero_mean_field(), mode="monthly")
         with pytest.raises(InvalidParameterError):
@@ -413,7 +423,7 @@ class TestSubtractMean:
             beta[6] = 1.0  # sin1
             coefs[(i, j)] = beta
         mean = MeanField(grid, coefs, n_harmonics=1)
-        obs = [LevelObs("a", 0.0, 0.0, 2001, 100.0, 5.0)]
+        obs = level_blocks(("a", 0.0, 0.0, 2001, 100.0, 5.0))
         spatial, _ = subtract_mean(obs, mean, mode="spatial", eval_time=45.5)
         own_time, _ = subtract_mean(obs, mean, mode="spatio-temporal")
         omega = 2.0 * math.pi / 365.25
@@ -426,8 +436,8 @@ class TestSubtractMean:
         grid = SMALL_GRID
         coefs = {(0, 0): np.zeros(6)}  # only the corner cell has a mean
         mean = MeanField(grid, coefs, n_harmonics=0)
-        obs = [LevelObs("a", -2.0, -2.0, 2001, 40.0, 1.0),
-               LevelObs("b", 2.0, 2.0, 2001, 40.0, 2.0)]
+        obs = level_blocks(("a", -2.0, -2.0, 2001, 40.0, 1.0),
+                           ("b", 2.0, 2.0, 2001, 40.0, 2.0))
         blocks, n_excluded = subtract_mean(obs, mean)
         assert n_excluded == 1
         assert blocks[0].m == 1
@@ -438,15 +448,69 @@ class TestSubtractMean:
         mean = estimate_mean_field(obs, SMALL_GRID,
                                    MeanFieldConfig(n_neighbors=120,
                                                    n_harmonics=0))
-        near = [o for o in obs if abs(o.lat) <= 2 and abs(o.lon) <= 2][:20]
+        near = near_center(obs, 20)
         blocks, _ = subtract_mean(near, mean)
-        by_key = {(o.source_id): o for o in near}
+        by_key = dict(zip(near[0].source_ids, near[0].values))
         for b in blocks:
             for sid, lat, lon, t, resid in zip(b.source_ids, b.lat, b.lon,
                                                b.t, b.values):
-                o = by_key[sid]
+                value = by_key[sid]
                 assert resid + mean.evaluate_at(lat, lon, t) == pytest.approx(
-                    o.value, rel=1e-12, abs=1e-12)
+                    value, rel=1e-12, abs=1e-12)
+
+
+class TestSubtractMeanOracle:
+    """Array ``subtract_mean`` against the per-observation conftest loop."""
+
+    GRID = GridSpec(-3.0, 3.0, -4.0, 4.0, lat_step=1.0, lon_step=2.0)
+
+    def mean(self, kind):
+        rng = np.random.default_rng(31)
+        coefs = {}
+        for i, j, _, _ in self.GRID.cells():
+            # Row i = 0 (lat -3, and everything clipped onto it) and two
+            # interior cells have no mean.
+            if i == 0 or (i, j) in ((3, 2), (5, 4)):
+                continue
+            coefs[(i, j)] = (rng.normal(size=10) if kind == "coefficients"
+                             else rng.normal(size=1))
+        return MeanField(self.GRID, coefs,
+                         n_harmonics=2 if kind == "coefficients" else 0)
+
+    def blocks(self):
+        rng = np.random.default_rng(32)
+        out = []
+        for year, lat_range in ((2001, (-4.5, 4.5)), (2002, (-4.5, 4.5)),
+                                (2003, (-5.0, -2.6)), (2004, (-4.5, 4.5))):
+            m = 90
+            out.append(YearBlock(
+                year, rng.uniform(*lat_range, m), rng.uniform(-7.0, 7.0, m),
+                rng.uniform(0.0, 365.0, m), rng.normal(10.0, 3.0, m),
+                [f"y{year}f{k % 9}" for k in range(m)]))
+        return out
+
+    @pytest.mark.parametrize("kind", ["coefficients", "gridded"])
+    @pytest.mark.parametrize("mode,eval_time", [("spatial", 45.5),
+                                                ("spatio-temporal", None)])
+    def test_matches_per_observation_loop(self, kind, mode, eval_time):
+        mean = self.mean(kind)
+        blocks, n_excluded = subtract_mean(self.blocks(), mean, mode, eval_time)
+        want, want_excluded = subtract_mean_loop(self.blocks(), mean, mode,
+                                                 eval_time)
+        assert n_excluded == want_excluded > 90
+        assert [b.year for b in blocks] == [b.year for b in want]
+        for got, ref in zip(blocks, want):
+            for name in ("lat", "lon", "t", "source_ids"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(ref, name))
+            np.testing.assert_allclose(got.values, ref.values, rtol=0,
+                                       atol=1e-13)
+
+    def test_year_with_every_observation_excluded_has_no_block(self):
+        blocks, n_excluded = subtract_mean(self.blocks(),
+                                           self.mean("coefficients"))
+        assert [b.year for b in blocks] == [2001, 2002, 2004]
+        assert n_excluded >= 90
 
 
 class TestWindowedPluginVariance:
@@ -534,8 +598,7 @@ class TestMeanFieldIO:
         omega = 2.0 * math.pi / 365.25
         value = 1.0 + 0.2 * lat + 0.4 * np.sin(omega * day) \
             + rng.normal(scale=0.05, size=m)
-        obs = [LevelObs(f"f{i}", lat[i], lon[i], 2007, day[i], value[i])
-               for i in range(m)]
+        obs = [YearBlock(2007, lat, lon, day, value)]
         return estimate_mean_field(obs, SMALL_GRID,
                                    MeanFieldConfig(n_neighbors=150,
                                                    n_harmonics=1))
@@ -544,7 +607,7 @@ class TestMeanFieldIO:
         mean = self.fitted_mean()
         path = tmp_path / "mean.csv"
         write_mean_field(mean, path)
-        back = read_mean_field(path, SMALL_GRID)
+        back = read_mean_field(path)
         assert back.n_harmonics == mean.n_harmonics
         assert sorted(back.coefs) == sorted(mean.coefs)
         for ij in mean.coefs:
@@ -555,7 +618,7 @@ class TestMeanFieldIO:
         mean = self.fitted_mean()
         path = tmp_path / "mean_grid.csv"
         write_mean_field_gridded(mean, path, eval_time=45.5)
-        back = read_mean_field(path, SMALL_GRID)
+        back = read_mean_field(path)
         assert back.n_harmonics == 0
         for ij in mean.coefs:
             assert back.coefs[ij].shape == (1,)
@@ -569,20 +632,28 @@ class TestMeanFieldIO:
         path = tmp_path / "mean.csv"
         path.write_bytes(b"")
         with pytest.raises(SchemaError):
-            read_mean_field(path, SMALL_GRID)
+            read_mean_field(path)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        # With no cell centers there is no lattice to infer.
+        path = write_lines(tmp_path / "mean.csv", [",".join(MEAN_COEF_HEADER)])
+        with pytest.raises(SchemaError, match="no cells"):
+            read_mean_field(path)
 
     def test_unknown_header_rejected(self, tmp_path):
         path = write_lines(tmp_path / "mean.csv", ["a,b,c,d,e"])
         with pytest.raises(SchemaError):
-            read_mean_field(path, SMALL_GRID)
+            read_mean_field(path)
 
     def test_off_grid_coordinates_rejected(self, tmp_path):
         path = write_lines(tmp_path / "mean.csv", [
             ",".join(MEAN_COEF_HEADER),
-            "0.25,0.0,intercept,1.0",
+            "0.0,0.0,intercept,1.0",
+            "1.0,0.0,intercept,1.0",
+            "2.5,0.0,intercept,1.0",
         ])
         with pytest.raises(SchemaError) as err:
-            read_mean_field(path, SMALL_GRID)
+            read_mean_field(path)
         assert "cell center" in str(err.value)
 
     def test_unknown_coefficient_name_rejected(self, tmp_path):
@@ -591,7 +662,7 @@ class TestMeanFieldIO:
             "0.0,0.0,curvature,1.0",
         ])
         with pytest.raises(SchemaError):
-            read_mean_field(path, SMALL_GRID)
+            read_mean_field(path)
 
     def test_missing_coefficients_default_to_zero(self, tmp_path):
         path = write_lines(tmp_path / "mean.csv", [
@@ -599,7 +670,7 @@ class TestMeanFieldIO:
             "0.0,0.0,intercept,1.5",
             "0.0,0.0,sin1,0.25",
         ])
-        back = read_mean_field(path, SMALL_GRID)
+        back = read_mean_field(path)
         ij = back.nearest_cell(0.0, 0.0)
         assert back.n_harmonics == 1
         assert back.coefs[ij].shape == (8,)
@@ -613,4 +684,4 @@ class TestMeanFieldIO:
         # violations.
         path = write_lines(tmp_path / "mean.csv", ["a,b"])
         with pytest.raises(InputError):
-            read_mean_field(path, SMALL_GRID)
+            read_mean_field(path)

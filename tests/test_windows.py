@@ -7,6 +7,9 @@ nearest-cell parameter fallback).
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -52,11 +55,13 @@ from mwgp.windows import (
     correlation_at_lag,
     fit_grid_point,
     get_variant,
+    _blas_thread_controls,
     map_grid,
     month_halfwidth_days,
     pooled_window_variance,
     reference_phi_hat,
     select_window,
+    single_blas_thread,
     zonal_km_to_degrees,
 )
 
@@ -663,6 +668,46 @@ class TestMapGrid:
         assert len(serial.cells) == 9
         assert serial.status_counts["ok"] == 9
         assert serial.cells == parallel.cells  # wall time excluded from ==
+
+    MAP_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from mwgp.gaussian import YearBlock
+from mwgp.windows import VARIANTS, GridSpec, WindowSpec, map_grid
+rng = np.random.default_rng(5)
+lat, lon = rng.uniform(-3, 3, 400), rng.uniform(-3, 3, 400)
+t = rng.uniform(31.0, 60.0, 400)
+vals = np.sin(lat) * np.cos(0.7 * lon) + 0.3 * rng.standard_normal(400)
+field_ = map_grid([YearBlock(0, lat, lon, t, vals)], GridSpec(-1, 1, -1, 1),
+                  VARIANTS[2], WindowSpec(2.0, 15.21875))
+fits = [(key, res.fit) for key, res in sorted(field_.cells.items())]
+print(field_.status_counts["ok"], hashlib.sha256(repr(fits).encode()).hexdigest())
+"""
+
+    def test_map_is_bitwise_independent_of_blas_threads(self):
+        # Threaded OpenBLAS changes the bits of this map unless map_grid
+        # pins it.  The data are built without BLAS, and each setting
+        # runs in a fresh interpreter because OpenBLAS reads the
+        # variable when it loads.
+        src = os.path.dirname(os.path.dirname(
+            sys.modules["mwgp.windows"].__file__))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            outs.append(subprocess.run(
+                [sys.executable, "-c", self.MAP_HASH_SCRIPT], env=env,
+                capture_output=True, text=True, check=True).stdout)
+        assert outs[0].split()[0] == "9"
+        assert outs[0] == outs[1]
+
+    def test_single_blas_thread_restores_thread_count(self):
+        controls = _blas_thread_controls()
+        before = [get() for get, _ in controls]
+        with single_blas_thread():
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == before
 
     def test_ordered_results_follow_flat_index(self):
         data = gp_blocks(m=35, seed=9)
