@@ -61,6 +61,7 @@ from .validation import (
 from .windows import (
     GridSpec,
     WindowSpec,
+    _blas_thread_controls,
     correlation_at_lag,
     get_variant,
     map_grid,
@@ -286,6 +287,7 @@ def write_manifest(cfg: RunConfig, command: str, outputs, extra=None) -> str:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": __import__("scipy").__version__,
+        "blas_threads": [get() for get, _ in _blas_thread_controls()],
         "config": config_dict(cfg),
         "config_hash": config_hash(cfg),
         "inputs": {},

@@ -237,11 +237,11 @@ def _nll(x: np.ndarray, prepared: _Prepared, template: CovParams,
             g[0] += 0.5 * float(np.sum(M * E))
             R = M * K                  # elementwise
             Dsafe = np.where(D > 0.0, D, 1.0)
-            dlat2, dlon2, dt2 = group["sq_lags"]
-            g[1] += 0.5 / tlat**3 * float(np.sum(R * dlat2 / Dsafe))
-            g[2] += 0.5 / tlon**3 * float(np.sum(R * dlon2 / Dsafe))
-            if not spatial:
-                g[3] += 0.5 / tt**3 * float(np.sum(R * dt2 / Dsafe))
+            ranges = (tlat, tlon) if spatial else (tlat, tlon, tt)
+            for k, (theta, sq) in enumerate(zip(ranges, group["sq_lags"]), 1):
+                s = float(np.sum(R * sq / Dsafe))
+                if s != 0.0:  # a vanishing range makes 0.5 / theta**3 overflow
+                    g[k] += 0.5 / theta**3 * s
             g[4] += 0.5 * float(np.trace(M))
     if not want_grad:
         return -ll
@@ -362,6 +362,38 @@ def predict_gaussian(target, block: YearBlock, params: CovParams,
     var = prior_var - float(w @ w)
     var = min(max(var, 0.0), prior_var)
     return GaussianPredictive(mean, var)
+
+
+def holdout_predictions(Sigma: np.ndarray, y: np.ndarray, K_star: np.ndarray,
+                        prior_var: float, removals) -> list[GaussianPredictive]:
+    """Kriging of many targets from one window, each fold leaving part out.
+
+    Row f of ``K_star`` is target f's cross-covariance with the window
+    of noisy covariance ``Sigma``; fold f drops the window points
+    ``removals[f]`` (R).  One factor serves every fold: with P = Sigma^-1,
+    a = P y and k the row zeroed on R, the mean is k'a - (Pk)_R' P_RR^-1 a_R
+    and the variance prior_var - k'Pk + (Pk)_R' P_RR^-1 (Pk)_R, clamped
+    into [0, prior_var].  LinAlgError when Sigma's plain Cholesky fails.
+    """
+    P = _spd_inverse(sla.cholesky(Sigma, lower=True, check_finite=False))
+    K_star = K_star.copy()
+    for f, rem in enumerate(removals):
+        K_star[f, rem] = 0.0
+    a = P @ y
+    B = K_star @ P                       # row f is (P k_f)'
+    mean = K_star @ a
+    var = prior_var - np.einsum("fi,fi->f", B, K_star)
+    one = [f for f, rem in enumerate(removals) if len(rem) == 1]
+    i = np.array([removals[f][0] for f in one], dtype=int)
+    mean[one] -= B[one, i] * a[i] / P[i, i]  # Dubrule's leave-one-out identity
+    var[one] += B[one, i] ** 2 / P[i, i]
+    for f in (f for f, rem in enumerate(removals) if len(rem) > 1):
+        rem, b = removals[f], B[f, removals[f]]
+        c = np.linalg.solve(P[np.ix_(rem, rem)], np.column_stack([a[rem], b]))
+        mean[f] -= b @ c[:, 0]
+        var[f] += b @ c[:, 1]
+    var = np.minimum(np.maximum(var, 0.0), prior_var)
+    return [GaussianPredictive(float(m), float(v)) for m, v in zip(mean, var)]
 
 
 def gaussian_interval(pred: GaussianPredictive, alpha: float) -> tuple[float, float]:

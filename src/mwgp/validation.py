@@ -9,7 +9,7 @@ estimates fixed, mirroring how the mapped product would be scored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -20,7 +20,6 @@ from .errors import (
     FactorizationError,
     InputError,
     InvalidParameterError,
-    MappingError,
 )
 from .gaussian import GaussianPredictive, YearBlock
 from .student import (
@@ -34,6 +33,7 @@ from .windows import (
     GridSpec,
     ModelVariant,
     WindowSpec,
+    single_blas_thread,
     window_mask,
 )
 
@@ -133,28 +133,6 @@ def synthetic_float_blocks(params, n_floats: int, profiles_per_float: int,
 
 
 @dataclass(frozen=True)
-class HeldOut:
-    """One held-out observation with its position in the dataset."""
-
-    year_pos: int
-    obs_index: int
-    year: int
-    source_id: str | None
-    lat: float
-    lon: float
-    day: float
-    value: float
-
-
-def _held_out(blocks, year_pos: int, obs_index: int) -> HeldOut:
-    b = blocks[year_pos]
-    sid = None if b.source_ids is None else str(b.source_ids[obs_index])
-    return HeldOut(year_pos, obs_index, b.year, sid,
-                   float(b.lat[obs_index]), float(b.lon[obs_index]),
-                   float(b.t[obs_index]), float(b.values[obs_index]))
-
-
-@dataclass(frozen=True)
 class CVRecord:
     """One cross-validated prediction of a held-out observation."""
 
@@ -206,6 +184,7 @@ def nearest_cell_index(lat: float, lon: float, cell_lat, cell_lon, flat) -> int:
     return int(order[0])
 
 
+@single_blas_thread()
 def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
            spec: WindowSpec, scheme: str = "looo", eval_filter=None,
            radius_steps: float = 2.0) -> CVResult:
@@ -215,7 +194,10 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
     fitted grid cell with that cell's cached parameters; the held-out
     observation (and, under the track scheme, its whole source) is
     removed from the window first.  Observations with no fitted cell
-    within ``radius_steps`` grid steps are counted as skipped.
+    within ``radius_steps`` grid steps are counted as skipped.  The
+    folds of one year and cell share a window and are scored together
+    by ``family.predict_folds``.  OpenBLAS runs at one thread, so the
+    records do not depend on its thread count.
     """
     if scheme not in ("looo", "lofo"):
         raise InvalidParameterError(f"unknown cv scheme {scheme!r}")
@@ -230,8 +212,12 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
             if block.source_ids is None:
                 raise InputError("track-level holdout requires source_ids")
     for year_pos, block in enumerate(data):
-        for obs_index in range(block.m):
-            o = _held_out(data, year_pos, obs_index)
+        groups = {}  # nearest cell index -> records still without a prediction
+        for k in range(block.m):
+            sid = None if block.source_ids is None else str(block.source_ids[k])
+            o = CVRecord(year_pos, k, block.year, sid, float(block.lat[k]),
+                         float(block.lon[k]), float(block.t[k]),
+                         float(block.values[k]), None, variant.id, None)
             if eval_filter is not None and not (f_lo <= o.day <= f_hi):
                 continue
             if lookup is None:
@@ -239,27 +225,33 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
                 continue
             cells, clat, clon, cflat = lookup
             ci = nearest_cell_index(o.lat, o.lon, clat, clon, cflat)
-            cell = cells[ci]
-            d = math.hypot(cell.lat - o.lat, float(wrap_dlon(cell.lon - o.lon)))
+            d = math.hypot(cells[ci].lat - o.lat,
+                           float(wrap_dlon(cells[ci].lon - o.lon)))
             if d > cap:
                 result.n_skipped += 1
                 continue
+            groups.setdefault(ci, []).append(o)
+        scored = []
+        for ci, held in groups.items():
+            cell = cells[ci]
             center = SpaceTimePoint(cell.lat, cell.lon, grid.eval_time)
             wmask = window_mask(block, center, spec)
+            win = np.flatnonzero(wmask)
             if scheme == "looo":
-                wmask[obs_index] = False
+                removals = [np.flatnonzero(win == o.obs_index) for o in held]
             else:
-                wmask &= block.source_ids != o.source_id
-            target = SpaceTimePoint(o.lat, o.lon, o.day)
-            try:
-                pred = family.predict(target, block.subset(wmask),
-                                      cell.fit.params)
-            except (MappingError, np.linalg.LinAlgError):
+                ids = block.source_ids[win]
+                removals = [np.flatnonzero(ids == o.source_id) for o in held]
+            targets = [SpaceTimePoint(o.lat, o.lon, o.day) for o in held]
+            preds = family.predict_folds(targets, block.subset(wmask),
+                                         removals, cell.fit.params)
+            scored += [replace(o, pred=pred, cell=(cell.i, cell.j))
+                       for o, pred in zip(held, preds)]
+        for rec in sorted(scored, key=lambda r: r.obs_index):
+            if rec.pred is None:
                 result.n_failed += 1
-                continue
-            result.records.append(CVRecord(
-                year_pos, obs_index, o.year, o.source_id, o.lat, o.lon,
-                o.day, o.value, pred, variant.id, (cell.i, cell.j)))
+            else:
+                result.records.append(rec)
     return result
 
 

@@ -27,6 +27,8 @@ from .covariance import (
     RG_DEFAULT,
     CovParams,
     SpaceTimePoint,
+    cov_matrix,
+    cross_cov_vector,
     rg_corr_matrix,
     rg_corr_vector,
     wrap_dlon,
@@ -49,6 +51,7 @@ from .gaussian import (
     degenerate_variance,
     fit_mle_gaussian,
     gaussian_interval,
+    holdout_predictions,
     predict_gaussian,
 )
 from .student import (
@@ -416,6 +419,8 @@ class ModelFamily:
     ``ModelVariant.family`` picks one; no caller branches on the variant
     or the parameter type.  The variance ratio (post- to pre-data
     predictive variance) lies in [0, 1] and is exactly 1 without data.
+    ``predict_folds`` scores the cross-validation folds of one window:
+    from one factor of it, or (Student family) fold by fold.
     """
 
     def interval(self, pred, alpha: float):
@@ -428,6 +433,22 @@ class ModelFamily:
         return CellPrediction(block.year, pred.mean, pred.variance, lower, upper,
                               self.variance_ratio(pred, params), block.m)
 
+    def predict_folds(self, targets, block, removals, params) -> list:
+        """Law of each target with the block rows ``removals[f]`` left out.
+
+        One ``predict`` per fold on the reduced block; None where it
+        raised a MappingError or LinAlgError.
+        """
+        preds = []
+        for target, rem in zip(targets, removals):
+            keep = np.ones(block.m, dtype=bool)
+            keep[rem] = False
+            try:
+                preds.append(self.predict(target, block.subset(keep), params))
+            except (MappingError, np.linalg.LinAlgError):
+                preds.append(None)
+        return preds
+
 
 @dataclass(frozen=True)
 class ReferenceFamily(ModelFamily):
@@ -438,6 +459,22 @@ class ReferenceFamily(ModelFamily):
 
     def predict(self, target, block, params):
         return _predict_reference(target, block, params)
+
+    def predict_folds(self, targets, block, removals, params):
+        """One factor of the window, in correlation space as ``predict``."""
+        if block.m == 0:
+            return super().predict_folds(targets, block, removals, params)
+        ratio = RG_DEFAULT.noise_signal_ratio
+        A = rg_corr_matrix(block.lat, block.lon) + ratio * np.eye(block.m)
+        r_star = np.array([rg_corr_vector(t.lat, t.lon, block.lat, block.lon)
+                           for t in targets])
+        try:
+            preds = holdout_predictions(A, block.values, r_star, 1.0 + ratio,
+                                        removals)
+        except np.linalg.LinAlgError:
+            return super().predict_folds(targets, block, removals, params)
+        return [GaussianPredictive(p.mean, params.phi_hat * p.variance)
+                for p in preds]
 
     def variance_ratio(self, pred, params) -> float:
         return _unit(pred.variance / params.prior_var)
@@ -457,6 +494,20 @@ class GaussianFamily(ModelFamily):
 
     def predict(self, target, block, params):
         return predict_gaussian(target, block, params, spatial=self.spatial)
+
+    def predict_folds(self, targets, block, removals, params):
+        """One factor of the window's covariance serves every fold."""
+        if block.m == 0:
+            return super().predict_folds(targets, block, removals, params)
+        pts, spatial = block.points, self.spatial
+        Sigma = cov_matrix(pts, params, spatial) + params.sigma2 * np.eye(block.m)
+        k_star = np.array([cross_cov_vector(t, pts, params, spatial)
+                           for t in targets])
+        try:
+            return holdout_predictions(Sigma, block.values, k_star,
+                                       params.phi + params.sigma2, removals)
+        except np.linalg.LinAlgError:
+            return super().predict_folds(targets, block, removals, params)
 
     def variance_ratio(self, pred, params) -> float:
         return _unit(pred.variance / (params.phi + params.sigma2))

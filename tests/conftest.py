@@ -9,6 +9,7 @@ is evidence, not circularity.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,10 +28,16 @@ from mwgp.covariance import (
     wrap_dlon,
     wrap_lon,
 )
-from mwgp.errors import InputError, InvalidParameterError
+from mwgp.errors import InputError, InvalidParameterError, MappingError
 from mwgp.gaussian import YearBlock
 from mwgp.student import StudentPredictive
-from mwgp.validation import _held_out
+from mwgp.validation import (
+    CVRecord,
+    CVResult,
+    _usable_cells,
+    nearest_cell_index,
+)
+from mwgp.windows import window_mask
 
 # Canonical parameter set used across modules when the exact values
 # are immaterial; chosen so no two scales coincide.
@@ -178,6 +185,28 @@ def rg_cov(x1, x2, phi_hat, tropic=True) -> float:
                       + c.exp_weight * math.exp(-d / c.exp_scale_km))
 
 
+@dataclass(frozen=True)
+class HeldOut:
+    """One held-out observation with its position in the dataset."""
+
+    year_pos: int
+    obs_index: int
+    year: int
+    source_id: str | None
+    lat: float
+    lon: float
+    day: float
+    value: float
+
+
+def held_out(blocks, year_pos: int, obs_index: int) -> HeldOut:
+    b = blocks[year_pos]
+    sid = None if b.source_ids is None else str(b.source_ids[obs_index])
+    return HeldOut(year_pos, obs_index, b.year, sid,
+                   float(b.lat[obs_index]), float(b.lon[obs_index]),
+                   float(b.t[obs_index]), float(b.values[obs_index]))
+
+
 def loo_partition(blocks):
     """Leave-one-observation-out folds: (held-out, remaining blocks).
 
@@ -189,7 +218,7 @@ def loo_partition(blocks):
             keep[obs_index] = False
             remaining = list(blocks)
             remaining[year_pos] = block.subset(keep)
-            yield _held_out(blocks, year_pos, obs_index), remaining
+            yield held_out(blocks, year_pos, obs_index), remaining
 
 
 def lofo_partition(blocks):
@@ -201,7 +230,61 @@ def lofo_partition(blocks):
         for obs_index in range(block.m):
             sid = block.source_ids[obs_index]
             remaining = [b.subset(b.source_ids != sid) for b in blocks]
-            yield _held_out(blocks, year_pos, obs_index), remaining
+            yield held_out(blocks, year_pos, obs_index), remaining
+
+
+def run_cv_per_fold(data, grid, field_, variant, spec, scheme="looo",
+                    eval_filter=None, radius_steps=2.0) -> CVResult:
+    """Cross-validation one fold at a time: the oracle for ``run_cv``.
+
+    Every held-out observation gets its own window with the fold's
+    removal applied, then one ``family.predict`` call, so each fold
+    rebuilds its kernel and factorizes it afresh.
+    """
+    if scheme not in ("looo", "lofo"):
+        raise InvalidParameterError(f"unknown cv scheme {scheme!r}")
+    result = CVResult(scheme, variant.id)
+    family = variant.family
+    lookup = _usable_cells(field_)
+    cap = radius_steps * max(grid.lat_step, grid.lon_step)
+    if eval_filter is not None:
+        f_lo, f_hi = eval_filter
+    if scheme == "lofo":
+        for block in data:
+            if block.source_ids is None:
+                raise InputError("track-level holdout requires source_ids")
+    for year_pos, block in enumerate(data):
+        for obs_index in range(block.m):
+            o = held_out(data, year_pos, obs_index)
+            if eval_filter is not None and not (f_lo <= o.day <= f_hi):
+                continue
+            if lookup is None:
+                result.n_skipped += 1
+                continue
+            cells, clat, clon, cflat = lookup
+            ci = nearest_cell_index(o.lat, o.lon, clat, clon, cflat)
+            cell = cells[ci]
+            d = math.hypot(cell.lat - o.lat, float(wrap_dlon(cell.lon - o.lon)))
+            if d > cap:
+                result.n_skipped += 1
+                continue
+            center = SpaceTimePoint(cell.lat, cell.lon, grid.eval_time)
+            wmask = window_mask(block, center, spec)
+            if scheme == "looo":
+                wmask[obs_index] = False
+            else:
+                wmask &= block.source_ids != o.source_id
+            target = SpaceTimePoint(o.lat, o.lon, o.day)
+            try:
+                pred = family.predict(target, block.subset(wmask),
+                                      cell.fit.params)
+            except (MappingError, np.linalg.LinAlgError):
+                result.n_failed += 1
+                continue
+            result.records.append(CVRecord(
+                year_pos, obs_index, o.year, o.source_id, o.lat, o.lon,
+                o.day, o.value, pred, variant.id, (cell.i, cell.j)))
+    return result
 
 
 def deviation_sample(pred: StudentPredictive, n_samples: int,

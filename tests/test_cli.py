@@ -29,7 +29,12 @@ from mwgp.cli import (
 from mwgp.covariance import CovParams
 from mwgp.errors import InputError
 from mwgp.ingest import MEAN_COEF_HEADER, MEAN_GRID_HEADER, parse_profiles
-from mwgp.windows import GridSpec, correlation_at_lag, zonal_km_to_degrees
+from mwgp.windows import (
+    GridSpec,
+    _blas_thread_controls,
+    correlation_at_lag,
+    zonal_km_to_degrees,
+)
 
 
 def run_cli(*args):
@@ -453,6 +458,14 @@ class TestManifests:
         for stage in self.STAGES:
             manifest = json.loads((pipeline[stage] / "manifest.json").read_text())
             assert manifest["wall_time_s"] >= 0.0, stage
+
+    def test_every_manifest_records_blas_threads(self, pipeline):
+        # map and cv pin OpenBLAS while they run; the manifest keeps the
+        # thread count they inherited and restore.
+        inherited = [get() for get, _ in _blas_thread_controls()]
+        for stage in self.STAGES:
+            manifest = json.loads((pipeline[stage] / "manifest.json").read_text())
+            assert manifest["blas_threads"] == inherited, stage
 
     def test_wall_time_stays_out_of_every_csv(self, pipeline):
         for stage in self.STAGES:

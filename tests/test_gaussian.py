@@ -115,6 +115,22 @@ class TestNll:
         assert val == PENALTY
         np.testing.assert_array_equal(grad, np.zeros_like(x))
 
+    @pytest.mark.parametrize("log_theta", [-240.0, -300.0])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_vanishing_range_keeps_gradient_finite(self, rng, axis, log_theta):
+        # theta**3 overflows 0.5 / theta**3 at log theta = -240 and
+        # underflows to zero at -300, while the lag sum it scales is 0.
+        block = random_block(rng, 12)
+        x = _encode(PARAMS, False)
+        x[axis] = log_theta
+        prepared = _Prepared([block], False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, grad = _nll(x, prepared, PARAMS, want_grad=True)
+        assert np.isfinite(val) and val != PENALTY
+        assert np.all(np.isfinite(grad))
+        assert grad[axis] == 0.0
+
 
 class TestFitMleGaussian:
     def test_insufficient_data(self, rng):

@@ -2,12 +2,16 @@
 cross-validation, point metrics, and interval calibration."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mwgp.covariance import CovParams, SpaceTimePoint
+from mwgp.covariance import CovParams, SpaceTimePoint, cov_matrix
 from mwgp.errors import (
     EmptyInputError,
     InputError,
@@ -32,13 +36,15 @@ from mwgp.windows import (
     GaussianFamily,
     GridSpec,
     ReferenceParams,
+    StudentFamily,
     WindowSpec,
     _predict_reference,
     map_grid,
     month_halfwidth_days,
+    window_mask,
 )
 
-from conftest import lofo_partition, loo_partition
+from conftest import lofo_partition, loo_partition, run_cv_per_fold
 
 TRUE = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
 
@@ -270,12 +276,61 @@ class TestRunCV:
     def test_programming_error_in_predict_raises(self, monkeypatch):
         data, field_ = self.mapped()
 
+        def broken(self, targets, block, removals, params):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(GaussianFamily, "predict_folds", broken)
+        with pytest.raises(TypeError, match="injected"):
+            run_cv(data, self.GRID, field_, VARIANTS[2], self.SPEC)
+
+    def test_programming_error_in_student_predict_raises(self, monkeypatch):
+        locs = scatter_locations(25, 43, span=4.0)
+        data = simulate_field(StudentParams(TRUE, nu=4.0), locs, 1, seed=47)
+        grid = GridSpec(0.0, 0.0, 0.0, 0.0, eval_time=45.5)
+        field_ = map_grid(data, grid, VARIANTS[3], self.SPEC)
+        assert field_.cells[(0, 0)].fit.ok
+
         def broken(self, target, block, params):
             raise TypeError("injected")
 
-        monkeypatch.setattr(GaussianFamily, "predict", broken)
+        monkeypatch.setattr(StudentFamily, "predict", broken)
         with pytest.raises(TypeError, match="injected"):
-            run_cv(data, self.GRID, field_, VARIANTS[2], self.SPEC)
+            run_cv(data, grid, field_, VARIANTS[3], self.SPEC)
+
+    CV_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from mwgp.gaussian import YearBlock
+from mwgp.validation import run_cv
+from mwgp.windows import VARIANTS, GridSpec, WindowSpec, map_grid
+rng = np.random.default_rng(5)
+lat, lon = rng.uniform(-3, 3, 400), rng.uniform(-3, 3, 400)
+t = rng.uniform(0.0, 91.0, 400)
+vals = np.sin(lat) * np.cos(0.7 * lon + t / 30) + 0.3 * rng.standard_normal(400)
+data = [YearBlock(0, lat, lon, t, vals)]
+grid, spec = GridSpec(0, 0, 0, 0), WindowSpec(4.0, 45.65625)
+field_ = map_grid(data, grid, VARIANTS[5], spec)
+cv = run_cv(data, grid, field_, VARIANTS[5], spec, radius_steps=10.0)
+print(len(cv.records), hashlib.sha256(repr(cv.records).encode()).hexdigest())
+"""
+
+    def test_records_are_bitwise_independent_of_blas_threads(self):
+        # A 400-observation window: threaded OpenBLAS would change the
+        # bits of the factorization and the multi-right-hand-side
+        # products unless run_cv pins it.  Each setting runs in a fresh
+        # interpreter because OpenBLAS reads the variable when it loads.
+        src = os.path.dirname(os.path.dirname(
+            sys.modules["mwgp.validation"].__file__))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            outs.append(subprocess.run(
+                [sys.executable, "-c", self.CV_HASH_SCRIPT], env=env,
+                capture_output=True, text=True, check=True).stdout)
+        assert outs[0].split()[0] == "400"
+        assert outs[0] == outs[1]
 
     def test_holdout_matches_manual_masked_prediction(self):
         locs = scatter_locations(25, 23, span=4.0)
@@ -291,8 +346,9 @@ class TestRunCV:
             expected = predict_gaussian(
                 SpaceTimePoint(rec.lat, rec.lon, rec.day),
                 block.subset(keep), params, spatial=VARIANTS[2].spatial)
-            assert rec.pred.mean == expected.mean
-            assert rec.pred.variance == expected.variance
+            assert rec.pred.mean == pytest.approx(expected.mean, rel=1e-9, abs=0)
+            assert rec.pred.variance == pytest.approx(expected.variance,
+                                                      rel=1e-9, abs=0)
 
     def test_track_scheme_removes_whole_float_from_window(self):
         data = synthetic_float_blocks(TRUE, n_floats=8, profiles_per_float=6,
@@ -332,7 +388,7 @@ class TestRunCV:
         expected = _predict_reference(
             SpaceTimePoint(rec.lat, rec.lon, rec.day), block.subset(keep),
             params)
-        assert rec.pred.mean == expected.mean
+        assert rec.pred.mean == pytest.approx(expected.mean, rel=1e-9, abs=0)
 
     def test_student_variant_predictions(self):
         locs = scatter_locations(25, 43, span=4.0)
@@ -383,6 +439,135 @@ class TestRunCV:
         with pytest.raises(InputError):
             run_cv(data, self.GRID, field_, VARIANTS[2], self.SPEC,
                    scheme="lofo")
+
+
+def assert_matches_oracle(cv, oracle, rel=1e-9):
+    """Same folds in the same order; predictions within ``rel`` (0: exact)."""
+    assert (cv.scheme, cv.variant_id, cv.n_skipped, cv.n_failed) == \
+        (oracle.scheme, oracle.variant_id, oracle.n_skipped, oracle.n_failed)
+    assert [replace(r, pred=None) for r in cv.records] == \
+        [replace(r, pred=None) for r in oracle.records]
+    for got, want in zip(cv.records, oracle.records):
+        if rel == 0:
+            assert got.pred == want.pred
+            continue
+        assert type(got.pred) is type(want.pred)
+        assert got.pred.mean == pytest.approx(want.pred.mean, rel=rel, abs=0)
+        assert got.pred.variance == pytest.approx(want.pred.variance,
+                                                  rel=rel, abs=0)
+
+
+class TestClosedFormCV:
+    """``run_cv`` against the per-fold oracle ``run_cv_per_fold``."""
+
+    GRID = GridSpec(-3.0, 3.0, -3.0, 3.0, lat_step=3.0, lon_step=3.0,
+                    eval_time=45.5)
+    SPEC3 = WindowSpec(4.0, month_halfwidth_days(3), 20)
+    SPEC1 = WindowSpec(4.0, month_halfwidth_days(1), 10)
+
+    def floats(self, seed, n_floats=12, per_float=8, n_years=2, params=TRUE,
+               span=5.0):
+        return synthetic_float_blocks(params, n_floats, per_float, n_years,
+                                      seed=seed, lat_range=(-span, span),
+                                      lon_range=(-span, span),
+                                      t_range=(0.0, 91.0))
+
+    def compare(self, data, grid, spec, variant_id, scheme, rel=1e-9,
+                **kwargs):
+        variant = VARIANTS[variant_id]
+        field_ = map_grid(data, grid, variant, spec)
+        assert field_.status_counts["ok"] >= 1
+        cv = run_cv(data, grid, field_, variant, spec, scheme, **kwargs)
+        oracle = run_cv_per_fold(data, grid, field_, variant, spec, scheme,
+                                 **kwargs)
+        assert_matches_oracle(cv, oracle, rel)
+        return cv
+
+    @pytest.mark.parametrize("scheme", ["looo", "lofo"])
+    @pytest.mark.parametrize("variant_id", [1, 2, 5])
+    def test_multi_cell_grid(self, variant_id, scheme):
+        cv = self.compare(self.floats(51), self.GRID, self.SPEC3, variant_id,
+                          scheme, radius_steps=1.0)
+        assert len({r.cell for r in cv.records}) >= 4
+        assert cv.n_skipped > 0
+
+    @pytest.mark.parametrize("scheme", ["looo", "lofo"])
+    @pytest.mark.parametrize("variant_id", [1, 2, 5])
+    def test_eval_filter(self, variant_id, scheme):
+        cv = self.compare(self.floats(53), self.GRID, self.SPEC3, variant_id,
+                          scheme, eval_filter=(20.0, 60.0))
+        assert cv.records and all(20.0 <= r.day <= 60.0 for r in cv.records)
+
+    @pytest.mark.parametrize("scheme", ["looo", "lofo"])
+    @pytest.mark.parametrize("variant_id", [1, 2, 5])
+    def test_targets_outside_the_time_window(self, variant_id, scheme):
+        data = self.floats(55, n_floats=16)
+        cv = self.compare(data, self.GRID, self.SPEC1, variant_id, scheme)
+        outside = [r for r in cv.records
+                   if abs(r.day - self.GRID.eval_time) > self.SPEC1.t_win]
+        assert len(outside) > len(cv.records) // 2
+
+    @pytest.mark.parametrize("scheme", ["looo", "lofo"])
+    @pytest.mark.parametrize("variant_id", [1, 2, 5])
+    def test_fold_that_empties_the_window_gives_the_prior(self, variant_id,
+                                                          scheme):
+        data = self.floats(57, n_years=1)
+        grid = GridSpec(0.0, 0.0, 0.0, 0.0, eval_time=45.5)
+        variant = VARIANTS[variant_id]
+        field_ = map_grid(data, grid, variant, self.SPEC3)
+        params = field_.cells[(0, 0)].fit.params
+        # A later year with one float: its first profile is alone in the
+        # window, its second lies outside it.
+        lone = YearBlock(1, np.array([0.5, 4.5]), np.array([0.5, 0.4]),
+                         np.array([45.0, 50.0]), np.array([0.3, -0.2]),
+                         np.array(["z", "z"]))
+        cv = run_cv(data + [lone], grid, field_, variant, self.SPEC3, scheme,
+                    radius_steps=10.0)
+        oracle = run_cv_per_fold(data + [lone], grid, field_, variant,
+                                 self.SPEC3, scheme, radius_steps=10.0)
+        assert_matches_oracle(cv, oracle)
+        first, second = [r.pred for r in cv.records if r.year == 1]
+        prior = params.prior_var if variant.reference else \
+            params.phi + params.sigma2
+        emptied = [first, second] if scheme == "lofo" else [first]
+        for pred in emptied:
+            assert pred == GaussianPredictive(0.0, prior)
+        if scheme == "looo":
+            assert second.mean != 0.0  # predicted from the first profile
+
+    @pytest.mark.parametrize("scheme", ["looo", "lofo"])
+    def test_failed_factor_falls_back_to_per_fold(self, scheme):
+        data = self.floats(59, n_years=1, span=2.0)
+        grid = GridSpec(0.0, 0.0, 0.0, 0.0, eval_time=45.5)
+        field_ = map_grid(data, grid, VARIANTS[2], self.SPEC3)
+        # No nugget and a duplicated first point: the full window's
+        # plain Cholesky meets an exactly zero pivot.
+        field_.cells[(0, 0)].fit.params = CovParams(1.0, 3.0, 5.0, 5.0, 0.0)
+        b = data[0]
+        dup = np.r_[0, np.arange(b.m)]
+        ids = b.source_ids[dup].copy()
+        ids[0] = "dup"
+        data = [YearBlock(b.year, b.lat[dup], b.lon[dup], b.t[dup],
+                          b.values[dup], ids)]
+        window = data[0].subset(window_mask(
+            data[0], SpaceTimePoint(0.0, 0.0, 45.5), self.SPEC3))
+        Sigma = cov_matrix(window.points, field_.cells[(0, 0)].fit.params)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(Sigma)
+        cv = run_cv(data, grid, field_, VARIANTS[2], self.SPEC3, scheme,
+                    radius_steps=10.0)
+        oracle = run_cv_per_fold(data, grid, field_, VARIANTS[2], self.SPEC3,
+                                 scheme, radius_steps=10.0)
+        assert_matches_oracle(cv, oracle, rel=0)
+        assert len(cv.records) + cv.n_failed == data[0].m
+
+    @pytest.mark.parametrize("scheme", ["looo", "lofo"])
+    @pytest.mark.parametrize("variant_id", [3, 6])
+    def test_student_folds_are_the_per_fold_path(self, variant_id, scheme):
+        data = self.floats(61, n_floats=5, per_float=6, n_years=1,
+                           params=StudentParams(TRUE, nu=4.0), span=2.0)
+        grid = GridSpec(0.0, 0.0, 0.0, 0.0, eval_time=45.5)
+        self.compare(data, grid, self.SPEC3, variant_id, scheme, rel=0)
 
 
 def make_result(truths, means=None, variance=1.0, variant_id=2):
