@@ -56,10 +56,10 @@ class FactorizationError(MappingError):
 
 
 class ModeFindingError(MappingError):
-    """Newton mode search failed from every starting point.
+    """Newton mode search failed, or a Student fit ended where it fails.
 
-    ``diagnostics`` carries (per attempted start) the final gradient
-    norm, objective value and iteration count.
+    ``diagnostics`` carries the search's final gradient norm, objective
+    value and iteration count, or the fit's count of failed searches.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None,

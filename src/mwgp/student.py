@@ -16,7 +16,15 @@ is guaranteed valid at a strict local maximum.
 
 All mode-dependent algebra tracks the pair (f, a = K^-1 f) so that no
 solve against K alone — often near-singular for close points — is
-ever performed.
+ever performed.  Each mode search starts from the Gaussian-limit
+smoother only.  Above nu = 40 the t log-normalizer comes from
+Stirling's series, so it keeps full precision as nu grows.
+
+The fit runs L-BFGS-B on the Gaussian fit's log-parameters plus
+log(nu - 1), each held to within LOG_BAND of the window's default
+start, so every point it can reach decodes and evaluates without
+overflow.  The Gaussian-fit start is clipped into that box, and the
+final iterate itself is returned.
 
 A new observation is f_mean + sd Z + s T, a Gaussian scale mixture.
 Its CDF (the PIT) and its central intervals come from one fixed
@@ -32,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 from scipy.optimize import minimize
-from scipy.special import digamma, gammaln, ndtr, ndtri, polygamma, stdtrit
+from scipy.special import digamma, ndtr, ndtri, polygamma, stdtrit
 
 from .covariance import CovParams, cov_matrix, cross_cov_vector
 from .errors import (
@@ -44,12 +52,16 @@ from .errors import (
 )
 from .gaussian import (
     DEFAULT_OPTS,
+    LOG_2PI,
     PENALTY,
     STEP_TOL,
     FitReport,
     OptimizerOptions,
     YearBlock,
+    _decode,
+    _encode,
     chol_spd,
+    default_init,
     fit_mle_gaussian,
 )
 
@@ -58,6 +70,7 @@ MODE_MAX_ITER = 60
 MODE_TOL = 1e-10         # target per-obs gradient norm in mode finding
 MODE_ACCEPT_TOL = 1e-8   # per-obs norm at which a capped search is accepted
 STUDENT_INIT_NU = 5.0
+LOG_BAND = 20.0          # fit box half-width around the default start, log units
 LAW_STEP = 0.1           # trapezoid step of the predictive law, standardized log G
 LAW_SPAN = (-30.0, 8.0)  # standardized log-G range of that rule
 HALF_WIDTH_RTOL = 1e-12  # relative Newton step at which a half-width is final
@@ -117,7 +130,6 @@ class LaplaceState:
     log_q: float           # Laplace marginal log-likelihood contribution
     grad_norm: float
     iterations: int
-    start: str             # which start point won: "gauss" or "zero"
 
 
 def nu_variance_factor(nu: float) -> float:
@@ -128,8 +140,22 @@ def nu_variance_factor(nu: float) -> float:
 
 
 def _t_log_const(sigma: float, nu: float) -> float:
-    return (gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu)
-            - 0.5 * math.log(nu * math.pi) - math.log(sigma))
+    """log[Gamma((nu+1)/2) / (Gamma(nu/2) sqrt(nu pi) sigma)], to ~1e-14 relative.
+
+    From nu = 40 the two log-gammas come from Stirling's series, whose
+    log nu terms cancel in closed form: a plain lgamma difference loses
+    about 1e-16 * nu * log(nu) to cancellation (0.06 at nu = 2.4e13).
+    """
+    if nu < 40.0:
+        c = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
+             - 0.5 * math.log(nu * math.pi))
+    else:
+        x = 0.5 * nu
+        # Binet's function log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2
+        binet = [r * (1 / 12 - r * r * (1 / 360 - r * r * (1 / 1260 - r * r / 1680)))
+                 for r in (1.0 / (x + 0.5), 1.0 / x)]
+        c = x * math.log1p(0.5 / x) - 0.5 - 0.5 * LOG_2PI + binet[0] - binet[1]
+    return c - math.log(sigma)
 
 
 def _t_loglik(resid: np.ndarray, sigma: float, nu: float) -> float:
@@ -212,10 +238,9 @@ def find_mode(block: YearBlock, params: StudentParams,
               spatial: bool = False) -> LaplaceState:
     """Posterior mode of the latent GP values for one year block.
 
-    Starts from the Gaussian-limit smoother (variance-matched nugget),
-    falling back to f = 0; among converged runs the one with higher
-    Psi wins.  Raises ModeFindingError with per-start diagnostics if
-    no run reaches the acceptance gradient norm of MODE_ACCEPT_TOL * m.
+    Starts from the Gaussian-limit smoother (variance-matched nugget).
+    Raises ModeFindingError with the search's diagnostics if it does not
+    reach the acceptance gradient norm of MODE_ACCEPT_TOL * m.
     """
     if block.m == 0:
         raise InputError("find_mode needs at least one observation")
@@ -232,22 +257,11 @@ def find_mode(block: YearBlock, params: StudentParams,
     s2 = cov.sigma2 * ratio
     L = chol_spd(K + s2 * np.eye(m), cov.phi, block.year)
     a_gauss = sla.cho_solve((L, True), y, check_finite=False)
-    f_gauss = K @ a_gauss
-
-    attempts, diags = [], {}
-    for name, f0, a0 in (("gauss", f_gauss, a_gauss),
-                         ("zero", np.zeros(m), np.zeros(m))):
-        f, a, psi, gn, it, ok = _newton(y, K, sigma, nu, f0, a0)
-        diags[name] = {"grad_norm": gn, "psi": psi, "iterations": it,
-                       "converged": ok}
-        if ok:
-            attempts.append((psi, name, f, a, gn, it))
-        if ok and name == "gauss":
-            break  # primary start converged; no need for the fallback
-    if not attempts:
+    f, a, psi, gn, it, ok = _newton(y, K, sigma, nu, K @ a_gauss, a_gauss)
+    diags = {"grad_norm": gn, "psi": psi, "iterations": it}
+    if not ok:
         raise ModeFindingError("Newton mode search did not converge",
                                diagnostics=diags, year_index=block.year)
-    psi, name, f, a, gn, it = max(attempts, key=lambda rec: rec[0])
 
     resid = y - f
     w_raw = _t_w_raw(resid, sigma, nu)
@@ -259,7 +273,7 @@ def find_mode(block: YearBlock, params: StudentParams,
             diagnostics=diags, year_index=block.year)
     log_q = _t_loglik(resid, sigma, nu) - 0.5 * float(f @ a) - 0.5 * float(logdet)
     return LaplaceState(f_hat=f, w=w, w_raw=w_raw, a=a, psi=psi, log_q=log_q,
-                        grad_norm=gn, iterations=it, start=name)
+                        grad_norm=gn, iterations=it)
 
 
 def laplace_loglik(blocks, params: StudentParams, spatial: bool = False) -> float:
@@ -276,25 +290,11 @@ def laplace_loglik(blocks, params: StudentParams, spatial: bool = False) -> floa
 
 
 def _encode_student(params: StudentParams, spatial: bool) -> np.ndarray:
-    c = params.cov
-    base = [math.log(c.phi), math.log(c.theta_lat), math.log(c.theta_lon)]
-    if not spatial:
-        base.append(math.log(c.theta_t))
-    base.append(0.5 * math.log(c.sigma2))   # log sigma, not log sigma^2
-    base.append(math.log(params.nu - 1.0))
-    return np.array(base)
+    return np.append(_encode(params.cov, spatial), math.log(params.nu - 1.0))
 
 
 def _decode_student(x: np.ndarray, template: CovParams, spatial: bool) -> StudentParams:
-    k = 3 if spatial else 4
-    with np.errstate(over="ignore"):  # inf is rejected by CovParams
-        v = np.exp(x[:k])
-    try:
-        sigma, nu = math.exp(x[k]), 1.0 + math.exp(x[k + 1])
-    except OverflowError:
-        raise InvalidParameterError("t scale or dof overflows") from None
-    tt = template.theta_t if spatial else v[3]
-    return StudentParams(CovParams(*v[:3], tt, sigma * sigma), nu)
+    return StudentParams(_decode(x[:-1], template, spatial), 1.0 + math.exp(x[-1]))
 
 
 def fit_mle_student(blocks, init: StudentParams | None = None,
@@ -302,11 +302,16 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
                     spatial: bool = False) -> tuple[StudentParams, FitReport]:
     """Maximize the Laplace-approximate likelihood.
 
-    L-BFGS-B on (log phi, log ranges, log sigma, log(nu - 1)) with
-    forward finite-difference gradients.  When no init is given the
-    covariance initialization comes from a Gaussian-nugget fit, with
-    the t scale chosen to variance-match the fitted Gaussian nugget at
-    the initial nu.
+    L-BFGS-B on (log phi, log ranges, log sigma2, log(nu - 1)) with
+    forward finite-difference gradients, each coordinate bounded to
+    within LOG_BAND of the window's default start (``default_init`` at
+    nu = STUDENT_INIT_NU).  When no init is given the covariance
+    initialization comes from a Gaussian-nugget fit, with the t scale
+    chosen to variance-match the fitted Gaussian nugget at the initial
+    nu; the start is clipped into the box.  The final iterate is
+    returned, and the report's message names any parameter it leaves
+    on a bound.  Raises ModeFindingError if the fit ends at a point
+    whose mode search failed.
     """
     opts = opts or DEFAULT_OPTS
     n_obs = sum(b.m for b in blocks)
@@ -316,9 +321,9 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
     values = np.concatenate([b.values for b in blocks if b.m > 0])
     if float(np.ptp(values)) == 0.0:
         raise InsufficientVarianceError("all window values identical")
+    nu0 = STUDENT_INIT_NU
     if init is None:
         gfit, _ = fit_mle_gaussian(blocks, opts=opts, spatial=spatial)
-        nu0 = STUDENT_INIT_NU
         # A near-interpolating Gaussian fit (sigma2 ~ 0) would hand the
         # mode search an un-evaluable start; floor the initial scale at
         # a small fraction of the data variance and let the optimizer
@@ -326,53 +331,47 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
         pooled = float(np.var(values, ddof=1))
         s2 = max(gfit.sigma2, 1e-3 * pooled) / nu_variance_factor(nu0)
         init = StudentParams(replace(gfit, sigma2=s2), nu0)
+    center = _encode_student(StudentParams(default_init(blocks), nu0), spatial)
+    lo, hi = center - LOG_BAND, center + LOG_BAND
 
     failures = [0]
-    best = {"fun": math.inf, "x": None}
 
     def objective(x):
-        # InvalidParameterError: line-search excursions can under- or
-        # overflow the exp transform (nu hits exactly 1, phi hits inf);
-        # penalize instead of aborting so the optimizer backs off.
         try:
-            params = _decode_student(x, init.cov, spatial)
-            val = -laplace_loglik(blocks, params, spatial)
-        except (ModeFindingError, sla.LinAlgError, InvalidParameterError):
+            return -laplace_loglik(blocks, _decode_student(x, init.cov, spatial),
+                                   spatial)
+        except (ModeFindingError, sla.LinAlgError):
             failures[0] += 1
             return PENALTY
-        if val < best["fun"]:
-            best["fun"] = val
-            best["x"] = x.copy()
-        return val
 
-    x0 = _encode_student(init, spatial)
+    x0 = np.clip(_encode_student(init, spatial), lo, hi)
     res = minimize(
-        objective, x0, method="L-BFGS-B",
+        objective, x0, method="L-BFGS-B", bounds=list(zip(lo, hi)),
         options={"maxiter": opts.max_iter, "gtol": opts.grad_tol,
                  "ftol": STEP_TOL, "eps": FD_EPS, "maxcor": 20},
     )
-    if best["x"] is None:
-        raise ModeFindingError("Student fit never found a usable iterate",
+    if res.fun >= PENALTY:
+        raise ModeFindingError("Student fit ended where the mode search fails",
                                diagnostics={"n_failures": failures[0]})
-    # The optimizer can terminate inside the overflow plateau (nu running
-    # to the Gaussian limit flattens the likelihood until exp overflows);
-    # only then is the fit flagged unconverged on top of scipy's verdict.
-    # The best evaluated point is returned either way; it may be a
-    # finite-difference probe within FD_EPS of the final iterate.
-    stranded = res.fun >= PENALTY
-    fitted = _decode_student(best["x"], init.cov, spatial)
+    names = ["phi", "theta_lat", "theta_lon", "theta_t", "sigma2", "nu"]
+    if spatial:
+        names.remove("theta_t")
+    message = str(res.message)
+    for side, hit in (("lower", res.x <= lo), ("upper", res.x >= hi)):
+        if hit.any():
+            message += f"; at {side} bound: " + ", ".join(
+                n for n, h in zip(names, hit) if h)
     report = FitReport(
-        loglik=-float(best["fun"]),
+        loglik=-float(res.fun),
         grad_norm=float(np.max(np.abs(res.jac))),
         n_iter=int(res.nit),
         n_evals=int(res.nfev),
-        converged=bool(res.success) and not stranded,
-        message=("terminated beyond the finite range; best finite iterate "
-                 "returned" if stranded else str(res.message)),
+        converged=bool(res.success),
+        message=message,
         n_obs=n_obs,
         n_mode_failures=failures[0],
     )
-    return fitted, report
+    return _decode_student(res.x, init.cov, spatial), report
 
 
 def predict_student(target, block: YearBlock, params: StudentParams,

@@ -121,6 +121,21 @@ def scalar_laplace_loglik(y, phi, sigma, nu):
                  - 0.5 * math.log(curv))
 
 
+def t_log_gamma_ratio(nu):
+    """log Gamma((nu + 1) / 2) - log Gamma(nu / 2), sharing nothing with the library.
+
+    The math.lgamma difference below nu = 100.  From there, where that
+    difference cancels, the asymptotic series 1/2 log a - 1/(8a) +
+    1/(192 a^3) - 1/(640 a^5) + 17/(14336 a^7) in a = nu / 2, whose
+    relative error is below 1e-16 for a >= 50.
+    """
+    if nu < 100.0:
+        return math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
+    a = 0.5 * nu
+    return (0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a**3)
+            - 1.0 / (640.0 * a**5) + 17.0 / (14336.0 * a**7))
+
+
 def _sq_lags_pair(p1, p2):
     a1 = as_point_array(p1)[0]
     a2 = as_point_array(p2)[0]

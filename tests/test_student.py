@@ -5,7 +5,10 @@ bounded 1-D optimizer (mode), adaptive quadrature (marginal likelihood
 and PIT), and the analytic Gaussian limit at huge degrees of freedom.
 """
 
+import itertools
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +17,11 @@ from scipy.special import ndtri, stdtrit
 
 import mwgp.student
 from mwgp.covariance import CovParams, SpaceTimePoint, cov_matrix, cross_cov_vector
-from mwgp.errors import InsufficientDataError, InvalidParameterError
-from mwgp.gaussian import PENALTY, YearBlock, gauss_loglik, predict_gaussian
+from mwgp.errors import InsufficientDataError, InvalidParameterError, ModeFindingError
+from mwgp.gaussian import PENALTY, YearBlock, default_init, gauss_loglik, predict_gaussian
 from mwgp.student import (
+    LOG_BAND,
+    STUDENT_INIT_NU,
     StudentParams,
     StudentPredictive,
     find_mode,
@@ -24,6 +29,7 @@ from mwgp.student import (
     laplace_loglik,
     _decode_student,
     _encode_student,
+    _t_log_const,
     nu_variance_factor,
     predict_student,
     student_cdf,
@@ -31,7 +37,7 @@ from mwgp.student import (
 )
 from mwgp.validation import simulate_field
 
-from conftest import deviation_sample, random_block
+from conftest import deviation_sample, random_block, t_log_gamma_ratio
 
 SP = StudentParams(CovParams(1.0, 2.0, 3.0, 6.0, 0.5), nu=4.0)
 
@@ -151,6 +157,13 @@ class TestLaplaceLoglik:
         assert errors[128.0] < errors[2.0] / 3.0
 
 
+class TestTNormalizer:
+    @pytest.mark.parametrize("nu", [1.5, 3.0, 30.0, 1e3, 1e6, 1e9, 1e12, 1e15])
+    def test_matches_the_log_gamma_oracle(self, nu):
+        oracle = t_log_gamma_ratio(nu) - 0.5 * math.log(nu * math.pi) - math.log(2.0)
+        assert _t_log_const(2.0, nu) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
 class TestFitMleStudent:
     def test_insufficient_data(self, rng):
         with pytest.raises(InsufficientDataError):
@@ -166,8 +179,7 @@ class TestFitMleStudent:
         fitted, report = fit_mle_student(blocks, init)
         assert laplace_loglik(blocks, fitted) >= \
             laplace_loglik(blocks, init) - 1e-6
-        assert report.loglik == pytest.approx(laplace_loglik(blocks, fitted),
-                                              rel=1e-8)
+        assert report.loglik == laplace_loglik(blocks, fitted)
 
     def test_gaussian_data_pushes_nu_high(self):
         # On Gaussian data the heavy-tail parameter should run to the
@@ -203,8 +215,11 @@ class TestFitMleStudent:
             assert 0.3 < fitted.cov.phi < 2.5
 
     @staticmethod
-    def _spied_fit(monkeypatch, alter=None):
-        """Seeded spatial fit, returning scipy's result alongside it."""
+    def _spied_fit(monkeypatch, alter=None, blocks=None, init=None):
+        """Seeded fit with scipy's result spied on: (res, fitted, report).
+
+        Without ``blocks``, a spatial fit on a seeded Student field.
+        """
         seen = {}
 
         def spy(*args, **kwargs):
@@ -216,38 +231,81 @@ class TestFitMleStudent:
 
         real = mwgp.student.minimize
         monkeypatch.setattr(mwgp.student, "minimize", spy)
-        truth = StudentParams(CovParams(1.0, 3.0, 5.0, 5.0, 0.5), nu=4.0)
-        rng = np.random.default_rng(5)
-        locs = np.column_stack([rng.uniform(-6, 6, 40), rng.uniform(-6, 6, 40),
-                                rng.uniform(0, 60, 40)])
-        blocks = simulate_field(truth, locs, 2, seed=5, spatial=True)
-        fitted, report = fit_mle_student(blocks, spatial=True)
-        return seen["res"], report
+        spatial = blocks is None
+        if spatial:
+            truth = StudentParams(CovParams(1.0, 3.0, 5.0, 5.0, 0.5), nu=4.0)
+            rng = np.random.default_rng(5)
+            locs = np.column_stack([rng.uniform(-6, 6, 40), rng.uniform(-6, 6, 40),
+                                    rng.uniform(0, 60, 40)])
+            blocks = simulate_field(truth, locs, 2, seed=5, spatial=True)
+        fitted, report = fit_mle_student(blocks, init, spatial=spatial)
+        return seen["res"], fitted, report
 
     def test_converged_when_scipy_succeeds(self, monkeypatch):
-        # The best evaluated point can be a finite-difference probe just
-        # below the final iterate; that alone must not flag the fit.
-        res, report = self._spied_fit(monkeypatch)
+        res, _, report = self._spied_fit(monkeypatch)
         assert res.success
         assert report.converged
         assert report.message == str(res.message)
 
-    def test_unconverged_when_ending_on_the_penalty(self, monkeypatch):
+    def test_ending_on_the_penalty_raises(self, monkeypatch):
         def strand(res):
             res.fun = PENALTY
 
-        res, report = self._spied_fit(monkeypatch, strand)
-        assert res.success
-        assert not report.converged
-        assert "beyond the finite range" in report.message
+        with pytest.raises(ModeFindingError):
+            self._spied_fit(monkeypatch, strand)
 
-    def test_decode_overflow_is_an_invalid_parameter(self):
-        x = _encode_student(SP, spatial=False)
-        for k in (4, 5):  # log sigma, log(nu - 1)
-            big = x.copy()
-            big[k] = 800.0
-            with pytest.raises(InvalidParameterError):
-                _decode_student(big, SP.cov, spatial=False)
+    def test_a_parameter_left_on_a_bound_is_named(self, monkeypatch):
+        # Every observation shares one longitude, so the likelihood
+        # ignores theta_lon; a start beyond the box is clipped onto its
+        # upper bound and stays there.
+        truth = StudentParams(CovParams(1.0, 3.0, 5.0, 5.0, 0.5), nu=4.0)
+        rng = np.random.default_rng(3)
+        locs = np.column_stack([rng.uniform(-6, 6, 40), np.full(40, 2.0),
+                                rng.uniform(0, 60, 40)])
+        blocks = simulate_field(truth, locs, 2, seed=3)
+        init = StudentParams(replace(truth.cov, theta_lon=5.0 * math.exp(30.0)), 4.0)
+        res, fitted, report = self._spied_fit(monkeypatch, blocks=blocks, init=init)
+        assert report.message == str(res.message) + "; at upper bound: theta_lon"
+        assert report.converged == res.success
+        hi = math.log(default_init(blocks).theta_lon) + LOG_BAND
+        assert fitted.cov.theta_lon == math.exp(hi)
+
+    def test_gaussian_data_fit_stays_inside_the_box(self):
+        # The design of test_gaussian_data_pushes_nu_high: nu runs toward
+        # the Gaussian limit, where the unbounded fit overflowed.
+        truth = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
+        rng = np.random.default_rng(0)
+        locs = np.column_stack([rng.uniform(-6, 6, 100), rng.uniform(-6, 6, 100),
+                                rng.uniform(0, 60, 100)])
+        blocks = simulate_field(truth, locs, 2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted, report = fit_mle_student(blocks)
+        assert report.n_mode_failures == 0
+        assert abs(math.log(fitted.nu - 1.0)
+                   - math.log(STUDENT_INIT_NU - 1.0)) < LOG_BAND
+        assert report.loglik == laplace_loglik(blocks, fitted)
+
+    @pytest.mark.parametrize("spatial", [True, False])
+    def test_every_box_corner_evaluates_without_warnings(self, spatial):
+        # Each corner either scores finitely or fails its mode search
+        # cleanly; none under- or overflows.
+        block = random_block(np.random.default_rng(11), 30)
+        template = default_init([block])
+        center = _encode_student(StudentParams(template, STUDENT_INIT_NU), spatial)
+        finite = 0
+        for signs in itertools.product((-1.0, 1.0), repeat=center.size):
+            params = _decode_student(center + LOG_BAND * np.array(signs),
+                                     template, spatial)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    value = laplace_loglik([block], params, spatial)
+                except ModeFindingError:
+                    continue
+            assert math.isfinite(value)
+            finite += 1
+        assert finite > 0
 
     @pytest.mark.slow
     def test_full_scale_recovery_study(self):
