@@ -31,10 +31,8 @@ from .errors import (
     SchemaError,
 )
 from .gaussian import (
-    DEFAULT_OPTS,
     FitReport,
     GaussianPredictive,
-    OptimizerOptions,
     YearBlock,
     fit_mle_gaussian,
     gauss_loglik,

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .covariance import KM_PER_DEG, CovParams
 from .errors import InputError, MappingError
-from .gaussian import GaussianPredictive, OptimizerOptions
+from .gaussian import MIN_OBS, GaussianPredictive
 from .ingest import (
     FLOAT_FMT,
     MeanFieldConfig,
@@ -102,13 +102,10 @@ class RunConfig:
     # moving window
     x_win: float = 10.0
     t_win: float | None = None
-    min_obs: int = 20
+    min_obs: int = MIN_OBS
     # ingest-time day filter (closed interval, days within year)
     day_min: float | None = None
     day_max: float | None = None
-    # optimizer
-    max_iter: int = 200
-    grad_tol: float = 1e-6
     # intervals
     alpha: float = 0.32
     levels: str = "0.5,0.68,0.8,0.9,0.95,0.99"
@@ -189,9 +186,6 @@ class RunConfig:
 
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.x_win, self.resolved_t_win(), self.min_obs)
-
-    def optimizer_options(self) -> OptimizerOptions:
-        return OptimizerOptions(max_iter=self.max_iter, grad_tol=self.grad_tol)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -434,8 +428,7 @@ def cmd_map(cfg: RunConfig) -> tuple[list, dict]:
     _check_eval_year(cfg, blocks)
     grid = cfg.grid_spec(mask)
     start = time.perf_counter()
-    field_ = map_grid(blocks, grid, variant, cfg.window_spec(),
-                      cfg.optimizer_options(), cfg.alpha,
+    field_ = map_grid(blocks, grid, variant, cfg.window_spec(), cfg.alpha,
                       cfg.resolved_threads(), cfg.fallback_nearest)
     wall = time.perf_counter() - start
     os.makedirs(cfg.out, exist_ok=True)
@@ -609,8 +602,8 @@ def _run_cv_for_variant(cfg: RunConfig, variant_id: int):
     _check_eval_year(sub, blocks)
     grid = sub.grid_spec(mask)
     spec = sub.window_spec()
-    field_ = map_grid(blocks, grid, variant, spec, sub.optimizer_options(),
-                      sub.alpha, sub.resolved_threads(), sub.fallback_nearest)
+    field_ = map_grid(blocks, grid, variant, spec, sub.alpha,
+                      sub.resolved_threads(), sub.fallback_nearest)
     eval_filter = None
     if cfg.cv_day_min is not None or cfg.cv_day_max is not None:
         eval_filter = (cfg.cv_day_min if cfg.cv_day_min is not None else -math.inf,

@@ -96,18 +96,6 @@ class GaussianPredictive:
 
 
 @dataclass
-class OptimizerOptions:
-    """Iteration limit, gradient tolerance and minimum fit size."""
-
-    max_iter: int = 200
-    grad_tol: float = 1e-6
-    min_obs: int = 20
-
-
-DEFAULT_OPTS = OptimizerOptions()
-
-
-@dataclass
 class FitReport:
     """Outcome summary of a maximum-likelihood fit."""
 
@@ -121,7 +109,8 @@ class FitReport:
     n_mode_failures: int = 0
 
 
-STEP_TOL = 1e-9  # L-BFGS-B relative objective-decrease tolerance
+MIN_OBS = 20     # fewest window observations a fit accepts by default
+LBFGS_OPTIONS = {"maxiter": 200, "gtol": 1e-6, "ftol": 1e-9, "maxcor": 20}
 RIDGE = 1e-10    # relative to the scale, applied only on chol failure
 RIDGE_GROWTH = 100.0
 RIDGE_TRIES = 4
@@ -302,8 +291,24 @@ def default_init(blocks) -> CovParams:
                      theta_t=5.0, sigma2=0.5 * v)
 
 
+def check_window(blocks, min_obs: int) -> int:
+    """Observation count of a window that can support a fit.
+
+    Raises InsufficientDataError below ``min_obs`` observations and
+    InsufficientVarianceError when every value is identical.
+    """
+    n_obs = sum(b.m for b in blocks)
+    if n_obs < min_obs:
+        raise InsufficientDataError(
+            f"{n_obs} observations < required minimum {min_obs}")
+    values = np.concatenate([b.values for b in blocks if b.m > 0])
+    if float(np.ptp(values)) == 0.0:
+        raise InsufficientVarianceError("all window values identical")
+    return n_obs
+
+
 def fit_mle_gaussian(blocks, init: CovParams | None = None,
-                     opts: OptimizerOptions | None = None,
+                     min_obs: int = MIN_OBS,
                      spatial: bool = False) -> tuple[CovParams, FitReport]:
     """Maximum-likelihood fit of the Gaussian-nugget model.
 
@@ -312,23 +317,13 @@ def fit_mle_gaussian(blocks, init: CovParams | None = None,
     and carried through from the initial value.  Non-convergence is
     flagged in the report; the best iterate is still returned.
     """
-    opts = opts or DEFAULT_OPTS
+    check_window(blocks, min_obs)
     prepared = _Prepared(blocks, spatial)
-    if prepared.n_obs < opts.min_obs:
-        raise InsufficientDataError(
-            f"{prepared.n_obs} observations < required minimum {opts.min_obs}")
-    values = np.concatenate([b.values for b in blocks if b.m > 0])
-    if float(np.ptp(values)) == 0.0:
-        raise InsufficientVarianceError("all window values identical")
     if init is None:
         init = default_init(blocks)
     x0 = _encode(init, spatial)
-    res = minimize(
-        _nll, x0, args=(prepared, init, True), jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": opts.max_iter, "gtol": opts.grad_tol,
-                 "ftol": STEP_TOL, "maxcor": 20},
-    )
+    res = minimize(_nll, x0, args=(prepared, init, True), jac=True,
+                   method="L-BFGS-B", options=LBFGS_OPTIONS)
     fitted = _decode(res.x, init, spatial)
     report = FitReport(
         loglik=-float(res.fun),

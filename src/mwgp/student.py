@@ -43,23 +43,17 @@ from scipy.optimize import minimize
 from scipy.special import digamma, ndtr, ndtri, polygamma, stdtrit
 
 from .covariance import CovParams, cov_matrix, cross_cov_vector
-from .errors import (
-    InputError,
-    InsufficientDataError,
-    InsufficientVarianceError,
-    InvalidParameterError,
-    ModeFindingError,
-)
+from .errors import InputError, InvalidParameterError, ModeFindingError
 from .gaussian import (
-    DEFAULT_OPTS,
+    LBFGS_OPTIONS,
     LOG_2PI,
+    MIN_OBS,
     PENALTY,
-    STEP_TOL,
     FitReport,
-    OptimizerOptions,
     YearBlock,
     _decode,
     _encode,
+    check_window,
     chol_spd,
     default_init,
     fit_mle_gaussian,
@@ -298,7 +292,7 @@ def _decode_student(x: np.ndarray, template: CovParams, spatial: bool) -> Studen
 
 
 def fit_mle_student(blocks, init: StudentParams | None = None,
-                    opts: OptimizerOptions | None = None,
+                    min_obs: int = MIN_OBS,
                     spatial: bool = False) -> tuple[StudentParams, FitReport]:
     """Maximize the Laplace-approximate likelihood.
 
@@ -313,21 +307,15 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
     on a bound.  Raises ModeFindingError if the fit ends at a point
     whose mode search failed.
     """
-    opts = opts or DEFAULT_OPTS
-    n_obs = sum(b.m for b in blocks)
-    if n_obs < opts.min_obs:
-        raise InsufficientDataError(
-            f"{n_obs} observations < required minimum {opts.min_obs}")
-    values = np.concatenate([b.values for b in blocks if b.m > 0])
-    if float(np.ptp(values)) == 0.0:
-        raise InsufficientVarianceError("all window values identical")
+    n_obs = check_window(blocks, min_obs)
     nu0 = STUDENT_INIT_NU
     if init is None:
-        gfit, _ = fit_mle_gaussian(blocks, opts=opts, spatial=spatial)
+        gfit, _ = fit_mle_gaussian(blocks, min_obs=min_obs, spatial=spatial)
         # A near-interpolating Gaussian fit (sigma2 ~ 0) would hand the
         # mode search an un-evaluable start; floor the initial scale at
         # a small fraction of the data variance and let the optimizer
         # shrink it again from an evaluable point.
+        values = np.concatenate([b.values for b in blocks if b.m > 0])
         pooled = float(np.var(values, ddof=1))
         s2 = max(gfit.sigma2, 1e-3 * pooled) / nu_variance_factor(nu0)
         init = StudentParams(replace(gfit, sigma2=s2), nu0)
@@ -347,8 +335,7 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
     x0 = np.clip(_encode_student(init, spatial), lo, hi)
     res = minimize(
         objective, x0, method="L-BFGS-B", bounds=list(zip(lo, hi)),
-        options={"maxiter": opts.max_iter, "gtol": opts.grad_tol,
-                 "ftol": STEP_TOL, "eps": FD_EPS, "maxcor": 20},
+        options={**LBFGS_OPTIONS, "eps": FD_EPS},
     )
     if res.fun >= PENALTY:
         raise ModeFindingError("Student fit ended where the mode search fails",

@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,10 +43,9 @@ from .errors import (
     ModeFindingError,
 )
 from .gaussian import (
-    DEFAULT_OPTS,
+    MIN_OBS,
     FitReport,
     GaussianPredictive,
-    OptimizerOptions,
     YearBlock,
     degenerate_variance,
     fit_mle_gaussian,
@@ -83,7 +82,7 @@ class WindowSpec:
 
     x_win: float = 10.0
     t_win: float = month_halfwidth_days(3)
-    min_obs: int = 20
+    min_obs: int = MIN_OBS
 
     def __post_init__(self):
         if not (np.isfinite(self.x_win) and self.x_win > 0.0):
@@ -454,7 +453,7 @@ class ModelFamily:
 class ReferenceFamily(ModelFamily):
     """Fixed-shape reference covariance; the fit is the plug-in variance."""
 
-    def fit(self, blocks, opts):
+    def fit(self, blocks, min_obs):
         return ReferenceParams(reference_phi_hat(blocks)), None
 
     def predict(self, target, block, params):
@@ -489,8 +488,8 @@ class GaussianFamily(ModelFamily):
 
     spatial: bool
 
-    def fit(self, blocks, opts):
-        return fit_mle_gaussian(blocks, opts=opts, spatial=self.spatial)
+    def fit(self, blocks, min_obs):
+        return fit_mle_gaussian(blocks, min_obs=min_obs, spatial=self.spatial)
 
     def predict(self, target, block, params):
         return predict_gaussian(target, block, params, spatial=self.spatial)
@@ -529,8 +528,8 @@ class StudentFamily(ModelFamily):
 
     spatial: bool
 
-    def fit(self, blocks, opts):
-        return fit_mle_student(blocks, opts=opts, spatial=self.spatial)
+    def fit(self, blocks, min_obs):
+        return fit_mle_student(blocks, min_obs=min_obs, spatial=self.spatial)
 
     def predict(self, target, block, params):
         return predict_student(target, block, params, spatial=self.spatial)
@@ -595,14 +594,14 @@ def _status_for(exc: Exception) -> str:
 
 
 def fit_grid_point(data, center: SpaceTimePoint, variant: ModelVariant,
-                   spec: WindowSpec, opts: OptimizerOptions = DEFAULT_OPTS,
-                   alpha: float = 0.32) -> CellFit:
+                   spec: WindowSpec, alpha: float = 0.32) -> CellFit:
     """Fit one grid cell and predict every year at the cell center.
 
-    Failures are converted to statuses, never raised: a grid sweep
-    must not abort because one window is degenerate.  Reference-variant
-    cells skip maximum likelihood and use the fixed-shape covariance
-    with the windowed plug-in variance.
+    A MappingError or LinAlgError becomes a status, so a grid sweep does
+    not abort because one window is degenerate; an InvalidParameterError
+    and programming errors raise.  Reference-variant cells skip maximum
+    likelihood and use the fixed-shape covariance with the windowed
+    plug-in variance.
     """
     windowed = select_window(data, center, spec)
     n_obs = sum(b.m for b in windowed)
@@ -611,13 +610,12 @@ def fit_grid_point(data, center: SpaceTimePoint, variant: ModelVariant,
                        message=f"{n_obs} observations < minimum {spec.min_obs}")
     family = variant.family
     try:
-        params, report = family.fit(windowed,
-                                    replace(opts, min_obs=spec.min_obs))
+        params, report = family.fit(windowed, spec.min_obs)
         preds = tuple(family.predict_cell_year(center, block, params, alpha)
                       for block in windowed)
     except InvalidParameterError:
         raise
-    except Exception as exc:  # degenerate window; record, do not abort
+    except (MappingError, np.linalg.LinAlgError) as exc:  # degenerate window
         return CellFit(_status_for(exc), n_obs, message=str(exc))
     return CellFit("ok", n_obs, params=params, report=report, predictions=preds)
 
@@ -680,22 +678,27 @@ def _init_pool_worker(payload):
 
 
 def _run_cell(task):
-    """Fit one cell from the worker-global payload; never raises."""
+    """Fit one cell from the worker-global payload.
+
+    A MappingError or LinAlgError that escapes ``fit_grid_point``, such
+    as an InvalidParameterError, becomes an ``error`` cell; programming
+    errors raise.
+    """
     i, j, lat, lon = task
-    data, variant, spec, opts, alpha, eval_time = _PAYLOAD
+    data, variant, spec, alpha, eval_time = _PAYLOAD
     center = SpaceTimePoint(lat, lon, eval_time)
     start = time.perf_counter()
     try:
-        fit = fit_grid_point(data, center, variant, spec, opts, alpha)
-    except Exception as exc:
+        fit = fit_grid_point(data, center, variant, spec, alpha)
+    except (MappingError, np.linalg.LinAlgError) as exc:
         fit = CellFit("error", 0, message=f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - start
     return CellResult(i, j, lat, lon, fit, elapsed)
 
 
 def map_grid(data, grid: GridSpec, variant: ModelVariant, spec: WindowSpec,
-             opts: OptimizerOptions = DEFAULT_OPTS, alpha: float = 0.32,
-             n_workers: int = 1, fallback_nearest: bool = False) -> GridField:
+             alpha: float = 0.32, n_workers: int = 1,
+             fallback_nearest: bool = False) -> GridField:
     """Sweep the grid, fitting every unmasked cell independently.
 
     The numeric output is bitwise independent of ``n_workers``, of the
@@ -705,7 +708,7 @@ def map_grid(data, grid: GridSpec, variant: ModelVariant, spec: WindowSpec,
     index.  Per-cell wall times are recorded for diagnostics only.
     """
     tasks = list(grid.cells())
-    payload = (data, variant, spec, opts, alpha, grid.eval_time)
+    payload = (data, variant, spec, alpha, grid.eval_time)
     with single_blas_thread():
         if n_workers <= 1 or len(tasks) <= 1:
             _init_worker(payload)

@@ -451,7 +451,8 @@ def test_11_fit_cost_scales_like_dense_factorization(capsys):
     bound is applied to the full 100-to-400 span (between 4^2=16 and
     16^2=256), which keeps the check robust to constant per-call
     overhead at the small end; each single doubling must still fall in
-    a loose superlinear band.
+    a loose superlinear band.  Fits are timed in process CPU time,
+    which leaves out the time this process waits while others run.
     """
     true = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
     start = time.perf_counter()
@@ -464,9 +465,9 @@ def test_11_fit_cost_scales_like_dense_factorization(capsys):
                                     rng.uniform(-10, 10, m),
                                     rng.uniform(0.0, 91.0, m)])
             blocks = simulate_field(true, locs, 1, seed=50 + rep)
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             _, report = fit_mle_gaussian(blocks)
-            best = min(best, (time.perf_counter() - t0) / report.n_evals)
+            best = min(best, (time.process_time() - t0) / report.n_evals)
         per_eval[m] = best
     elapsed = time.perf_counter() - start
     r1 = per_eval[200] / per_eval[100]

@@ -179,6 +179,23 @@ class TestConfigLayering:
         with pytest.raises(SystemExit):
             make_parser().parse_args(["map", "--set", "no_such_key=1"])
 
+    def test_set_rejects_removed_optimizer_key(self, tmp_path, pipeline,
+                                               capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("map", "--profiles", pipeline["profiles"], *GRID_ARGS,
+                    "--out", tmp_path / "m", "--set", "max_iter=500")
+        assert exc.value.code == 2
+        assert "unknown config key 'max_iter'" in capsys.readouterr().err
+
+    def test_config_file_rejects_removed_optimizer_key(self, tmp_path,
+                                                       pipeline, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("grad_tol=1e-8\n", encoding="utf-8")
+        assert run_cli("map", "--config", path, "--profiles",
+                       pipeline["profiles"], *GRID_ARGS,
+                       "--out", tmp_path / "m") == 1
+        assert "unknown config key 'grad_tol'" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             make_parser().parse_args(["--version"])
@@ -343,6 +360,33 @@ class TestMapCommand:
         for name in ("prediction.csv", "variance.csv", "param_phi.csv",
                      "status.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_binary_grids_match_the_csv_files(self, tmp_path, pipeline):
+        mask = tmp_path / "mask.csv"
+        mask.write_text("lat,lon\n0.0,0.0\n", encoding="utf-8")
+        out = tmp_path / "bin"
+        assert run_cli("map", "--profiles", pipeline["profiles"],
+                       "--variant", 2, "--mask", mask, "--out", out,
+                       "--set", "lat_min=-1", "--set", "lat_max=0",
+                       "--set", "lon_min=-1", "--set", "lon_max=1",
+                       "--set", "write_binary=true") == 0
+        for name in ("prediction", "param_phi"):
+            meta = dict(line.split("=", 1) for line in
+                        (out / f"{name}.bin.txt").read_text().splitlines())
+            assert meta["dtype"] == "<f8" and meta["order"] == "row-major"
+            shape = (int(meta["n_lat"]), int(meta["n_lon"]))
+            assert shape == (2, 3)
+            arr = np.frombuffer((out / f"{name}.bin").read_bytes(),
+                                dtype="<f8").reshape(shape)
+            origin = float(meta["lat_min"]), float(meta["lon_min"])
+            step = float(meta["lat_step"]), float(meta["lon_step"])
+            expected = np.full(shape, np.nan)
+            rows = read_grid_csv(out / f"{name}.csv")
+            for lat, lon, value in rows:
+                expected[round((lat - origin[0]) / step[0]),
+                         round((lon - origin[1]) / step[1])] = value
+            assert len(rows) == 5 and np.isnan(expected[1, 1])
+            np.testing.assert_array_equal(arr, expected)
 
     def test_missing_eval_year_fails(self, tmp_path, pipeline, capsys):
         code = run_cli("map", "--profiles", pipeline["profiles"],
@@ -589,3 +633,19 @@ def test_cli_import_leaves_scipy_stats_unloaded():
          "import sys, mwgp.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_synthetic_pipeline_script_runs_every_stage(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(mwgp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "demo"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "synthetic_pipeline.py"),
+         "--out", str(out), "--seed", "7"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for stage in ("sim", "mean", "map", "cv", "cal", "lag"):
+        assert (out / stage / "manifest.json").exists(), stage

@@ -10,7 +10,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from mwgp.errors import (
     InvalidParameterError,
 )
 from mwgp.gaussian import (
-    DEFAULT_OPTS,
     GaussianPredictive,
     YearBlock,
     fit_mle_gaussian,
@@ -465,14 +463,15 @@ class TestModelFamily:
         assert fit.ok
 
         windowed = select_window(data, center, spec)
-        opts = replace(DEFAULT_OPTS, min_obs=spec.min_obs)
         sp = variant.spatial
         if vid == 1:
             params = ReferenceParams(reference_phi_hat(windowed))
         elif variant.nugget == "gaussian":
-            params, _ = fit_mle_gaussian(windowed, opts=opts, spatial=sp)
+            params, _ = fit_mle_gaussian(windowed, min_obs=spec.min_obs,
+                                         spatial=sp)
         else:
-            params, _ = fit_mle_student(windowed, opts=opts, spatial=sp)
+            params, _ = fit_mle_student(windowed, min_obs=spec.min_obs,
+                                        spatial=sp)
         assert fit.params == params
         assert len(fit.predictions) == len(windowed) == 2
         for block, cell in zip(windowed, fit.predictions):
@@ -761,6 +760,29 @@ print(field_.status_counts["ok"], hashlib.sha256(repr(fits).encode()).hexdigest(
         monkeypatch.setattr(GaussianFamily, "predict", broken)
         with pytest.raises(TypeError, match="injected"):
             map_grid(data, grid, VARIANTS[2], spec, fallback_nearest=True)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_programming_error_in_fit_raises(self, monkeypatch, n_workers):
+        def broken(self, blocks, min_obs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(GaussianFamily, "fit", broken)
+        data = gp_blocks(m=35, seed=9)
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, eval_time=45.5)
+        with pytest.raises(TypeError, match="injected"):
+            map_grid(data, grid, VARIANTS[2], self.SPEC, n_workers=n_workers)
+
+    def test_invalid_parameter_in_fit_becomes_error_cells(self, monkeypatch):
+        def broken(self, blocks, min_obs):
+            raise InvalidParameterError("injected")
+
+        monkeypatch.setattr(GaussianFamily, "fit", broken)
+        data = gp_blocks(m=35, seed=9)
+        grid = GridSpec(-1.0, 0.0, -1.0, 0.0, eval_time=45.5)
+        field_ = map_grid(data, grid, VARIANTS[2], self.SPEC)
+        assert field_.status_counts == {"error": 4}
+        assert all(r.fit.message == "InvalidParameterError: injected"
+                   for r in field_.ordered())
 
     def test_fallback_leaves_data_starved_cells_alone(self):
         data = gp_blocks(m=30, seed=31, span=2.0)
