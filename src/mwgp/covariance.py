@@ -161,10 +161,15 @@ def cov_matrix(points, params: CovParams, spatial: bool = False) -> np.ndarray:
     pts = as_point_array(points)
     if pts.shape[0] == 0:
         raise EmptyInputError("cov_matrix needs at least one point")
-    D = scaled_distance(sq_lag_matrices(pts), params, spatial)
+    return lag_kernel(sq_lag_matrices(pts), params, spatial)[0]
+
+
+def lag_kernel(sq_lags, params: CovParams, spatial: bool = False):
+    """(K, D): the kernel from precomputed squared lags, and its scaled distance."""
+    D = scaled_distance(sq_lags, params, spatial)
     K = params.phi * np.exp(-D)
     np.fill_diagonal(K, params.phi)
-    return K
+    return K, D
 
 
 def cross_cov_vector(target, points, params: CovParams, spatial: bool = False) -> np.ndarray:

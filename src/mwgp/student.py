@@ -7,12 +7,12 @@ damped Newton iteration and use the Laplace approximation both for the
 marginal likelihood and for prediction.
 
 The t log-density is not concave in f, so the negative Hessian W of
-the data term can go negative in the tails.  The Newton steps and the
-predictive-variance correction use W floored at zero (which keeps the
-inner system positive definite and makes heavily outlying observations
-drop out of the variance correction); the likelihood's curvature term
-uses the raw W, which is exactly the classic Laplace approximation and
-is guaranteed valid at a strict local maximum.
+the data term can go negative in the tails.  The damped Newton steps
+and the predictive-variance correction use W floored at zero (which
+keeps the inner system positive definite and makes heavily outlying
+observations drop out of the variance correction); the likelihood's
+curvature term and one last exact Newton step use the raw W, which is
+the classic Laplace approximation, valid at a strict local maximum.
 
 All mode-dependent algebra tracks the pair (f, a = K^-1 f) so that no
 solve against K alone — often near-singular for close points — is
@@ -23,8 +23,10 @@ Stirling's series, so it keeps full precision as nu grows.
 The fit runs L-BFGS-B on the Gaussian fit's log-parameters plus
 log(nu - 1), each held to within LOG_BAND of the window's default
 start, so every point it can reach decodes and evaluates without
-overflow.  The Gaussian-fit start is clipped into that box, and the
-final iterate itself is returned.
+overflow.  Its gradient is analytic (Rasmussen & Williams 2006, GPML
+5.5.1), through the LU of I + K W_raw that gives the log-determinant.
+The Gaussian-fit start is clipped into the box, and the final iterate
+itself is returned.
 
 A new observation is f_mean + sd Z + s T, a Gaussian scale mixture.
 Its CDF (the PIT) and its central intervals come from one fixed
@@ -39,10 +41,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dgetrf
 from scipy.optimize import minimize
 from scipy.special import digamma, ndtr, ndtri, polygamma, stdtrit
 
-from .covariance import CovParams, cov_matrix, cross_cov_vector
+from .covariance import CovParams, cov_matrix, cross_cov_vector, lag_kernel
 from .errors import InputError, InvalidParameterError, ModeFindingError
 from .gaussian import (
     LBFGS_OPTIONS,
@@ -53,16 +56,15 @@ from .gaussian import (
     YearBlock,
     _decode,
     _encode,
+    _Prepared,
     check_window,
     chol_spd,
     default_init,
     fit_mle_gaussian,
 )
 
-FD_EPS = 1e-6            # finite-difference step of the fit's gradient
 MODE_MAX_ITER = 60
-MODE_TOL = 1e-10         # target per-obs gradient norm in mode finding
-MODE_ACCEPT_TOL = 1e-8   # per-obs norm at which a capped search is accepted
+NEWTON_DECREMENT_TOL = 1e-13  # mode search stops at lambda^2 <= this * (1 + |Psi|)
 STUDENT_INIT_NU = 5.0
 LOG_BAND = 20.0          # fit box half-width around the default start, log units
 LAW_STEP = 0.1           # trapezoid step of the predictive law, standardized log G
@@ -122,6 +124,7 @@ class LaplaceState:
     a: np.ndarray          # K^-1 f_hat, tracked without solving against K
     psi: float             # data term + prior quadratic at the mode
     log_q: float           # Laplace marginal log-likelihood contribution
+    lu: tuple              # dgetrf factors (lu, piv) of I + K W_raw
     grad_norm: float
     iterations: int
 
@@ -152,6 +155,16 @@ def _t_log_const(sigma: float, nu: float) -> float:
     return c - math.log(sigma)
 
 
+def _t_log_const_dnu(nu: float) -> float:
+    """d/dnu of _t_log_const, each branch differentiated as written."""
+    if nu < 40.0:
+        return 0.5 * (digamma(0.5 * (nu + 1.0)) - digamma(0.5 * nu)) - 0.5 / nu
+    x = 0.5 * nu
+    dbinet = [-r * r * (1 / 12 - r * r * (1 / 120 - r * r * (1 / 252 - r * r / 240)))
+              for r in (1.0 / (x + 0.5), 1.0 / x)]
+    return 0.5 * (math.log1p(0.5 / x) - 0.5 / (x + 0.5) + dbinet[0] - dbinet[1])
+
+
 def _t_loglik(resid: np.ndarray, sigma: float, nu: float) -> float:
     z2 = resid * resid / (nu * sigma * sigma)
     return resid.size * _t_log_const(sigma, nu) - 0.5 * (nu + 1.0) * float(
@@ -170,71 +183,54 @@ def _t_w_raw(resid: np.ndarray, sigma: float, nu: float) -> np.ndarray:
 
 
 def _newton(y: np.ndarray, K: np.ndarray, sigma: float, nu: float,
-            f0: np.ndarray, a0: np.ndarray):
+            f: np.ndarray, a: np.ndarray):
     """Damped Newton ascent on Psi(f) = log p(y|f) - f'K^-1 f / 2.
 
     Returns (f, a, psi, grad_norm, iterations, converged).  The pair
     (f, a) always satisfies f = K a, so Psi and its gradient need no
-    solve against K.
+    solve against K.  It stops on the Newton decrement grad' df, which
+    stays scale-free where large W puts a gradient target below roundoff.
     """
-    m = y.size
-    f, a = f0.copy(), a0.copy()
     psi = _t_loglik(y - f, sigma, nu) - 0.5 * float(f @ a)
-    target = MODE_TOL * m
-    flat_steps = 0
     for it in range(MODE_MAX_ITER):
         g = _t_grad(y - f, sigma, nu)
         grad = g - a
         gn = float(np.linalg.norm(grad))
-        if gn <= target:
-            return f, a, psi, gn, it, True
         w = np.maximum(_t_w_raw(y - f, sigma, nu), 0.0)
         sw = np.sqrt(w)
-        B = np.eye(m) + sw[:, None] * K * sw[None, :]
+        B = np.eye(y.size) + sw[:, None] * K * sw[None, :]
         LB = sla.cholesky(B, lower=True, check_finite=False)
         b = w * f + g
         c = sla.cho_solve((LB, True), sw * (K @ b), check_finite=False)
         a_new = b - sw * c
         f_new = K @ a_new
         df, da = f_new - f, a_new - a
-        step, improved = 1.0, False
-        psi_full = None
+        if float(grad @ df) <= NEWTON_DECREMENT_TOL * (1.0 + abs(psi)):
+            return f, a, psi, gn, it, True
+        step = 1.0
         for _ in range(30):
             f_try = f + step * df
             a_try = a + step * da
             psi_try = _t_loglik(y - f_try, sigma, nu) - 0.5 * float(f_try @ a_try)
-            if psi_full is None:
-                psi_full = psi_try
             if psi_try > psi:
                 f, a, psi = f_try, a_try, psi_try
-                improved = True
                 break
             step *= 0.5
-        if improved:
-            flat_steps = 0
-            continue
-        # Near the optimum the per-step gain drops below double precision
-        # before the gradient target is met; the damped map is still a
-        # contraction there, so take the full step when Psi is equal
-        # within roundoff (a few times, never on a genuine decrease).
-        if psi_full >= psi - 1e-12 * (1.0 + abs(psi)) and flat_steps < 5:
-            f, a = f_new, a_new
-            psi = max(psi, psi_full)
-            flat_steps += 1
-            continue
-        break
-    g = _t_grad(y - f, sigma, nu)
-    gn = float(np.linalg.norm(g - a))
-    return f, a, psi, gn, MODE_MAX_ITER, gn <= MODE_ACCEPT_TOL * m
+        else:
+            return f, a, psi, gn, it, False
+    gn = float(np.linalg.norm(_t_grad(y - f, sigma, nu) - a))
+    return f, a, psi, gn, MODE_MAX_ITER, False
 
 
 def find_mode(block: YearBlock, params: StudentParams,
-              spatial: bool = False) -> LaplaceState:
+              spatial: bool = False, K: np.ndarray | None = None) -> LaplaceState:
     """Posterior mode of the latent GP values for one year block.
 
     Starts from the Gaussian-limit smoother (variance-matched nugget).
-    Raises ModeFindingError with the search's diagnostics if it does not
-    reach the acceptance gradient norm of MODE_ACCEPT_TOL * m.
+    ``K`` is the block's prior covariance, built here when not given.
+    Raises ModeFindingError with the search's diagnostics if the Newton
+    decrement does not reach its target, or if I + K W_raw has no
+    positive determinant at the mode.
     """
     if block.m == 0:
         raise InputError("find_mode needs at least one observation")
@@ -242,7 +238,8 @@ def find_mode(block: YearBlock, params: StudentParams,
     cov = params.cov
     sigma = math.sqrt(cov.sigma2)
     nu = params.nu
-    K = cov_matrix(block.points, cov, spatial)
+    if K is None:
+        K = cov_matrix(block.points, cov, spatial)
     m = block.m
 
     # Gaussian-limit start: kriging smoother with the t noise variance
@@ -257,30 +254,87 @@ def find_mode(block: YearBlock, params: StudentParams,
         raise ModeFindingError("Newton mode search did not converge",
                                diagnostics=diags, year_index=block.year)
 
-    resid = y - f
-    w_raw = _t_w_raw(resid, sigma, nu)
-    w = np.maximum(w_raw, 0.0)
-    sign, logdet = np.linalg.slogdet(np.eye(m) + K * w_raw[None, :])
-    if sign <= 0.0:
+    for polish in (True, False):
+        w_raw = _t_w_raw(y - f, sigma, nu)
+        lu, piv, _ = dgetrf(np.eye(m) + K * w_raw[None, :])
+        if not polish or w_raw.min() >= 0.0:
+            break
+        # Floored steps converge only linearly where W_raw < 0; one exact
+        # Newton step, (df, da) = (A^-1 K grad, A^-T grad), finishes.
+        grad = _t_grad(y - f, sigma, nu) - a
+        f_new = f + sla.lu_solve((lu, piv), K @ grad, check_finite=False)
+        a_new = a + sla.lu_solve((lu, piv), grad, trans=1, check_finite=False)
+        psi_new = _t_loglik(y - f_new, sigma, nu) - 0.5 * float(f_new @ a_new)
+        if psi_new < psi:
+            break
+        f, a, psi = f_new, a_new, psi_new
+        gn = float(np.linalg.norm(_t_grad(y - f, sigma, nu) - a))
+    if (-1) ** np.count_nonzero(piv != np.arange(m)) * np.prod(np.sign(np.diag(lu))) <= 0:
         raise ModeFindingError(
             "indefinite Laplace curvature at the returned mode",
             diagnostics=diags, year_index=block.year)
-    log_q = _t_loglik(resid, sigma, nu) - 0.5 * float(f @ a) - 0.5 * float(logdet)
-    return LaplaceState(f_hat=f, w=w, w_raw=w_raw, a=a, psi=psi, log_q=log_q,
-                        grad_norm=gn, iterations=it)
+    log_q = psi - 0.5 * float(np.sum(np.log(np.abs(np.diag(lu)))))
+    return LaplaceState(f_hat=f, w=np.maximum(w_raw, 0.0), w_raw=w_raw, a=a,
+                        psi=psi, log_q=log_q, lu=(lu, piv), grad_norm=gn, iterations=it)
+
+
+def _laplace(blocks, prepared: _Prepared, params: StudentParams, want_grad: bool):
+    """Laplace log marginal likelihood and, with ``want_grad``, its gradient.
+
+    The gradient is in the fit's coordinates (log phi, log ranges,
+    log sigma2, log(nu - 1)).  Per block, with A = I + K W_raw, C = A^-1 K,
+    R = W - W C W, s2 = -diag(C) dW/df / 2 and u = A^-T s2, a kernel
+    parameter adds sum((a a'/2 + sym(u a') - R/2) * dK) and a noise
+    parameter sum(d log p) - diag(C) . dW / 2 + s2' C dg, at fixed f.
+    """
+    spatial = prepared.spatial
+    cov, nu = params.cov, params.nu
+    s = nu * cov.sigma2
+    ranges = (cov.theta_lat, cov.theta_lon, cov.theta_t)[:2 if spatial else 3]
+    total = 0.0
+    grad = np.zeros(len(ranges) + 3)
+    for group in prepared.groups:
+        K, D = lag_kernel(group["sq_lags"], cov, spatial)
+        M = 0.0
+        for idx, y in group["ys"]:
+            state = find_mode(blocks[idx], params, spatial, K)
+            total += state.log_q
+            if not want_grad:
+                continue
+            a, w = state.a, state.w_raw
+            r = y - state.f_hat
+            den = s + r * r
+            C = sla.lu_solve(state.lu, K, check_finite=False)
+            dC = np.diag(C)
+            s2 = dC * (nu + 1.0) * r * (r * r - 3.0 * s) / den ** 3
+            u = sla.lu_solve(state.lu, s2, trans=1, check_finite=False)
+            M += np.outer(a, 0.5 * a + u) + 0.5 * (w[:, None] * C * w[None, :] - np.diag(w))
+            # (d log p, dW, dg) at fixed f through s = nu sigma2, for
+            # log sigma2 and then for nu, whose chain factor is nu - 1
+            dW_ds = (nu + 1.0) * (3.0 * r * r - s) / den ** 3
+            dg_ds = -(nu + 1.0) * r / den ** 2
+            z = r * r / den
+            dlp = [0.5 * (nu + 1.0) * z - 0.5, _t_log_const_dnu(nu)
+                   - 0.5 * np.log1p(r * r / s) + 0.5 * (nu + 1.0) / nu * z]
+            dW = np.array([s * dW_ds, w / (nu + 1.0) + cov.sigma2 * dW_ds])
+            dg = np.array([s * dg_ds, r / den + cov.sigma2 * dg_ds])
+            grad[-2:] += [1.0, nu - 1.0] * (np.sum(dlp, axis=1) - 0.5 * dW @ dC + dg @ (K @ u))
+        if want_grad:
+            P = M * K
+            grad[0] += float(np.sum(P))
+            P /= np.where(D > 0.0, D, 1.0)
+            for k, (theta, sq) in enumerate(zip(ranges, group["sq_lags"]), 1):
+                grad[k] += float(np.sum(P * sq)) / theta ** 2
+    return total, grad
 
 
 def laplace_loglik(blocks, params: StudentParams, spatial: bool = False) -> float:
     """Laplace-approximate log marginal likelihood, summed over blocks.
 
-    Empty blocks contribute exactly zero.
+    Empty blocks contribute exactly zero.  The value is the fit
+    objective's, bit for bit.
     """
-    total = 0.0
-    for b in blocks:
-        if b.m == 0:
-            continue
-        total += find_mode(b, params, spatial).log_q
-    return total
+    return _laplace(blocks, _Prepared(blocks, spatial), params, False)[0]
 
 
 def _encode_student(params: StudentParams, spatial: bool) -> np.ndarray:
@@ -297,7 +351,7 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
     """Maximize the Laplace-approximate likelihood.
 
     L-BFGS-B on (log phi, log ranges, log sigma2, log(nu - 1)) with
-    forward finite-difference gradients, each coordinate bounded to
+    the analytic Laplace gradient, each coordinate bounded to
     within LOG_BAND of the window's default start (``default_init`` at
     nu = STUDENT_INIT_NU).  When no init is given the covariance
     initialization comes from a Gaussian-nugget fit, with the t scale
@@ -322,21 +376,21 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
     center = _encode_student(StudentParams(default_init(blocks), nu0), spatial)
     lo, hi = center - LOG_BAND, center + LOG_BAND
 
+    prepared = _Prepared(blocks, spatial)
     failures = [0]
 
     def objective(x):
         try:
-            return -laplace_loglik(blocks, _decode_student(x, init.cov, spatial),
-                                   spatial)
+            value, grad = _laplace(blocks, prepared,
+                                   _decode_student(x, init.cov, spatial), True)
         except (ModeFindingError, sla.LinAlgError):
             failures[0] += 1
-            return PENALTY
+            return PENALTY, np.zeros_like(x)
+        return -value, -grad
 
     x0 = np.clip(_encode_student(init, spatial), lo, hi)
-    res = minimize(
-        objective, x0, method="L-BFGS-B", bounds=list(zip(lo, hi)),
-        options={**LBFGS_OPTIONS, "eps": FD_EPS},
-    )
+    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                   bounds=list(zip(lo, hi)), options=LBFGS_OPTIONS)
     if res.fun >= PENALTY:
         raise ModeFindingError("Student fit ended where the mode search fails",
                                diagnostics={"n_failures": failures[0]})
@@ -373,12 +427,13 @@ def predict_student(target, block: YearBlock, params: StudentParams,
     cov = params.cov
     if block.m == 0:
         return StudentPredictive(0.0, cov.phi, math.sqrt(cov.sigma2), params.nu)
+    K = cov_matrix(block.points, cov, spatial)
     if state is None:
-        state = find_mode(block, params, spatial)
+        state = find_mode(block, params, spatial, K)
     k_star = cross_cov_vector(target, block.points, cov, spatial)
     f_mean = float(k_star @ state.a)
     sw = np.sqrt(state.w)
-    B = np.eye(block.m) + sw[:, None] * cov_matrix(block.points, cov, spatial) * sw[None, :]
+    B = np.eye(block.m) + sw[:, None] * K * sw[None, :]
     LB = sla.cholesky(B, lower=True, check_finite=False)
     v = sla.solve_triangular(LB, sw * k_star, lower=True, check_finite=False)
     f_var = cov.phi - float(v @ v)

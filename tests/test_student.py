@@ -18,7 +18,14 @@ from scipy.special import ndtri, stdtrit
 import mwgp.student
 from mwgp.covariance import CovParams, SpaceTimePoint, cov_matrix, cross_cov_vector
 from mwgp.errors import InsufficientDataError, InvalidParameterError, ModeFindingError
-from mwgp.gaussian import PENALTY, YearBlock, default_init, gauss_loglik, predict_gaussian
+from mwgp.gaussian import (
+    PENALTY,
+    YearBlock,
+    _Prepared,
+    default_init,
+    gauss_loglik,
+    predict_gaussian,
+)
 from mwgp.student import (
     LOG_BAND,
     STUDENT_INIT_NU,
@@ -28,6 +35,7 @@ from mwgp.student import (
     fit_mle_student,
     laplace_loglik,
     _decode_student,
+    _laplace,
     _encode_student,
     _t_log_const,
     nu_variance_factor,
@@ -113,6 +121,22 @@ class TestFindMode:
                                        block.values)
         np.testing.assert_allclose(state.f_hat, expected, rtol=1e-4, atol=1e-6)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_interpolating_mode_is_found(self, seed):
+        # sigma ~ 0.007 and nu on the fit's upper bound: W ~ 1e4 puts a
+        # per-observation gradient target below roundoff, while the
+        # Newton decrement still sees the mode.
+        cov = CovParams(1.0, 3.0, 5.0, 5.0, 5e-5)
+        rng = np.random.default_rng(seed)
+        locs = np.column_stack([rng.uniform(-6, 6, 40), rng.uniform(-6, 6, 40),
+                                rng.uniform(0, 60, 40)])
+        block = simulate_field(cov, locs, 1, seed=seed)[0]
+        state = find_mode(block, StudentParams(cov, 1.9e9))
+        K = cov_matrix(block.points, cov)
+        smoother = K @ np.linalg.solve(K + cov.sigma2 * np.eye(40), block.values)
+        assert np.linalg.norm(state.f_hat - smoother) <= \
+            1e-10 * np.linalg.norm(smoother)
+
     def test_outlier_curvature_floored(self):
         heavy = StudentParams(CovParams(1.0, 2.0, 3.0, 6.0, 0.5), nu=3.0)
         block = YearBlock(0, [0.0, 40.0], [0.0, 60.0], [0.0, 0.0], [0.5, 50.0])
@@ -155,6 +179,34 @@ class TestLaplaceLoglik:
         assert errors[2.0] < 0.25
         assert errors[128.0] < 2e-2
         assert errors[128.0] < errors[2.0] / 3.0
+
+
+class TestLaplaceGradient:
+    """The analytic gradient against central differences of laplace_loglik."""
+
+    @pytest.mark.parametrize("spatial", [True, False])
+    @pytest.mark.parametrize("nu", [1.5, 3.0, 8.0, 60.0, 1e4, 1e7])
+    def test_matches_central_differences(self, spatial, nu):
+        params = StudentParams(CovParams(1.0, 2.0, 3.0, 6.0, 0.3), nu)
+        x = _encode_student(params, spatial)
+        h = 1e-4
+        negative_w = 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            blocks = [random_block(rng, 15, year=0), random_block(rng, 12, year=1)]
+            blocks[0].values[3] += 8.0  # an outlier
+            _, grad = _laplace(blocks, _Prepared(blocks, spatial), params, True)
+            fd = np.empty_like(x)
+            for i in range(x.size):
+                step = h * np.eye(x.size)[i]
+                up, down = (laplace_loglik(blocks, _decode_student(x + d, params.cov,
+                                                                   spatial), spatial)
+                            for d in (step, -step))
+                fd[i] = (up - down) / (2.0 * h)
+            assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(grad))
+            negative_w += sum(int(np.sum(find_mode(b, params, spatial).w_raw < 0.0))
+                              for b in blocks)
+        assert (negative_w > 0) == (nu <= 8.0)
 
 
 class TestTNormalizer:
@@ -257,7 +309,8 @@ class TestFitMleStudent:
     def test_a_parameter_left_on_a_bound_is_named(self, monkeypatch):
         # Every observation shares one longitude, so the likelihood
         # ignores theta_lon; a start beyond the box is clipped onto its
-        # upper bound and stays there.
+        # upper bound and stays there.  The fit also runs to the
+        # Gaussian limit, nu's upper bound, with sigma2 ~ 1.5e-7.
         truth = StudentParams(CovParams(1.0, 3.0, 5.0, 5.0, 0.5), nu=4.0)
         rng = np.random.default_rng(3)
         locs = np.column_stack([rng.uniform(-6, 6, 40), np.full(40, 2.0),
@@ -265,7 +318,7 @@ class TestFitMleStudent:
         blocks = simulate_field(truth, locs, 2, seed=3)
         init = StudentParams(replace(truth.cov, theta_lon=5.0 * math.exp(30.0)), 4.0)
         res, fitted, report = self._spied_fit(monkeypatch, blocks=blocks, init=init)
-        assert report.message == str(res.message) + "; at upper bound: theta_lon"
+        assert report.message == str(res.message) + "; at upper bound: theta_lon, nu"
         assert report.converged == res.success
         hi = math.log(default_init(blocks).theta_lon) + LOG_BAND
         assert fitted.cov.theta_lon == math.exp(hi)
@@ -288,8 +341,8 @@ class TestFitMleStudent:
 
     @pytest.mark.parametrize("spatial", [True, False])
     def test_every_box_corner_evaluates_without_warnings(self, spatial):
-        # Each corner either scores finitely or fails its mode search
-        # cleanly; none under- or overflows.
+        # Each corner either scores finitely, with a finite gradient, or
+        # fails its mode search cleanly; none under- or overflows.
         block = random_block(np.random.default_rng(11), 30)
         template = default_init([block])
         center = _encode_student(StudentParams(template, STUDENT_INIT_NU), spatial)
@@ -300,12 +353,14 @@ class TestFitMleStudent:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    value = laplace_loglik([block], params, spatial)
+                    value, grad = _laplace([block], _Prepared([block], spatial),
+                                           params, True)
                 except ModeFindingError:
                     continue
-            assert math.isfinite(value)
+            assert math.isfinite(value) and np.all(np.isfinite(grad))
+            assert value == laplace_loglik([block], params, spatial)
             finite += 1
-        assert finite > 0
+        assert finite >= 2 ** center.size - 2
 
     @pytest.mark.slow
     def test_full_scale_recovery_study(self):
