@@ -43,9 +43,9 @@ from .ingest import (
     MeanField,
     MeanFieldConfig,
     ProfileRecord,
+    ProfileTable,
     apply_filters,
     estimate_mean_field,
-    interpolate_to_pressure,
     load_mask,
     parse_profiles,
     profiles_to_level,

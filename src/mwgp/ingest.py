@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, count, islice
+from operator import ne
 
 import numpy as np
 
@@ -33,6 +36,7 @@ MEAN_COEF_HEADER = ["lat", "lon", "coef_name", "coef_value"]
 MASK_HEADER = ["lat", "lon"]
 
 FLOAT_FMT = "%.17g"
+CHUNK_ROWS = 8192  # profile CSV rows converted per pass
 
 SPATIAL_COEF_NAMES = ("intercept", "dlat", "dlon", "dlat2", "dlon2", "dlat_dlon")
 
@@ -61,13 +65,53 @@ class ProfileRecord:
             raise InvalidParameterError("profile pressures must strictly increase")
         object.__setattr__(self, "levels", levels)
 
-    @property
-    def pressures(self) -> np.ndarray:
-        return np.array([p for p, _ in self.levels])
 
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.levels])
+@dataclass(eq=False)
+class ProfileTable(Sequence):
+    """Profiles as columns, a sequence of ``ProfileRecord`` built on demand.
+
+    Per profile: source_ids (a list), lat, wrapped lon, year and day;
+    profile k's levels are rows offsets[k]:offsets[k + 1] of pressure
+    and value.
+    """
+
+    source_ids: list
+    lat: np.ndarray
+    lon: np.ndarray
+    year: np.ndarray
+    day: np.ndarray
+    offsets: np.ndarray
+    pressure: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "ProfileTable":
+        recs = list(records)
+        levels = np.array([lv for r in recs for lv in r.levels]).reshape(-1, 2)
+        return cls([r.source_id for r in recs], *(np.array(
+            [getattr(r, a) for r in recs], np.int64 if a == "year" else float)
+            for a in ("lat", "lon", "year", "day")),
+            np.cumsum([0] + [len(r.levels) for r in recs]), *levels.T)
+
+    def __len__(self) -> int:
+        return len(self.source_ids)
+
+    def __getitem__(self, k) -> ProfileRecord:
+        k = range(len(self))[k]
+        rows = slice(self.offsets[k], self.offsets[k + 1])
+        return ProfileRecord(
+            self.source_ids[k], float(self.lat[k]), float(self.lon[k]),
+            int(self.year[k]), float(self.day[k]),
+            tuple(zip(self.pressure[rows].tolist(), self.value[rows].tolist())))
+
+    def subset(self, keep) -> "ProfileTable":
+        """The profiles where the boolean array ``keep`` holds, in order."""
+        counts = np.diff(self.offsets)
+        rows = np.repeat(keep, counts)
+        return ProfileTable(
+            list(compress(self.source_ids, keep)), self.lat[keep], self.lon[keep],
+            self.year[keep], self.day[keep], np.cumsum(np.r_[0, counts[keep]]),
+            self.pressure[rows], self.value[rows])
 
 
 def _parse_float(text: str, name: str, line_number: int,
@@ -84,8 +128,8 @@ def _parse_float(text: str, name: str, line_number: int,
 
 def _parse_int(text: str, name: str, line_number: int) -> int:
     try:
-        return int(text)
-    except ValueError:
+        return int(np.int64(int(text)))
+    except (ValueError, OverflowError):
         raise SchemaError(f"field {name} is not an integer: {text!r}",
                           line_number) from None
 
@@ -109,64 +153,89 @@ def _data_rows(rows, n_fields: int, start: int = 2):
         yield line_number, row
 
 
-def parse_profiles(path) -> list[ProfileRecord]:
+def _columns(rows, start: int):
+    """Columns and line numbers of a chunk's non-blank rows, the first
+    at line ``start``; ValueError or OverflowError at a row-level fault."""
+    filled = [any(map(str.strip, row)) for row in rows]
+    rows = list(compress(rows, filled))
+    if set(map(len, rows)) - {len(PROFILE_HEADER)}:
+        raise ValueError("field count")
+    cols = list(zip(*rows)) or [()] * len(PROFILE_HEADER)
+    sids = list(map(str.strip, cols[0]))
+    lat, lon, day, pressure, value = (np.fromiter(
+        map(float, cols[c]), float, len(rows)) for c in (1, 2, 4, 5, 6))
+    if not all(sids) or not np.isfinite([lat, lon, day, pressure, value]).all():
+        raise ValueError("empty or non-finite field")
+    return (sids, lat, lon, np.fromiter(map(int, cols[3]), np.int64, len(rows)),
+            day, pressure, value, np.flatnonzero(filled) + start)
+
+
+def _chunk(rows, start: int):
+    """``_columns`` cut before the first row a row-by-row check rejects,
+    plus that check's SchemaError (None for a clean chunk)."""
+    try:
+        return (*_columns(rows, start), None)
+    except (ValueError, OverflowError):
+        pass
+    try:
+        for n, row in _data_rows(rows, len(PROFILE_HEADER), start):
+            if not row[0].strip():
+                raise SchemaError("empty source_id", n)
+            for text, name in zip(row[1:], PROFILE_HEADER[1:]):
+                (_parse_int if name == "year" else _parse_float)(text, name, n)
+    except SchemaError as exc:
+        return (*_columns(rows[:exc.line_number - start], start), exc)
+
+
+def parse_profiles(path) -> ProfileTable:
     """Read the profile CSV; strict schema, line-numbered rejections.
 
     A profile is a maximal run of rows sharing (source_id, lat, lon,
     year, day); its pressures must strictly increase and a profile key
-    must not reappear after its run ends.  A zero-byte file parses to
-    an empty list.
+    must not reappear after its run ends.  Rows stream in chunks of
+    CHUNK_ROWS, converted column by column with Python's float/int.
+    The fault a row-by-row reader meets first is raised; it meets a
+    latitude outside [-90, 90], named at the profile's first line,
+    where the profile ends.  A zero-byte file gives an empty table.
     """
-    records: list[ProfileRecord] = []
-    seen_keys = set()
-    current_key = None
-    current_meta = None
-    current_levels: list[tuple] = []
-    start_line = 0
-
-    def flush():
-        if current_key is None:
-            return
-        try:
-            records.append(ProfileRecord(*current_meta, tuple(current_levels)))
-        except InvalidParameterError as exc:
-            raise SchemaError(str(exc), start_line) from None
-        seen_keys.add(current_key)
-
+    chunks = [_chunk([], 2)]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return records
-        _check_header(header, PROFILE_HEADER)
-        for line_number, row in _data_rows(reader, len(PROFILE_HEADER)):
-            sid = row[0].strip()
-            if not sid:
-                raise SchemaError("empty source_id", line_number)
-            lat = _parse_float(row[1], "lat", line_number)
-            lon = _parse_float(row[2], "lon", line_number)
-            year = _parse_int(row[3], "year", line_number)
-            day = _parse_float(row[4], "day", line_number)
-            pressure = _parse_float(row[5], "pressure_db", line_number)
-            value = _parse_float(row[6], "temp_c", line_number)
-            key = (sid, lat, lon, year, day)
-            if key != current_key:
-                flush()
-                if key in seen_keys:
-                    raise SchemaError(
-                        "profile rows are not contiguous for "
-                        f"source_id {sid!r}", line_number)
-                current_key = key
-                current_meta = (sid, lat, lon, year, day)
-                current_levels = []
-                start_line = line_number
-            if current_levels and pressure <= current_levels[-1][0]:
-                raise SchemaError(
-                    f"pressure not strictly increasing ({pressure} after "
-                    f"{current_levels[-1][0]})", line_number)
-            current_levels.append((pressure, value))
-    flush()
-    return records
+        for header in islice(reader, 1):
+            _check_header(header, PROFILE_HEADER)
+        chunk_lines = count(2, CHUNK_ROWS)
+        while chunks[-1][-1] is None and (
+                rows := list(islice(reader, CHUNK_ROWS))):
+            chunks.append(_chunk(rows, next(chunk_lines)))
+    sids = [s for c in chunks for s in c[0]]
+    lat, lon, year, day, pressure, value, lines = (
+        np.concatenate([c[k] for c in chunks]) for k in range(1, 8))
+    new = np.ones(len(sids), dtype=bool)  # a profile starts: the key changes
+    new[1:] = list(map(ne, sids[1:], sids[:-1]))
+    for c in (lat, lon, year, day):
+        new[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new)
+    first, ids = lines[starts].tolist() + [math.inf], [sids[k] for k in starts]
+    seen: dict = {}
+    keys = zip(ids, *(c[starts].tolist() for c in (lat, lon, year, day)))
+    dup = [k for k, key in enumerate(keys) if seen.setdefault(key, k) != k]
+    bad_p = np.flatnonzero(~new & (pressure <= np.r_[0.0, pressure[:-1]]))
+    # (line a row-by-row reader meets the fault at, order on that line, fault)
+    faults = [(f.line_number, 0, f) for f in [chunks[-1][-1]] if f] + [
+        (first[k + 1], 1, SchemaError(f"profile latitude outside [-90, 90]: "
+                                      f"{lat[starts[k]]}", first[k]))
+        for k in np.flatnonzero(np.abs(lat[starts]) > 90.0)[:1]] + [
+        (first[k], 2, SchemaError("profile rows are not contiguous for "
+                                  f"source_id {ids[k]!r}", first[k]))
+        for k in dup[:1]] + [
+        (lines[i], 3, SchemaError(f"pressure not strictly increasing "
+                                  f"({pressure[i]} after {pressure[i - 1]})",
+                                  int(lines[i]))) for i in bad_p[:1]]
+    if faults:
+        raise min(faults, key=lambda f: f[:2])[2]
+    return ProfileTable(ids, lat[starts], wrap_lon(lon[starts]), year[starts],
+                        day[starts], np.append(starts, new.size), pressure,
+                        value)
 
 
 def write_profiles(records, path) -> None:
@@ -187,34 +256,32 @@ def write_profiles(records, path) -> None:
                 ])
 
 
-def interpolate_to_pressure(profile: ProfileRecord, level: float) -> float | None:
-    """Linear vertical interpolation; None outside the sampled range.
+def profiles_to_level(table: ProfileTable, level: float) -> list[YearBlock]:
+    """Reduce each profile to one observation at a pressure level.
 
-    An exact node match returns the recorded value; no extrapolation.
+    Linear in pressure and bitwise equal to ``np.interp``: an exact node
+    gives its value, else (v[j+1] - v[j]) / (p[j+1] - p[j]) * (level -
+    p[j]) + v[j].  Profiles not spanning the level are dropped.  Blocks
+    come per year, ascending, rows in input order, with source ids.
     """
     if not level > 0.0:
         raise InvalidParameterError(f"pressure level must be > 0, got {level}")
-    pressures = profile.pressures
-    if level < pressures[0] or level > pressures[-1]:
-        return None
-    return float(np.interp(level, pressures, profile.values))
-
-
-def profiles_to_level(records, level: float) -> list[YearBlock]:
-    """Reduce each profile to one observation at a pressure level.
-
-    Profiles not sampling the level are dropped.  Observations are
-    grouped into per-year blocks, years ascending and rows within a
-    year in input order, with their source ids.
-    """
-    by_year: dict[int, list] = {}
-    for rec in records:
-        value = interpolate_to_pressure(rec, level)
-        if value is not None:
-            by_year.setdefault(rec.year, []).append(
-                (rec.lat, rec.lon, rec.day, value, rec.source_id))
-    return [YearBlock(year, *map(np.array, zip(*by_year[year])))
-            for year in sorted(by_year)]
+    p, v, off = table.pressure, table.value, table.offsets
+    n_below = np.diff(np.r_[0, np.cumsum(p <= level)][off])
+    spans = (n_below > 0) & (p[off[1:] - 1] >= level)
+    j = (off[:-1] + n_below - 1)[spans]
+    out, lin = v[j], p[j] != level
+    j = j[lin]
+    out[lin] = (v[j + 1] - v[j]) / (p[j + 1] - p[j]) * (level - p[j]) + v[j]
+    idx = np.flatnonzero(spans)
+    blocks = []
+    for year in np.unique(table.year[idx]):
+        sel = table.year[idx] == year
+        rows = idx[sel]
+        blocks.append(YearBlock(
+            int(year), table.lat[rows], table.lon[rows], table.day[rows],
+            out[sel], np.array([table.source_ids[k] for k in rows])))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -328,6 +395,14 @@ class MeanField:
         return out
 
 
+def _nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest distances, nearest first, ties to the
+    lower index: ``np.argsort(d, kind="stable")[:k]`` sorting only what
+    lies at or inside the k-th distance."""
+    near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+    return near[np.argsort(d[near], kind="stable")[:k]]
+
+
 MEAN_RIDGE = 1e-8  # rank-deficient designs: relative to mean diagonal + 1
 
 
@@ -336,7 +411,7 @@ def estimate_mean_field(blocks, grid: GridSpec,
     """Weighted local least squares of the mean basis at every cell.
 
     Each cell is fit to its ``n_neighbors`` nearest observations of the
-    year blocks, taken in block order, under the plain (non-elongated)
+    year blocks (``_nearest``) under the plain (non-elongated)
     great-circle-style distance, weighted by exp(-(d/L)^2).
     Rank-deficient designs fall back to a scale-free ridge and flag
     the cell.
@@ -353,7 +428,7 @@ def estimate_mean_field(blocks, grid: GridSpec,
     ridge_cells = set()
     for i, j, clat, clon in grid.cells():
         d = rg_distances(clat, clon, lat, lon, tropic=False)
-        idx = np.argsort(d, kind="stable")[:config.n_neighbors]
+        idx = _nearest(d, config.n_neighbors)
         w = np.exp(-((d[idx] / config.weight_scale_km) ** 2))
         X = _basis(lat[idx] - clat, wrap_dlon(lon[idx] - clon), t[idx],
                    config.n_harmonics)
@@ -416,31 +491,25 @@ def load_mask(path) -> frozenset:
     return frozenset(cells)
 
 
-def apply_filters(records, time_window=None, mask=frozenset(),
-                  cell_size: float = 1.0) -> list:
-    """Keep records inside the calendar window and outside masked cells.
+def apply_filters(table: ProfileTable, time_window=None, mask=frozenset(),
+                  cell_size: float = 1.0) -> ProfileTable:
+    """Keep profiles inside the calendar window and outside masked cells.
 
     ``time_window`` is a closed (first day, last day) interval applied
     within each year.  Each mask entry excludes the cell_size box
     centered on it (closed bounds).
     """
+    keep = np.ones(len(table), dtype=bool)
     if time_window is not None:
         lo, hi = time_window
         if hi < lo:
             raise InvalidParameterError("time window end precedes start")
+        keep &= (lo <= table.day) & (table.day <= hi)
     half = cell_size / 2.0
-    mask_arr = np.array(sorted(mask)) if mask else None
-    out = []
-    for rec in records:
-        if time_window is not None and not (lo <= rec.day <= hi):
-            continue
-        if mask_arr is not None:
-            inside = (np.abs(rec.lat - mask_arr[:, 0]) <= half) & \
-                (np.abs(wrap_dlon(rec.lon - mask_arr[:, 1])) <= half)
-            if bool(np.any(inside)):
-                continue
-        out.append(rec)
-    return out
+    for mask_lat, mask_lon in mask:
+        keep &= ~((np.abs(table.lat - mask_lat) <= half)
+                  & (np.abs(wrap_dlon(table.lon - mask_lon)) <= half))
+    return table.subset(keep)
 
 
 def write_mean_field(mean: MeanField, path) -> None:
@@ -521,8 +590,11 @@ def read_mean_field(path) -> MeanField:
                     min(np.diff(lats), default=1.0),
                     min(np.diff(lons), default=1.0))
     by_cell: dict = {}
+    centers: dict = {}  # each distinct center resolved once, at its first line
     for k, lat, lon, name, value in entries:
-        by_cell.setdefault(_cell_for(grid, lat, lon, k), {})[name] = value
+        ij = centers.get((lat, lon)) or centers.setdefault(
+            (lat, lon), _cell_for(grid, lat, lon, k))
+        by_cell.setdefault(ij, {})[name] = value
     names = (coef_names(max_harmonic) if header == MEAN_COEF_HEADER
              else ["intercept"])
     coefs = {ij: np.array([c.get(name, 0.0) for name in names])

@@ -8,6 +8,7 @@ is evidence, not circularity.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -28,8 +29,21 @@ from mwgp.covariance import (
     wrap_dlon,
     wrap_lon,
 )
-from mwgp.errors import InputError, InvalidParameterError, MappingError
+from mwgp.errors import (
+    InputError,
+    InvalidParameterError,
+    MappingError,
+    SchemaError,
+)
 from mwgp.gaussian import YearBlock
+from mwgp.ingest import (
+    PROFILE_HEADER,
+    ProfileRecord,
+    _check_header,
+    _data_rows,
+    _parse_float,
+    _parse_int,
+)
 from mwgp.student import StudentPredictive
 from mwgp.validation import (
     CVRecord,
@@ -349,6 +363,115 @@ def subtract_mean_loop(blocks, mean, mode="spatio-temporal", eval_time=None):
                 (lat, lon, day, b.values[k] - mu, b.source_ids[k]))
     return ([YearBlock(year, *map(np.array, zip(*rows)))
              for year, rows in sorted(by_year.items())], n_excluded)
+
+
+def parse_profiles_rows(path) -> list[ProfileRecord]:
+    """Read the profile CSV one row at a time into ``ProfileRecord``s.
+
+    The row-parser oracle for the columnar ``ingest.parse_profiles``: a
+    profile is flushed (and its latitude checked) when the next key
+    starts or the file ends, and the first fault met raises.
+    """
+    records: list[ProfileRecord] = []
+    seen_keys = set()
+    current_key = None
+    current_meta = None
+    current_levels: list[tuple] = []
+    start_line = 0
+
+    def flush():
+        if current_key is None:
+            return
+        try:
+            records.append(ProfileRecord(*current_meta, tuple(current_levels)))
+        except InvalidParameterError as exc:
+            raise SchemaError(str(exc), start_line) from None
+        seen_keys.add(current_key)
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return records
+        _check_header(header, PROFILE_HEADER)
+        for line_number, row in _data_rows(reader, len(PROFILE_HEADER)):
+            sid = row[0].strip()
+            if not sid:
+                raise SchemaError("empty source_id", line_number)
+            lat = _parse_float(row[1], "lat", line_number)
+            lon = _parse_float(row[2], "lon", line_number)
+            year = _parse_int(row[3], "year", line_number)
+            day = _parse_float(row[4], "day", line_number)
+            pressure = _parse_float(row[5], "pressure_db", line_number)
+            value = _parse_float(row[6], "temp_c", line_number)
+            key = (sid, lat, lon, year, day)
+            if key != current_key:
+                flush()
+                if key in seen_keys:
+                    raise SchemaError(
+                        "profile rows are not contiguous for "
+                        f"source_id {sid!r}", line_number)
+                current_key = key
+                current_meta = (sid, lat, lon, year, day)
+                current_levels = []
+                start_line = line_number
+            if current_levels and pressure <= current_levels[-1][0]:
+                raise SchemaError(
+                    f"pressure not strictly increasing ({pressure} after "
+                    f"{current_levels[-1][0]})", line_number)
+            current_levels.append((pressure, value))
+    flush()
+    return records
+
+
+def interpolate_to_pressure(profile: ProfileRecord, level: float) -> float | None:
+    """Linear vertical interpolation by ``np.interp``; None outside the range."""
+    if not level > 0.0:
+        raise InvalidParameterError(f"pressure level must be > 0, got {level}")
+    pressures = np.array([p for p, _ in profile.levels])
+    if level < pressures[0] or level > pressures[-1]:
+        return None
+    return float(np.interp(level, pressures,
+                           np.array([v for _, v in profile.levels])))
+
+
+def profiles_to_level_loop(records, level: float) -> list[YearBlock]:
+    """Per-record oracle for ``ingest.profiles_to_level``."""
+    by_year: dict[int, list] = {}
+    for rec in records:
+        value = interpolate_to_pressure(rec, level)
+        if value is not None:
+            by_year.setdefault(rec.year, []).append(
+                (rec.lat, rec.lon, rec.day, value, rec.source_id))
+    return [YearBlock(year, *map(np.array, zip(*by_year[year])))
+            for year in sorted(by_year)]
+
+
+def apply_filters_loop(records, time_window=None, mask=frozenset(),
+                       cell_size: float = 1.0) -> list:
+    """Per-record oracle for ``ingest.apply_filters``."""
+    if time_window is not None:
+        lo, hi = time_window
+        if hi < lo:
+            raise InvalidParameterError("time window end precedes start")
+    half = cell_size / 2.0
+    mask_arr = np.array(sorted(mask)) if mask else None
+    out = []
+    for rec in records:
+        if time_window is not None and not (lo <= rec.day <= hi):
+            continue
+        if mask_arr is not None:
+            inside = (np.abs(rec.lat - mask_arr[:, 0]) <= half) & \
+                (np.abs(wrap_dlon(rec.lon - mask_arr[:, 1])) <= half)
+            if bool(np.any(inside)):
+                continue
+        out.append(rec)
+    return out
+
+
+def nearest_argsort(d, k: int) -> np.ndarray:
+    """Oracle for ``ingest._nearest``: the stable full sort's prefix."""
+    return np.argsort(d, kind="stable")[:k]
 
 
 @pytest.fixture

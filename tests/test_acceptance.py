@@ -24,6 +24,7 @@ from mwgp.covariance import (
     rg_shape,
     rg_tropic_factor,
 )
+from mwgp import gaussian
 from mwgp.gaussian import YearBlock, fit_mle_gaussian, gauss_loglik, predict_gaussian
 from mwgp.student import (
     StudentParams,
@@ -451,23 +452,28 @@ def test_11_fit_cost_scales_like_dense_factorization(capsys):
     bound is applied to the full 100-to-400 span (between 4^2=16 and
     16^2=256), which keeps the check robust to constant per-call
     overhead at the small end; each single doubling must still fall in
-    a loose superlinear band.  Fits are timed in process CPU time,
-    which leaves out the time this process waits while others run.
+    a loose superlinear band.  Each size times the fit's objective
+    (``gaussian._nll`` with its gradient) at one fixed parameter point,
+    and keeps the least process CPU time of many evaluations: CPU time
+    leaves out the time this process waits while others run, and the
+    minimum leaves out evaluations slowed by them.
     """
     true = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
+    x = gaussian._encode(true, spatial=False)
     start = time.perf_counter()
     per_eval = {}
     for m in (100, 200, 400):
+        rng = np.random.default_rng(np.random.SeedSequence([11, m]))
+        locs = np.column_stack([rng.uniform(-10, 10, m),
+                                rng.uniform(-10, 10, m),
+                                rng.uniform(0.0, 91.0, m)])
+        prepared = gaussian._Prepared(simulate_field(true, locs, 1, seed=50),
+                                      spatial=False)
         best = float("inf")
-        for rep in range(5):
-            rng = np.random.default_rng(np.random.SeedSequence([11, m, rep]))
-            locs = np.column_stack([rng.uniform(-10, 10, m),
-                                    rng.uniform(-10, 10, m),
-                                    rng.uniform(0.0, 91.0, m)])
-            blocks = simulate_field(true, locs, 1, seed=50 + rep)
+        for _ in range(50):
             t0 = time.process_time()
-            _, report = fit_mle_gaussian(blocks)
-            best = min(best, (time.process_time() - t0) / report.n_evals)
+            gaussian._nll(x, prepared, true, want_grad=True)
+            best = min(best, time.process_time() - t0)
         per_eval[m] = best
     elapsed = time.perf_counter() - start
     r1 = per_eval[200] / per_eval[100]

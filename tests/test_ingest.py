@@ -3,9 +3,15 @@ the local-regression mean field (estimation, residualization, and file
 round trips)."""
 
 import math
+from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import mwgp.ingest as ingest
 
 from mwgp.errors import (
     InputError,
@@ -20,10 +26,10 @@ from mwgp.ingest import (
     MeanField,
     MeanFieldConfig,
     ProfileRecord,
+    ProfileTable,
     apply_filters,
     coef_names,
     estimate_mean_field,
-    interpolate_to_pressure,
     load_mask,
     parse_profiles,
     profiles_to_level,
@@ -33,7 +39,7 @@ from mwgp.ingest import (
     write_mean_field_gridded,
     write_profiles,
 )
-from mwgp.covariance import SpaceTimePoint
+from mwgp.covariance import SpaceTimePoint, rg_distances
 from mwgp.windows import (
     GridSpec,
     WindowSpec,
@@ -42,7 +48,13 @@ from mwgp.windows import (
     select_window,
 )
 
-from conftest import subtract_mean_loop
+from conftest import (
+    apply_filters_loop,
+    nearest_argsort,
+    parse_profiles_rows,
+    profiles_to_level_loop,
+    subtract_mean_loop,
+)
 
 
 def make_profile(sid="f1", lat=10.0, lon=20.0, year=2007, day=45.5,
@@ -52,8 +64,20 @@ def make_profile(sid="f1", lat=10.0, lon=20.0, year=2007, day=45.5,
 
 def level_blocks(*obs):
     """Year blocks of (source_id, lat, lon, year, day, value) observations."""
-    return profiles_to_level([ProfileRecord(*o[:5], ((300.0, o[5]),))
-                              for o in obs], 300.0)
+    return profiles_to_level(ProfileTable.from_records(
+        ProfileRecord(*o[:5], ((300.0, o[5]),)) for o in obs), 300.0)
+
+
+def level_value(rec, level):
+    """One profile's value at a pressure level; None when it is dropped."""
+    blocks = profiles_to_level(ProfileTable.from_records([rec]), level)
+    return float(blocks[0].values[0]) if blocks else None
+
+
+def kept(records, *args, **kwargs):
+    """The records ``apply_filters`` keeps from a table of them."""
+    return list(apply_filters(ProfileTable.from_records(records), *args,
+                              **kwargs))
 
 
 def write_lines(path, lines):
@@ -80,9 +104,9 @@ class TestProfileRecord:
             make_profile(lat=-95.0)
 
     def test_level_arrays(self):
-        rec = make_profile()
-        np.testing.assert_array_equal(rec.pressures, [290.0, 310.0])
-        np.testing.assert_array_equal(rec.values, [10.0, 9.0])
+        table = ProfileTable.from_records([make_profile()])
+        np.testing.assert_array_equal(table.pressure, [290.0, 310.0])
+        np.testing.assert_array_equal(table.value, [10.0, 9.0])
 
 
 class TestProfileRoundTrip:
@@ -96,7 +120,7 @@ class TestProfileRoundTrip:
         ]
         path = tmp_path / "profiles.csv"
         write_profiles(records, path)
-        assert parse_profiles(path) == records
+        assert list(parse_profiles(path)) == records
 
     def test_irrational_coordinates_survive_round_trip(self, tmp_path):
         rec = make_profile(lat=math.pi * 10, lon=-math.e * 20,
@@ -115,11 +139,11 @@ class TestProfileParsing:
     def test_zero_byte_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_bytes(b"")
-        assert parse_profiles(path) == []
+        assert list(parse_profiles(path)) == []
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = write_lines(tmp_path / "p.csv", [",".join(PROFILE_HEADER)])
-        assert parse_profiles(path) == []
+        assert list(parse_profiles(path)) == []
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write_lines(tmp_path / "p.csv", [
@@ -208,39 +232,215 @@ class TestProfileParsing:
         assert [r.day for r in records] == [45.5, 46.5]
 
 
+class TestProfileTable:
+    RECORDS = [
+        make_profile("a", 10.0, 190.0, 2007, 45.5),
+        make_profile("b", -3.0, 179.9, 2008, 60.25,
+                     levels=((5.0, 18.0), (100.0, 12.5), (300.0, 9.75))),
+        make_profile("c", 11.0, -20.0, 2007, 46.0, levels=((300.0, 9.0),)),
+    ]
+
+    def test_from_records_is_a_sequence_of_the_records(self):
+        table = ProfileTable.from_records(self.RECORDS)
+        assert len(table) == 3
+        assert list(table) == self.RECORDS
+        assert table[-1] == self.RECORDS[-1]
+        assert table.lon[0] == -170.0
+        np.testing.assert_array_equal(table.offsets, [0, 2, 5, 6])
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_empty_table(self):
+        table = ProfileTable.from_records([])
+        assert len(table) == 0 and list(table) == []
+        assert table.year.dtype == np.int64 and table.pressure.shape == (0,)
+
+    def test_subset_keeps_each_profile_levels(self):
+        table = ProfileTable.from_records(self.RECORDS)
+        sub = table.subset(np.array([False, True, True]))
+        assert list(sub) == self.RECORDS[1:]
+        np.testing.assert_array_equal(sub.offsets, [0, 3, 4])
+
+
+def assert_blocks_identical(got, want):
+    """Same years, and bitwise-equal columns of the same dtypes."""
+    assert [b.year for b in got] == [b.year for b in want]
+    assert all(type(b.year) is int for b in got)
+    for a, b in zip(got, want):
+        for name in ("lat", "lon", "t", "values", "source_ids"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+LEVEL = 300.0
+SIDS = st.sampled_from(["f1", "f2", " f3 ", "float_0042"])
+LATS = st.one_of(st.sampled_from([-90.0, 0.0, 90.0, -0.0]),
+                 st.floats(-90.0, 90.0))
+LONS = st.one_of(st.sampled_from([-180.0, 180.0, 179.99999999999997, 540.0]),
+                 st.floats(-360.0, 360.0))
+PRESSURES = st.lists(
+    st.one_of(st.just(LEVEL), st.sampled_from([5.0, 290.0, 310.0, 1000.0]),
+              st.floats(1.0, 2000.0)), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def profile_files(draw):
+    """(CSV lines, day window, mask) of a valid profile file.
+
+    Blank and whitespace-only rows are scattered through it; pressures
+    hit the level exactly, bracket it or miss it.
+    """
+    lines = [",".join(PROFILE_HEADER)]
+    for k in range(draw(st.integers(0, 12))):
+        sid, lat, lon = draw(SIDS), draw(LATS), draw(LONS)
+        year = draw(st.integers(2005, 2008))
+        day = k + draw(st.floats(0.0, 0.9))  # keys never repeat
+        for p in sorted(draw(PRESSURES)):
+            value = draw(st.floats(-5.0, 35.0))
+            lines.append(f"{sid},{lat!r},{lon!r},{year},{day!r},{p!r},{value!r}")
+            if draw(st.booleans()) and draw(st.booleans()):
+                lines.append(draw(st.sampled_from(["", "   ", ",,,,,,", " , "])))
+    lo = draw(st.floats(0.0, 6.0))
+    mask = draw(st.sets(st.tuples(st.sampled_from([0.0, 45.0, -90.0]),
+                                  st.sampled_from([-180.0, 0.0, 180.0])),
+                        max_size=2))
+    return lines, (lo, lo + draw(st.floats(0.0, 8.0))), mask
+
+
+class TestColumnarParserOracle:
+    """The columnar parse, filters and level reduction against the row
+    parser and the per-record loops of ``tests/conftest.py``."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(profile_files(), st.sampled_from([1, 2, 3, 8192]))
+    def test_matches_row_parser_bitwise(self, tmp_path, case, chunk):
+        lines, window, mask = case
+        path = write_lines(tmp_path / "p.csv", lines)
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk):
+            table = parse_profiles(path)
+        records = parse_profiles_rows(path)
+        assert list(table) == records
+        for args in ((None, frozenset()), (window, mask)):
+            kept_table = apply_filters(table, *args, cell_size=2.0)
+            kept_records = apply_filters_loop(records, *args, cell_size=2.0)
+            assert list(kept_table) == kept_records
+            assert_blocks_identical(profiles_to_level(kept_table, LEVEL),
+                                    profiles_to_level_loop(kept_records, LEVEL))
+
+    def test_interpolation_matches_np_interp_bitwise(self):
+        rng = np.random.default_rng(41)
+        records = []
+        for k in range(400):
+            p = np.sort(rng.choice(
+                np.r_[rng.uniform(250.0, 350.0, 6), LEVEL], rng.integers(1, 6),
+                replace=False))
+            records.append(ProfileRecord(
+                f"f{k}", 0.0, 0.0, 2007, float(k),
+                tuple(zip(p.tolist(), rng.normal(10.0, 5.0, p.size).tolist()))))
+        for level in (LEVEL, 287.123456789, 333.3):
+            want = profiles_to_level_loop(records, level)
+            assert_blocks_identical(
+                profiles_to_level(ProfileTable.from_records(records), level),
+                want)
+            assert 50 < want[0].m < 400
+
+    FAULTS = {
+        "number": lambda rows, r: rows[r].__setitem__(1, "north"),
+        "nonfinite": lambda rows, r: rows[r].__setitem__(6, "nan"),
+        "empty_id": lambda rows, r: rows[r].__setitem__(0, " "),
+        "field_count": lambda rows, r: rows[r].pop(),
+        "pressure": lambda rows, r: rows[r].__setitem__(5, rows[r - 1][5]),
+        "latitude": lambda rows, r: [row.__setitem__(1, "95") for row in rows],
+        "reused_key": lambda rows, r: [row.__setitem__(slice(0, 5), [
+            "f0", "0.5", "0.5", "2007", "0"]) for row in rows],
+    }
+
+    @staticmethod
+    def faulty_file(path, first, second, gap):
+        """Six three-row profiles; ``first`` in profile 2 (row 1),
+        ``second`` in profile 2 + gap (row 2), blank lines between."""
+        profiles = [[[f"f{k}", f"{k}.5", f"{k}.5", "2007", str(k),
+                      str(100.0 * (r + 1)), str(10.0 - r)] for r in range(3)]
+                    for k in range(6)]
+        TestColumnarParserOracle.FAULTS[first](profiles[2], 1)
+        TestColumnarParserOracle.FAULTS[second](profiles[2 + gap], 2)
+        lines = [",".join(PROFILE_HEADER)]
+        for k, rows in enumerate(profiles):
+            lines += [",".join(row) for row in rows] + [""] * (k % 2)
+        return write_lines(path, lines)
+
+    @pytest.mark.parametrize("gap", [0, 1, 2])
+    @pytest.mark.parametrize("first,second", permutations(sorted(FAULTS), 2))
+    def test_first_fault_line_matches_row_parser(self, tmp_path, first, second,
+                                                 gap):
+        path = self.faulty_file(tmp_path / "p.csv", first, second, gap)
+        with pytest.raises(SchemaError) as want:
+            parse_profiles_rows(path)
+        for chunk in (2, 5, 8192):
+            with mock.patch.object(ingest, "CHUNK_ROWS", chunk):
+                with pytest.raises(SchemaError) as got:
+                    parse_profiles(path)
+            assert got.value.line_number == want.value.line_number
+            assert str(got.value) == str(want.value)
+
+    def test_latitude_fault_is_met_where_its_profile_ends(self, tmp_path):
+        # The row parser checks a profile's latitude when the next key
+        # starts, so a later row fault inside the profile comes first.
+        path = self.faulty_file(tmp_path / "p.csv", "latitude", "pressure", 0)
+        with pytest.raises(SchemaError) as err:
+            parse_profiles(path)
+        assert err.value.line_number == 1 + 2 * 3 + 1 + 3
+        assert "pressure" in str(err.value)
+        path = self.faulty_file(tmp_path / "p.csv", "latitude", "number", 1)
+        with pytest.raises(SchemaError) as err:
+            parse_profiles(path)
+        assert err.value.line_number == 1 + 2 * 3 + 1 + 1
+        assert "latitude" in str(err.value)
+
+    def test_year_outside_int64_is_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "p.csv", [
+            ",".join(PROFILE_HEADER), "f1,10,20,2007,45.5,290,10",
+            f"f1,10,20,{2 ** 63},45.5,290,10"])
+        with pytest.raises(SchemaError, match="year is not an integer") as err:
+            parse_profiles(path)
+        assert err.value.line_number == 3
+
+
 class TestVerticalInterpolation:
     def test_linear_midpoint(self):
         rec = make_profile(levels=((290.0, 10.0), (310.0, 9.0)))
-        assert interpolate_to_pressure(rec, 300.0) == pytest.approx(9.5,
-                                                                    abs=1e-15)
+        assert level_value(rec, 300.0) == pytest.approx(9.5, abs=1e-15)
 
     def test_exact_node_returns_recorded_value(self):
         rec = make_profile(levels=((290.0, 10.0), (310.0, 9.0)))
-        assert interpolate_to_pressure(rec, 290.0) == 10.0
-        assert interpolate_to_pressure(rec, 310.0) == 9.0
+        assert level_value(rec, 290.0) == 10.0
+        assert level_value(rec, 310.0) == 9.0
 
     def test_no_extrapolation(self):
         rec = make_profile(levels=((290.0, 10.0), (310.0, 9.0)))
-        assert interpolate_to_pressure(rec, 289.999) is None
-        assert interpolate_to_pressure(rec, 310.001) is None
+        assert level_value(rec, 289.999) is None
+        assert level_value(rec, 310.001) is None
 
     def test_positive_level_required(self):
         rec = make_profile()
         with pytest.raises(InvalidParameterError):
-            interpolate_to_pressure(rec, 0.0)
+            level_value(rec, 0.0)
         with pytest.raises(InvalidParameterError):
-            interpolate_to_pressure(rec, -300.0)
+            level_value(rec, -300.0)
 
     def test_piecewise_linear_between_interior_nodes(self):
         rec = make_profile(levels=((100.0, 20.0), (200.0, 10.0),
                                    (400.0, 8.0)))
-        assert interpolate_to_pressure(rec, 150.0) == pytest.approx(15.0)
-        assert interpolate_to_pressure(rec, 300.0) == pytest.approx(9.0)
+        assert level_value(rec, 150.0) == pytest.approx(15.0)
+        assert level_value(rec, 300.0) == pytest.approx(9.0)
 
     def test_profiles_not_sampling_level_dropped(self):
         deep = make_profile("deep", levels=((100.0, 15.0), (400.0, 8.0)))
         shallow = make_profile("shallow", levels=((5.0, 18.0), (50.0, 16.0)))
-        [block] = profiles_to_level([deep, shallow], 300.0)
+        [block] = profiles_to_level(
+            ProfileTable.from_records([deep, shallow]), 300.0)
         assert list(block.source_ids) == ["deep"]
         assert block.values[0] == pytest.approx(15.0 - 7.0 * 200.0 / 300.0)
         assert (block.lat[0], block.lon[0], block.year, block.t[0]) == \
@@ -261,7 +461,7 @@ class TestLevelBlocks:
         np.testing.assert_array_equal(blocks[1].t, [40.0, 60.0])
 
     def test_empty_input(self):
-        assert profiles_to_level([], 300.0) == []
+        assert profiles_to_level(ProfileTable.from_records([]), 300.0) == []
 
 
 def polynomial_obs(m=240, seed=5, span=10.0):
@@ -381,6 +581,51 @@ class TestMeanFieldEstimation:
         assert mean.nearest_cell(-10.0, 0.0) == (0, 0)
         assert mean.nearest_cell(10.0, 0.0) == (3, 0)
         assert mean.nearest_cell(0.0, 363.1) == (0, 3)
+
+
+class TestNearestNeighbours:
+    """Partition-based neighbour selection against the stable full sort."""
+
+    @staticmethod
+    def tied_blocks():
+        # Eight distinct positions, each repeated over four year blocks,
+        # so every distance comes in ties that straddle many k.
+        rng = np.random.default_rng(53)
+        spots = rng.uniform(-2.0, 2.0, (8, 2))
+        blocks = []
+        for year in range(2004, 2008):
+            pick = rng.integers(0, 8, 30)
+            blocks.append(YearBlock(
+                year, spots[pick, 0], spots[pick, 1], rng.uniform(0, 365, 30),
+                rng.normal(size=30)))
+        return blocks
+
+    def test_indices_equal_stable_argsort_at_ties(self):
+        blocks = self.tied_blocks()
+        lat = np.concatenate([b.lat for b in blocks])
+        lon = np.concatenate([b.lon for b in blocks])
+        n = lat.size
+        for clat, clon in ((0.0, 0.0), (1.0, -1.0), (lat[7], lon[7])):
+            d = rg_distances(clat, clon, lat, lon, tropic=False)
+            kth = np.sort(d)
+            # every k that ends inside a tie group, plus 1 and n_obs
+            ks = {1, n} | {k for k in range(2, n) if kth[k - 1] == kth[k]}
+            assert len(ks) > 50
+            for k in ks:
+                np.testing.assert_array_equal(ingest._nearest(d, k),
+                                              nearest_argsort(d, k))
+
+    @pytest.mark.parametrize("n_neighbors", [1, 37, 61, 120])
+    def test_coefficients_equal_stable_argsort_fit(self, n_neighbors):
+        blocks = self.tied_blocks()
+        config = MeanFieldConfig(n_neighbors=n_neighbors, n_harmonics=1)
+        got = estimate_mean_field(blocks, SMALL_GRID, config)
+        with mock.patch.object(ingest, "_nearest", nearest_argsort):
+            want = estimate_mean_field(blocks, SMALL_GRID, config)
+        assert sorted(got.coefs) == sorted(want.coefs)
+        for ij in want.coefs:
+            assert got.coefs[ij].tobytes() == want.coefs[ij].tobytes()
+        assert got.ridge_cells == want.ridge_cells
 
 
 def zero_mean_field(grid=SMALL_GRID):
@@ -555,17 +800,17 @@ class TestMaskAndFilters:
 
     def test_no_filters_is_identity(self):
         records = [make_profile("a"), make_profile("b", lat=11.0)]
-        assert apply_filters(records) == records
+        assert kept(records) == records
 
     def test_time_window_closed_bounds(self):
         records = [make_profile("a", day=10.0), make_profile("b", day=20.0),
                    make_profile("c", day=9.999), make_profile("d", day=20.001)]
-        kept = apply_filters(records, time_window=(10.0, 20.0))
-        assert [r.source_id for r in kept] == ["a", "b"]
+        assert [r.source_id for r in kept(records, time_window=(10.0, 20.0))] \
+            == ["a", "b"]
 
     def test_reversed_time_window_rejected(self):
         with pytest.raises(InvalidParameterError):
-            apply_filters([], time_window=(20.0, 10.0))
+            kept([], time_window=(20.0, 10.0))
 
     def test_mask_removes_cell_box_with_closed_bounds(self):
         records = [
@@ -573,19 +818,17 @@ class TestMaskAndFilters:
             make_profile("outside", lat=10.51, lon=20.0),
             make_profile("center", lat=10.0, lon=20.0),
         ]
-        kept = apply_filters(records, mask={(10.0, 20.0)})
-        assert [r.source_id for r in kept] == ["outside"]
+        assert [r.source_id for r in kept(records, mask={(10.0, 20.0)})] \
+            == ["outside"]
 
     def test_mask_wraps_longitude(self):
         records = [make_profile("near_seam", lat=0.0, lon=179.8)]
-        assert apply_filters(records, mask={(0.0, -180.0)}) == []
+        assert kept(records, mask={(0.0, -180.0)}) == []
 
     def test_mask_cell_size(self):
         records = [make_profile("a", lat=10.9, lon=20.0)]
-        assert apply_filters(records, mask={(10.0, 20.0)},
-                             cell_size=2.0) == []
-        assert apply_filters(records, mask={(10.0, 20.0)},
-                             cell_size=1.0) == records
+        assert kept(records, mask={(10.0, 20.0)}, cell_size=2.0) == []
+        assert kept(records, mask={(10.0, 20.0)}, cell_size=1.0) == records
 
 
 class TestMeanFieldIO:
