@@ -35,7 +35,6 @@ from .gaussian import (
     GaussianPredictive,
     YearBlock,
     fit_mle_gaussian,
-    gauss_loglik,
     gaussian_interval,
     predict_gaussian,
 )

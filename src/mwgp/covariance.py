@@ -161,15 +161,9 @@ def cov_matrix(points, params: CovParams, spatial: bool = False) -> np.ndarray:
     pts = as_point_array(points)
     if pts.shape[0] == 0:
         raise EmptyInputError("cov_matrix needs at least one point")
-    return lag_kernel(sq_lag_matrices(pts), params, spatial)[0]
-
-
-def lag_kernel(sq_lags, params: CovParams, spatial: bool = False):
-    """(K, D): the kernel from precomputed squared lags, and its scaled distance."""
-    D = scaled_distance(sq_lags, params, spatial)
-    K = params.phi * np.exp(-D)
+    K = params.phi * np.exp(-scaled_distance(sq_lag_matrices(pts), params, spatial))
     np.fill_diagonal(K, params.phi)
-    return K, D
+    return K
 
 
 def cross_cov_vector(target, points, params: CovParams, spatial: bool = False) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 from scipy.special import ndtri
 
@@ -24,8 +24,7 @@ from .covariance import (
     CovParams,
     cov_matrix,
     cross_cov_vector,
-    scaled_distance,
-    sq_lag_matrices,
+    wrap_dlon,
     wrap_lon,
 )
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
-PENALTY = 1e12  # objective at points the exp transform cannot decode
+PENALTY = 1e12  # objective at points whose exp transform over- or underflows
 
 
 @dataclass
@@ -120,21 +119,22 @@ def chol_spd(mat: np.ndarray, scale: float,
              year_index: int | None = None) -> np.ndarray:
     """Lower Cholesky factor, escalating a ridge only on failure.
 
-    The ridge starts at RIDGE * scale and grows by RIDGE_GROWTH per
-    retry; after RIDGE_TRIES failures a FactorizationError is raised
-    carrying the offending year index.
+    Only the lower triangle of ``mat`` is read.  The ridge starts at
+    RIDGE * scale and grows by RIDGE_GROWTH per retry; after
+    RIDGE_TRIES failures a FactorizationError is raised carrying the
+    offending year index.
     """
-    try:
-        return sla.cholesky(mat, lower=True, check_finite=False)
-    except sla.LinAlgError:
-        pass
+    L, info = dpotrf(mat, lower=1)
     ridge = RIDGE * scale
     for _ in range(RIDGE_TRIES):
-        try:
-            return sla.cholesky(mat + ridge * np.eye(mat.shape[0]),
-                                lower=True, check_finite=False)
-        except sla.LinAlgError:
-            ridge *= RIDGE_GROWTH
+        if info == 0:
+            return L
+        ridged = mat.copy()
+        ridged[np.diag_indices_from(mat)] += ridge
+        L, info = dpotrf(ridged, lower=1, overwrite_a=1)
+        ridge *= RIDGE_GROWTH
+    if info == 0:
+        return L
     raise FactorizationError("covariance factorization failed", year_index)
 
 
@@ -147,110 +147,102 @@ def _spd_inverse(L: np.ndarray) -> np.ndarray:
 
 
 class _Prepared:
-    """Per-block squared lags, grouped by identical point geometry.
+    """Every nonempty year block's point pairs i > j, packed.
 
-    Blocks that share the exact same (lat, lon, t) arrays (common for
-    simulated data with fixed station locations) share one covariance
-    factorization per likelihood evaluation.
+    ``lags`` is (n_ranges, P): row k holds the squared lat, lon [, t]
+    lags of all pairs, block after block.  ``blocks`` holds each
+    block's (year, rows, cols, flat, pairs, obs): its lower-triangle
+    indices, their column-major flat index, and its slices of the
+    pairs and of ``values``, which concatenates the blocks' values.
     """
 
     def __init__(self, blocks, spatial: bool):
         self.spatial = spatial
-        self.groups = []  # (sq_lags, [(block_index, y), ...])
-        for idx, b in enumerate(blocks):
+        n_ranges = 2 if spatial else 3
+        self.blocks, lags, values = [], [np.empty((n_ranges, 0))], [np.empty(0)]
+        p = n = 0
+        for b in blocks:
             if b.m == 0:
                 continue
-            pts = b.points
-            placed = False
-            for g in self.groups:
-                ref = g["pts"]
-                if ref.shape == pts.shape and np.array_equal(ref, pts):
-                    g["ys"].append((idx, b.values))
-                    placed = True
-                    break
-            if not placed:
-                self.groups.append({
-                    "pts": pts,
-                    "sq_lags": sq_lag_matrices(pts),
-                    "ys": [(idx, b.values)],
-                    "year": blocks[idx].year,
-                })
-        self.n_obs = sum(b.m for b in blocks)
+            cols, rows = np.triu_indices(b.m, 1)  # column by column, as Sigma is stored
+            d = b.points[rows] - b.points[cols]
+            d[:, 1] = wrap_dlon(d[:, 1])
+            lags.append((d * d)[:, :n_ranges].T)
+            values.append(b.values)
+            self.blocks.append((b.year, rows, cols, rows + b.m * cols,
+                                slice(p, p + rows.size), slice(n, n + b.m)))
+            p, n = p + rows.size, n + b.m
+        self.lags, self.values = np.hstack(lags), np.concatenate(values)
+        self.n_obs = n
 
 
-def _assemble(group, params: CovParams, spatial: bool):
-    D = scaled_distance(group["sq_lags"], params, spatial)
-    E = np.exp(-D)
-    K = params.phi * E
-    Sigma = K + params.sigma2 * np.eye(K.shape[0])
-    return D, E, K, Sigma
+def _lag_kernel(prepared: _Prepared, inv2: np.ndarray):
+    """(D, E) on the packed pairs: D = sqrt(sum_k lag_k / theta_k^2), E = exp(-D).
+
+    ``inv2`` holds the theta_k^-2.  A vanishing range sends D to inf
+    and E to 0, its limit.
+    """
+    with np.errstate(over="ignore"):
+        D = np.sqrt(inv2 @ prepared.lags)
+    return D, np.exp(-D)
 
 
-def _nll(x: np.ndarray, prepared: _Prepared, template: CovParams,
-         want_grad: bool):
+def _kernel_grad(prepared: _Prepared, W: np.ndarray, D: np.ndarray,
+                 E: np.ndarray, inv2: np.ndarray, phi: float, diag: float):
+    """Gradient wrt (log phi, log theta_k) of sum_ij G_ij K_ij, G held fixed.
+
+    ``W`` holds G_ij + G_ji on the packed pairs and is overwritten;
+    ``diag`` is the trace of G.  With K = phi E off the diagonal and phi
+    on it, d/d log phi is phi (W.E + diag) and d/d log theta_k is
+    phi theta_k^-2 lag_k.(W E / D).
+    """
+    W *= E
+    g_phi = phi * (float(np.sum(W)) + diag)
+    np.divide(W, D, out=W, where=D > 0.0)
+    return g_phi, phi * (inv2 * (prepared.lags @ W))  # inv2 * lags @ W <= D^2 W / D
+
+
+def _nll(x: np.ndarray, prepared: _Prepared, want_grad: bool):
     """Negative loglik (and gradient wrt log-parameters) at log-point x.
 
     Parameter order: log phi, log theta_lat, log theta_lon,
-    [log theta_t unless spatial], log sigma2.  A point whose parameters
-    over- or underflow the exp transform scores PENALTY with a zero
+    [log theta_t unless spatial], log sigma2.  A point where exp(x) or
+    a theta^-2 overflows, or phi underflows, scores PENALTY with a zero
     gradient, so a line-search excursion makes the optimizer back off.
+    With alpha = Sigma^-1 y per block, the gradient is GPML 5.4.1's
+    (alpha alpha' - Sigma^-1) . dSigma / 2, summed over the packed pairs.
     """
-    spatial = prepared.spatial
-    try:
-        params = _decode(x, template, spatial)
-    except InvalidParameterError:
+    with np.errstate(over="ignore"):
+        v = np.exp(np.append(x, -2.0 * x[1:-1]))
+    if not (np.all(np.isfinite(v)) and v[0] > 0.0):
         return (PENALTY, np.zeros_like(x)) if want_grad else PENALTY
-    phi, tlat, tlon, tt, s2 = (params.phi, params.theta_lat, params.theta_lon,
-                               params.theta_t, params.sigma2)
-
-    ll = 0.0
-    g = np.zeros(5)  # d ll / d (phi, tlat, tlon, tt, s2), raw scale
-    for group in prepared.groups:
-        D, E, K, Sigma = _assemble(group, params, spatial)
-        m = K.shape[0]
-        L = chol_spd(Sigma, phi, group["year"])
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        nb = len(group["ys"])
-        quad = 0.0
+    phi, s2, inv2 = float(v[0]), float(v[x.size - 1]), v[x.size:]
+    D, E = _lag_kernel(prepared, inv2)
+    K = phi * E
+    ll = diag = 0.0
+    W = np.empty_like(E) if want_grad else None
+    for year, rows, cols, flat, pairs, obs in prepared.blocks:
+        y = prepared.values[obs]
+        m = y.size
+        Sigma = np.empty(m * m)
+        Sigma[flat] = K[pairs]
+        Sigma[::m + 1] = phi + s2
+        L = chol_spd(Sigma.reshape(m, m, order="F"), phi, year)
+        alpha = dpotrs(L, y, lower=1)[0]
+        ll -= float(np.sum(np.log(L.diagonal()))) + 0.5 * (
+            float(y @ alpha) + m * LOG_2PI)
         if want_grad:
-            A = np.zeros_like(K)
-        for _, y in group["ys"]:
-            alpha = sla.cho_solve((L, True), y, check_finite=False)
-            quad += float(y @ alpha)
-            if want_grad:
-                A += np.outer(alpha, alpha)
-        ll += -0.5 * (nb * logdet + quad + nb * m * LOG_2PI)
-        if want_grad:
-            Sinv = _spd_inverse(L)
-            M = A - nb * Sinv          # sum_b (alpha alpha' - Sigma^-1)
-            g[0] += 0.5 * float(np.sum(M * E))
-            R = M * K                  # elementwise
-            Dsafe = np.where(D > 0.0, D, 1.0)
-            ranges = (tlat, tlon) if spatial else (tlat, tlon, tt)
-            for k, (theta, sq) in enumerate(zip(ranges, group["sq_lags"]), 1):
-                s = float(np.sum(R * sq / Dsafe))
-                if s != 0.0:  # a vanishing range makes 0.5 / theta**3 overflow
-                    g[k] += 0.5 / theta**3 * s
-            g[4] += 0.5 * float(np.trace(M))
+            inv, info = dpotri(L, lower=1, overwrite_c=1)
+            if info != 0:
+                raise FactorizationError(f"dpotri failed with info={info}", year)
+            w = W[pairs]
+            np.multiply(alpha[rows], alpha[cols], out=w)
+            w -= inv.reshape(-1, order="F")[flat]
+            diag += float(alpha @ alpha - inv.trace())
     if not want_grad:
         return -ll
-    raw = np.array([phi, tlat, tlon, tt, s2])
-    glog = g * raw                     # chain rule to log-parameters
-    if spatial:
-        glog = glog[[0, 1, 2, 4]]
-    return -ll, -glog
-
-
-def gauss_loglik(blocks, params: CovParams, spatial: bool = False) -> float:
-    """Sum of year-block Gaussian log-likelihoods.
-
-    Empty blocks contribute exactly zero.
-    """
-    prepared = _Prepared(blocks, spatial)
-    if prepared.n_obs == 0:
-        return 0.0
-    x = _encode(params, spatial)
-    return -float(_nll(x, prepared, params, want_grad=False))
+    g_phi, g_theta = _kernel_grad(prepared, W, D, E, inv2, phi, 0.5 * diag)
+    return -ll, -np.hstack([g_phi, g_theta, 0.5 * s2 * diag])
 
 
 def _encode(params: CovParams, spatial: bool) -> np.ndarray:
@@ -322,8 +314,10 @@ def fit_mle_gaussian(blocks, init: CovParams | None = None,
     if init is None:
         init = default_init(blocks)
     x0 = _encode(init, spatial)
-    res = minimize(_nll, x0, args=(prepared, init, True), jac=True,
+    res = minimize(_nll, x0, args=(prepared, True), jac=True,
                    method="L-BFGS-B", options=LBFGS_OPTIONS)
+    if res.fun >= PENALTY:
+        raise InvalidParameterError("Gaussian fit ended where the objective overflows")
     fitted = _decode(res.x, init, spatial)
     report = FitReport(
         loglik=-float(res.fun),

@@ -45,7 +45,7 @@ from scipy.linalg.lapack import dgetrf
 from scipy.optimize import minimize
 from scipy.special import digamma, ndtr, ndtri, polygamma, stdtrit
 
-from .covariance import CovParams, cov_matrix, cross_cov_vector, lag_kernel
+from .covariance import CovParams, cov_matrix, cross_cov_vector
 from .errors import InputError, InvalidParameterError, ModeFindingError
 from .gaussian import (
     LBFGS_OPTIONS,
@@ -56,6 +56,8 @@ from .gaussian import (
     YearBlock,
     _decode,
     _encode,
+    _kernel_grad,
+    _lag_kernel,
     _Prepared,
     check_window,
     chol_spd,
@@ -291,40 +293,42 @@ def _laplace(blocks, prepared: _Prepared, params: StudentParams, want_grad: bool
     cov, nu = params.cov, params.nu
     s = nu * cov.sigma2
     ranges = (cov.theta_lat, cov.theta_lon, cov.theta_t)[:2 if spatial else 3]
-    total = 0.0
-    grad = np.zeros(len(ranges) + 3)
-    for group in prepared.groups:
-        K, D = lag_kernel(group["sq_lags"], cov, spatial)
-        M = 0.0
-        for idx, y in group["ys"]:
-            state = find_mode(blocks[idx], params, spatial, K)
-            total += state.log_q
-            if not want_grad:
-                continue
-            a, w = state.a, state.w_raw
-            r = y - state.f_hat
-            den = s + r * r
-            C = sla.lu_solve(state.lu, K, check_finite=False)
-            dC = np.diag(C)
-            s2 = dC * (nu + 1.0) * r * (r * r - 3.0 * s) / den ** 3
-            u = sla.lu_solve(state.lu, s2, trans=1, check_finite=False)
-            M += np.outer(a, 0.5 * a + u) + 0.5 * (w[:, None] * C * w[None, :] - np.diag(w))
-            # (d log p, dW, dg) at fixed f through s = nu sigma2, for
-            # log sigma2 and then for nu, whose chain factor is nu - 1
-            dW_ds = (nu + 1.0) * (3.0 * r * r - s) / den ** 3
-            dg_ds = -(nu + 1.0) * r / den ** 2
-            z = r * r / den
-            dlp = [0.5 * (nu + 1.0) * z - 0.5, _t_log_const_dnu(nu)
-                   - 0.5 * np.log1p(r * r / s) + 0.5 * (nu + 1.0) / nu * z]
-            dW = np.array([s * dW_ds, w / (nu + 1.0) + cov.sigma2 * dW_ds])
-            dg = np.array([s * dg_ds, r / den + cov.sigma2 * dg_ds])
-            grad[-2:] += [1.0, nu - 1.0] * (np.sum(dlp, axis=1) - 0.5 * dW @ dC + dg @ (K @ u))
-        if want_grad:
-            P = M * K
-            grad[0] += float(np.sum(P))
-            P /= np.where(D > 0.0, D, 1.0)
-            for k, (theta, sq) in enumerate(zip(ranges, group["sq_lags"]), 1):
-                grad[k] += float(np.sum(P * sq)) / theta ** 2
+    inv2 = np.array(ranges) ** -2.0
+    D, E = _lag_kernel(prepared, inv2)
+    total = diag = 0.0
+    grad = np.zeros(inv2.size + 3)
+    W = np.empty_like(E)
+    nonempty = [b for b in blocks if b.m > 0]
+    for block, (_, rows, cols, _, pairs, _) in zip(nonempty, prepared.blocks):
+        K = np.empty((block.m, block.m))
+        K[rows, cols] = K[cols, rows] = cov.phi * E[pairs]
+        np.fill_diagonal(K, cov.phi)
+        state = find_mode(block, params, spatial, K)
+        total += state.log_q
+        if not want_grad:
+            continue
+        a, w = state.a, state.w_raw
+        r = block.values - state.f_hat
+        den = s + r * r
+        C = sla.lu_solve(state.lu, K, check_finite=False)
+        dC = np.diag(C)
+        s2 = dC * (nu + 1.0) * r * (r * r - 3.0 * s) / den ** 3
+        u = sla.lu_solve(state.lu, s2, trans=1, check_finite=False)
+        M = np.outer(a, 0.5 * a + u) + 0.5 * (w[:, None] * C * w[None, :] - np.diag(w))
+        W[pairs] = M[rows, cols] + M[cols, rows]
+        diag += float(np.trace(M))
+        # (d log p, dW, dg) at fixed f through s = nu sigma2, for
+        # log sigma2 and then for nu, whose chain factor is nu - 1
+        dW_ds = (nu + 1.0) * (3.0 * r * r - s) / den ** 3
+        dg_ds = -(nu + 1.0) * r / den ** 2
+        z = r * r / den
+        dlp = [0.5 * (nu + 1.0) * z - 0.5, _t_log_const_dnu(nu)
+               - 0.5 * np.log1p(r * r / s) + 0.5 * (nu + 1.0) / nu * z]
+        dW = np.array([s * dW_ds, w / (nu + 1.0) + cov.sigma2 * dW_ds])
+        dg = np.array([s * dg_ds, r / den + cov.sigma2 * dg_ds])
+        grad[-2:] += [1.0, nu - 1.0] * (np.sum(dlp, axis=1) - 0.5 * dW @ dC + dg @ (K @ u))
+    if want_grad:
+        grad[0], grad[1:-2] = _kernel_grad(prepared, W, D, E, inv2, cov.phi, diag)
     return total, grad
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 from scipy import optimize, stats
 from scipy.special import stdtrit
 
@@ -26,6 +27,8 @@ from mwgp.covariance import (
     cov_matrix,
     cross_cov_vector,
     rg_tropic_factor,
+    scaled_distance,
+    sq_lag_matrices,
     wrap_dlon,
     wrap_lon,
 )
@@ -35,7 +38,17 @@ from mwgp.errors import (
     MappingError,
     SchemaError,
 )
-from mwgp.gaussian import YearBlock
+from mwgp.gaussian import (
+    LOG_2PI,
+    PENALTY,
+    YearBlock,
+    _decode,
+    _encode,
+    _nll,
+    _Prepared,
+    _spd_inverse,
+    chol_spd,
+)
 from mwgp.ingest import (
     PROFILE_HEADER,
     ProfileRecord,
@@ -95,6 +108,97 @@ def explicit_conditional(target: SpaceTimePoint, block: YearBlock,
     mean = k @ A_inv @ block.values
     var = params.phi + params.sigma2 - k @ A_inv @ k
     return float(mean), float(var)
+
+
+def gauss_loglik(blocks, params: CovParams, spatial: bool = False) -> float:
+    """Sum of year-block Gaussian log-likelihoods, by the fit's objective.
+
+    Empty blocks contribute exactly zero.
+    """
+    prepared = _Prepared(blocks, spatial)
+    if prepared.n_obs == 0:
+        return 0.0
+    return -float(_nll(_encode(params, spatial), prepared, want_grad=False))
+
+
+class GroupedLags:
+    """Full per-block squared-lag matrices, grouped by identical geometry.
+
+    Blocks that share the exact same (lat, lon, t) arrays share one
+    covariance factorization per evaluation of ``grouped_nll``.
+    """
+
+    def __init__(self, blocks, spatial: bool):
+        self.spatial = spatial
+        self.groups = []  # (sq_lags, [(block_index, y), ...])
+        for idx, b in enumerate(blocks):
+            if b.m == 0:
+                continue
+            pts = b.points
+            for g in self.groups:
+                ref = g["pts"]
+                if ref.shape == pts.shape and np.array_equal(ref, pts):
+                    g["ys"].append((idx, b.values))
+                    break
+            else:
+                self.groups.append({"pts": pts, "sq_lags": sq_lag_matrices(pts),
+                                    "ys": [(idx, b.values)], "year": b.year})
+        self.n_obs = sum(b.m for b in blocks)
+
+
+def assemble_group(group, params: CovParams, spatial: bool):
+    """(D, E, K, Sigma) of one geometry group, as full matrices."""
+    D = scaled_distance(group["sq_lags"], params, spatial)
+    E = np.exp(-D)
+    K = params.phi * E
+    Sigma = K + params.sigma2 * np.eye(K.shape[0])
+    return D, E, K, Sigma
+
+
+def grouped_nll(x, prepared: GroupedLags, template: CovParams, want_grad: bool):
+    """Oracle for ``gaussian._nll``: full matrices, raw-parameter gradient.
+
+    Same value and log-parameter gradient, computed from full m x m lag
+    matrices and the raw-scale derivative d Sigma / d theta = K D' / theta^3,
+    then chained to log-parameters.
+    """
+    spatial = prepared.spatial
+    try:
+        params = _decode(x, template, spatial)
+    except InvalidParameterError:
+        return (PENALTY, np.zeros_like(x)) if want_grad else PENALTY
+    phi, tlat, tlon, tt, s2 = (params.phi, params.theta_lat, params.theta_lon,
+                               params.theta_t, params.sigma2)
+    ll = 0.0
+    g = np.zeros(5)  # d ll / d (phi, tlat, tlon, tt, s2), raw scale
+    for group in prepared.groups:
+        D, E, K, Sigma = assemble_group(group, params, spatial)
+        m = K.shape[0]
+        L = chol_spd(Sigma, phi, group["year"])
+        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+        nb = len(group["ys"])
+        quad = 0.0
+        A = np.zeros_like(K)
+        for _, y in group["ys"]:
+            alpha = sla.cho_solve((L, True), y, check_finite=False)
+            quad += float(y @ alpha)
+            A += np.outer(alpha, alpha)
+        ll += -0.5 * (nb * logdet + quad + nb * m * LOG_2PI)
+        if want_grad:
+            M = A - nb * _spd_inverse(L)   # sum_b (alpha alpha' - Sigma^-1)
+            g[0] += 0.5 * float(np.sum(M * E))
+            R = M * K
+            Dsafe = np.where(D > 0.0, D, 1.0)
+            ranges = (tlat, tlon) if spatial else (tlat, tlon, tt)
+            for k, (theta, sq) in enumerate(zip(ranges, group["sq_lags"]), 1):
+                g[k] += 0.5 / theta**3 * float(np.sum(R * sq / Dsafe))
+            g[4] += 0.5 * float(np.trace(M))
+    if not want_grad:
+        return -ll
+    glog = g * np.array([phi, tlat, tlon, tt, s2])
+    if spatial:
+        glog = glog[[0, 1, 2, 4]]
+    return -ll, -glog
 
 
 def scalar_laplace_loglik(y, phi, sigma, nu):

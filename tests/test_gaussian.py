@@ -24,13 +24,20 @@ from mwgp.gaussian import (
     chol_spd,
     default_init,
     fit_mle_gaussian,
-    gauss_loglik,
     gaussian_interval,
     predict_gaussian,
 )
 from mwgp.validation import simulate_field
 
-from conftest import PARAMS, dense_mvn_loglik, explicit_conditional, random_block
+from conftest import (
+    PARAMS,
+    GroupedLags,
+    dense_mvn_loglik,
+    explicit_conditional,
+    gauss_loglik,
+    grouped_nll,
+    random_block,
+)
 
 
 def synth_blocks(params, m, n_years, seed, span=6.0):
@@ -110,8 +117,8 @@ class TestNll:
         prepared = _Prepared([block], spatial)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, grad = _nll(x, prepared, PARAMS, want_grad=True)
-            assert _nll(x, prepared, PARAMS, want_grad=False) == PENALTY
+            val, grad = _nll(x, prepared, want_grad=True)
+            assert _nll(x, prepared, want_grad=False) == PENALTY
         assert val == PENALTY
         np.testing.assert_array_equal(grad, np.zeros_like(x))
 
@@ -126,10 +133,68 @@ class TestNll:
         prepared = _Prepared([block], False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, grad = _nll(x, prepared, PARAMS, want_grad=True)
+            val, grad = _nll(x, prepared, want_grad=True)
         assert np.isfinite(val) and val != PENALTY
         assert np.all(np.isfinite(grad))
         assert grad[axis] == 0.0
+
+
+    @pytest.mark.parametrize("spatial", [False, True])
+    def test_extreme_ranges_evaluate_silently(self, rng, spatial):
+        # At log theta = -400 theta^-2 overflows and the point scores
+        # PENALTY; at +400 it underflows to 0 and the axis drops out.
+        block = random_block(rng, 12)
+        prepared = _Prepared([block], spatial)
+        for axis in range(1, 3 if spatial else 4):
+            for log_theta in (-400.0, 400.0):
+                x = _encode(PARAMS, spatial)
+                x[axis] = log_theta
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    val, grad = _nll(x, prepared, want_grad=True)
+                if log_theta < 0.0:
+                    assert val == PENALTY
+                    np.testing.assert_array_equal(grad, np.zeros_like(x))
+                else:
+                    assert np.isfinite(val) and val != PENALTY
+                    assert np.all(np.isfinite(grad)) and grad[axis] == 0.0
+
+
+class TestNllOracle:
+    """The packed objective against the full-matrix, grouped one it replaced."""
+
+    # Block sizes per case; "again" repeats block 0's geometry with new values.
+    CASES = [(9,), (1,), (0, 7), (5, 1, 0, 12), (14, "again"),
+             (6, 0, "again", 3), (2, 2, 2, 2), (1, 1, 0, 0)]
+
+    @staticmethod
+    def blocks_for(case, rng, duplicate):
+        blocks = []
+        for year, size in enumerate(case):
+            if size == "again":
+                b0 = blocks[0]
+                blocks.append(YearBlock(year, b0.lat, b0.lon, b0.t,
+                                        rng.standard_normal(b0.m)))
+                continue
+            b = random_block(rng, size, year=year)
+            if duplicate and b.m >= 3:  # a repeated position within the year
+                b.lat[2], b.lon[2], b.t[2] = b.lat[0], b.lon[0], b.t[0]
+            blocks.append(b)
+        return blocks
+
+    @pytest.mark.parametrize("spatial", [False, True])
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_value_and_gradient_match_grouped_oracle(self, spatial, duplicate):
+        rng = np.random.default_rng([31, spatial, duplicate])
+        for case in self.CASES:
+            blocks = self.blocks_for(case, rng, duplicate)
+            for _ in range(5):
+                x = _encode(PARAMS, spatial) + rng.uniform(-1.5, 1.5, 4 if spatial else 5)
+                val, grad = _nll(x, _Prepared(blocks, spatial), want_grad=True)
+                ref, ref_grad = grouped_nll(x, GroupedLags(blocks, spatial), PARAMS, True)
+                assert abs(val - ref) <= 1e-12 * abs(ref), case
+                assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad)), case
+                assert _nll(x, _Prepared(blocks, spatial), want_grad=False) == val
 
 
 class TestFitMleGaussian:

@@ -23,7 +23,6 @@ from mwgp.gaussian import (
     YearBlock,
     _Prepared,
     default_init,
-    gauss_loglik,
     predict_gaussian,
 )
 from mwgp.student import (
@@ -45,7 +44,7 @@ from mwgp.student import (
 )
 from mwgp.validation import simulate_field
 
-from conftest import deviation_sample, random_block, t_log_gamma_ratio
+from conftest import deviation_sample, gauss_loglik, random_block, t_log_gamma_ratio
 
 SP = StudentParams(CovParams(1.0, 2.0, 3.0, 6.0, 0.5), nu=4.0)
 
