@@ -199,7 +199,7 @@ def _kernel_grad(prepared: _Prepared, W: np.ndarray, D: np.ndarray,
     W *= E
     g_phi = phi * (float(np.sum(W)) + diag)
     np.divide(W, D, out=W, where=D > 0.0)
-    return g_phi, phi * (inv2 * (prepared.lags @ W))  # inv2 * lags @ W <= D^2 W / D
+    return g_phi, phi * (inv2 * (prepared.lags @ W))  # phi * inv2 alone may overflow
 
 
 def _nll(x: np.ndarray, prepared: _Prepared, want_grad: bool):
