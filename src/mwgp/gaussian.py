@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
@@ -73,6 +74,12 @@ class YearBlock:
     @property
     def m(self) -> int:
         return self.lat.shape[0]
+
+    @cached_property
+    def by_lat(self) -> tuple:
+        """(order, lat, lon, t) in stable latitude order, once per block."""
+        order = np.argsort(self.lat, kind="stable")
+        return order, self.lat[order], self.lon[order], self.t[order]
 
     @property
     def points(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from operator import ne
 
 import numpy as np
 
-from .covariance import rg_distances, wrap_dlon, wrap_lon
+from .covariance import KM_PER_DEG, rg_distances, wrap_dlon, wrap_lon
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
@@ -395,12 +395,31 @@ class MeanField:
         return out
 
 
-def _nearest(d: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest distances, nearest first, ties to the
-    lower index: ``np.argsort(d, kind="stable")[:k]`` sorting only what
-    lies at or inside the k-th distance."""
-    near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
-    return near[np.argsort(d[near], kind="stable")[:k]]
+def _nearest_rows(lat, lon, centers, k: int):
+    """(rows, distances) of the k observations nearest each (clat, clon),
+    as the stable sort of ``rg_distances(..., tropic=False)`` to every row
+    would give them, from a latitude band [clat - h, clat + h].  The band
+    holds when the excluded rows next to it have |(clat - lat) * KM_PER_DEG|
+    > d_k, its k-th distance, as hypot(a, b) >= |a|; else h doubles.  h
+    starts from 1.25 times the previous d_k, the first from every row."""
+    order = np.argsort(lat, kind="stable")
+    slat, slon = lat[order], lon[order]
+    n, dk = lat.size, math.inf
+    for clat, clon in centers:
+        h = 1.25 * dk / KM_PER_DEG
+        while True:
+            lo, hi = slat.searchsorted(clat - h), slat.searchsorted(clat + h, "right")
+            if hi - lo >= k:
+                d = rg_distances(clat, clon, slat[lo:hi], slon[lo:hi],
+                                 tropic=False)
+                dk = np.partition(d, k - 1)[k - 1]
+                if ((lo == 0 or abs((clat - slat[lo - 1]) * KM_PER_DEG) > dk)
+                        and (hi == n or abs((clat - slat[hi]) * KM_PER_DEG) > dk)):
+                    break
+            h = max(2.0 * h, 1e-6)
+        near = np.flatnonzero(d <= dk)
+        near = near[np.lexsort((order[lo:hi][near], d[near]))[:k]]
+        yield order[lo + near], d[near]
 
 
 MEAN_RIDGE = 1e-8  # rank-deficient designs: relative to mean diagonal + 1
@@ -411,7 +430,7 @@ def estimate_mean_field(blocks, grid: GridSpec,
     """Weighted local least squares of the mean basis at every cell.
 
     Each cell is fit to its ``n_neighbors`` nearest observations of the
-    year blocks (``_nearest``) under the plain (non-elongated)
+    year blocks (``_nearest_rows``) under the plain (non-elongated)
     great-circle-style distance, weighted by exp(-(d/L)^2).
     Rank-deficient designs fall back to a scale-free ridge and flag
     the cell.
@@ -426,10 +445,10 @@ def estimate_mean_field(blocks, grid: GridSpec,
     ncols = len(SPATIAL_COEF_NAMES) + 2 * config.n_harmonics
     coefs = {}
     ridge_cells = set()
-    for i, j, clat, clon in grid.cells():
-        d = rg_distances(clat, clon, lat, lon, tropic=False)
-        idx = _nearest(d, config.n_neighbors)
-        w = np.exp(-((d[idx] / config.weight_scale_km) ** 2))
+    cells = list(grid.cells())
+    nearest = _nearest_rows(lat, lon, [c[2:] for c in cells], config.n_neighbors)
+    for (i, j, clat, clon), (idx, d) in zip(cells, nearest):
+        w = np.exp(-((d / config.weight_scale_km) ** 2))
         X = _basis(lat[idx] - clat, wrap_dlon(lon[idx] - clon), t[idx],
                    config.n_harmonics)
         sw = np.sqrt(w)
@@ -541,17 +560,6 @@ def write_mean_field_gridded(mean: MeanField, path,
                              FLOAT_FMT % mean.evaluate(i, j, eval_time)])
 
 
-def _cell_for(grid: GridSpec, lat: float, lon: float, line_number: int):
-    lats = grid.lats
-    lons = grid.lons
-    i = int(np.argmin(np.abs(lats - lat)))
-    j = int(np.argmin(np.abs(wrap_dlon(lons - lon))))
-    if abs(lats[i] - lat) > 1e-6 or abs(wrap_dlon(lons[j] - lon)) > 1e-6:
-        raise SchemaError(f"({lat}, {lon}) is not a grid cell center",
-                          line_number)
-    return i, j
-
-
 def read_mean_field(path) -> MeanField:
     """Load a mean field in either gridded or coefficient form.
 
@@ -589,11 +597,19 @@ def read_mean_field(path) -> MeanField:
     grid = GridSpec(lats[0], lats[-1], lons[0], lons[-1],
                     min(np.diff(lats), default=1.0),
                     min(np.diff(lons), default=1.0))
+    # Distinct coordinates resolved at once: first nearest center, -1 off grid.
+    ulat, ulon = np.array(lats), np.array(lons)
+    i = np.abs(grid.lats - ulat[:, None]).argmin(1)
+    j = np.abs(wrap_dlon(grid.lons - ulon[:, None])).argmin(1)
+    i_of = dict(zip(lats, np.where(
+        np.abs(grid.lats[i] - ulat) > 1e-6, -1, i).tolist()))
+    j_of = dict(zip(lons, np.where(
+        np.abs(wrap_dlon(grid.lons[j] - ulon)) > 1e-6, -1, j).tolist()))
     by_cell: dict = {}
-    centers: dict = {}  # each distinct center resolved once, at its first line
     for k, lat, lon, name, value in entries:
-        ij = centers.get((lat, lon)) or centers.setdefault(
-            (lat, lon), _cell_for(grid, lat, lon, k))
+        ij = i_of[lat], j_of[lon]
+        if min(ij) < 0:
+            raise SchemaError(f"({lat}, {lon}) is not a grid cell center", k)
         by_cell.setdefault(ij, {})[name] = value
     names = (coef_names(max_harmonic) if header == MEAN_COEF_HEADER
              else ["intercept"])

@@ -33,8 +33,9 @@ from .windows import (
     GridSpec,
     ModelVariant,
     WindowSpec,
+    nearest_cell_index,
     single_blas_thread,
-    window_mask,
+    window_rows,
 )
 
 
@@ -173,15 +174,7 @@ def _usable_cells(field_: GridField):
         return None
     lat = np.array([r.lat for r in cells])
     lon = np.array([r.lon for r in cells])
-    flat = np.array([field_.grid.flat_index(r.i, r.j) for r in cells])
-    return cells, lat, lon, flat
-
-
-def nearest_cell_index(lat: float, lon: float, cell_lat, cell_lon, flat) -> int:
-    """Index of the nearest cell in degree metric; ties to lower flat index."""
-    d2 = (cell_lat - lat) ** 2 + wrap_dlon(cell_lon - lon) ** 2
-    order = np.lexsort((flat, d2))
-    return int(order[0])
+    return cells, lat, lon
 
 
 @single_blas_thread()
@@ -223,8 +216,8 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
             if lookup is None:
                 result.n_skipped += 1
                 continue
-            cells, clat, clon, cflat = lookup
-            ci = nearest_cell_index(o.lat, o.lon, clat, clon, cflat)
+            cells, clat, clon = lookup
+            ci = nearest_cell_index(o.lat, o.lon, clat, clon)
             d = math.hypot(cells[ci].lat - o.lat,
                            float(wrap_dlon(cells[ci].lon - o.lon)))
             if d > cap:
@@ -235,15 +228,14 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
         for ci, held in groups.items():
             cell = cells[ci]
             center = SpaceTimePoint(cell.lat, cell.lon, grid.eval_time)
-            wmask = window_mask(block, center, spec)
-            win = np.flatnonzero(wmask)
+            win = window_rows(block, center, spec)
             if scheme == "looo":
                 removals = [np.flatnonzero(win == o.obs_index) for o in held]
             else:
                 ids = block.source_ids[win]
                 removals = [np.flatnonzero(ids == o.source_id) for o in held]
             targets = [SpaceTimePoint(o.lat, o.lon, o.day) for o in held]
-            preds = family.predict_folds(targets, block.subset(wmask),
+            preds = family.predict_folds(targets, block.subset(win),
                                          removals, cell.fit.params)
             scored += [replace(o, pred=pred, cell=(cell.i, cell.j))
                        for o, pred in zip(held, preds)]

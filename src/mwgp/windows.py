@@ -18,6 +18,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -173,6 +174,13 @@ def cell_key(lat: float, lon: float) -> tuple[float, float]:
     return (round(float(lat), 6), round(float(wrap_lon(lon)), 6))
 
 
+def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """Cell centers lo, lo + step, ... up to hi, read-only."""
+    a = lo + step * np.arange(int(math.floor((hi - lo) / step + 1e-9)) + 1)
+    a.flags.writeable = False
+    return a
+
+
 LAT_LIMIT = 80.0  # cells poleward of it are skipped: zonal geometry degenerates
 
 
@@ -206,15 +214,13 @@ class GridSpec:
         norm = frozenset(cell_key(a, b) for a, b in self.mask)
         object.__setattr__(self, "mask", norm)
 
-    @property
+    @cached_property
     def lats(self) -> np.ndarray:
-        n = int(math.floor((self.lat_max - self.lat_min) / self.lat_step + 1e-9)) + 1
-        return self.lat_min + self.lat_step * np.arange(n)
+        return _axis(self.lat_min, self.lat_max, self.lat_step)
 
-    @property
+    @cached_property
     def lons(self) -> np.ndarray:
-        n = int(math.floor((self.lon_max - self.lon_min) / self.lon_step + 1e-9)) + 1
-        return self.lon_min + self.lon_step * np.arange(n)
+        return _axis(self.lon_min, self.lon_max, self.lon_step)
 
     @property
     def n_lat(self) -> int:
@@ -340,6 +346,12 @@ class GridField:
                                               key=lambda ij: self.grid.flat_index(*ij))]
 
 
+def nearest_cell_index(lat: float, lon: float, cell_lat, cell_lon) -> int:
+    """Index of the nearest cell in degree metric, ties to the first; cells
+    listed in ascending flat index break ties to the lower one."""
+    return int(np.argmin((cell_lat - lat) ** 2 + wrap_dlon(cell_lon - lon) ** 2))
+
+
 def select_window(data, center: SpaceTimePoint, spec: WindowSpec) -> list[YearBlock]:
     """Closed-window neighborhood selection, preserving year grouping.
 
@@ -348,15 +360,22 @@ def select_window(data, center: SpaceTimePoint, spec: WindowSpec) -> list[YearBl
     year).  Empty per-year subsets are kept so that downstream
     prediction can fall back to the prior for data-free years.
     """
-    return [block.subset(window_mask(block, center, spec)) for block in data]
+    return [block.subset(window_rows(block, center, spec)) for block in data]
 
 
-def window_mask(block: YearBlock, center: SpaceTimePoint,
+def window_rows(block: YearBlock, center: SpaceTimePoint,
                 spec: WindowSpec) -> np.ndarray:
-    """Boolean mask of the block's observations inside the closed window."""
-    return ((np.abs(block.lat - center.lat) <= spec.x_win)
-            & (np.abs(wrap_dlon(block.lon - center.lon)) <= spec.x_win)
-            & (np.abs(block.t - center.t) <= spec.t_win))
+    """Ascending indices of the block's observations inside the closed
+    window.  |lat - c| <= x_win keeps one run of ``block.by_lat``, so only
+    a slice padded far beyond the rounding of lat - c is tested."""
+    order, lat, lon, t = block.by_lat
+    c = center.lat
+    pad = spec.x_win + 1e-9 * (90.0 + abs(c) + spec.x_win)
+    lo, hi = lat.searchsorted(c - pad), lat.searchsorted(c + pad, "right")
+    rows = lo + np.flatnonzero((np.abs(lat[lo:hi] - c) <= spec.x_win)
+                               & (np.abs(t[lo:hi] - center.t) <= spec.t_win))
+    rows = rows[np.abs(wrap_dlon(lon[rows] - center.lon)) <= spec.x_win]
+    return np.sort(order[rows])
 
 
 def pooled_window_variance(blocks) -> float:
@@ -737,16 +756,12 @@ def _apply_nearest_fallback(field_: GridField, data, variant, spec,
     donors = [r for r in field_.ordered() if r.fit.ok]
     if not donors:
         return
+    lat, lon = np.array([(d.lat, d.lon) for d in donors]).T
     family = variant.family
     for res in field_.ordered():
         if res.fit.ok or res.fit.status == "insufficient_data":
             continue
-        best = min(
-            donors,
-            key=lambda d: ((d.lat - res.lat) ** 2
-                           + wrap_dlon(d.lon - res.lon) ** 2,
-                           field_.grid.flat_index(d.i, d.j)),
-        )
+        best = donors[nearest_cell_index(res.lat, res.lon, lat, lon)]
         center = SpaceTimePoint(res.lat, res.lon, field_.grid.eval_time)
         windowed = select_window(data, center, spec)
         try:

@@ -26,6 +26,7 @@ from mwgp.covariance import (
     as_point_array,
     cov_matrix,
     cross_cov_vector,
+    rg_distances,
     rg_tropic_factor,
     scaled_distance,
     sq_lag_matrices,
@@ -62,9 +63,7 @@ from mwgp.validation import (
     CVRecord,
     CVResult,
     _usable_cells,
-    nearest_cell_index,
 )
-from mwgp.windows import window_mask
 
 # Canonical parameter set used across modules when the exact values
 # are immaterial; chosen so no two scales coincide.
@@ -394,8 +393,9 @@ def run_cv_per_fold(data, grid, field_, variant, spec, scheme="looo",
             if lookup is None:
                 result.n_skipped += 1
                 continue
-            cells, clat, clon, cflat = lookup
-            ci = nearest_cell_index(o.lat, o.lon, clat, clon, cflat)
+            cells, clat, clon = lookup
+            cflat = [grid.flat_index(r.i, r.j) for r in cells]
+            ci = nearest_cell_lexsort(o.lat, o.lon, clat, clon, cflat)
             cell = cells[ci]
             d = math.hypot(cell.lat - o.lat, float(wrap_dlon(cell.lon - o.lon)))
             if d > cap:
@@ -574,8 +574,49 @@ def apply_filters_loop(records, time_window=None, mask=frozenset(),
 
 
 def nearest_argsort(d, k: int) -> np.ndarray:
-    """Oracle for ``ingest._nearest``: the stable full sort's prefix."""
+    """The k smallest distances' indices, nearest first, ties to the
+    lower index: the stable full sort's prefix."""
     return np.argsort(d, kind="stable")[:k]
+
+
+def nearest_rows_scan(lat, lon, centers, k: int):
+    """Oracle for ``ingest._nearest_rows``: distances from each center to
+    every row, then the stable full sort's prefix."""
+    for clat, clon in centers:
+        d = rg_distances(clat, clon, lat, lon, tropic=False)
+        rows = nearest_argsort(d, k)
+        yield rows, d[rows]
+
+
+def window_mask(block: YearBlock, center: SpaceTimePoint, spec) -> np.ndarray:
+    """The closed-window predicate over every row of the block."""
+    return ((np.abs(block.lat - center.lat) <= spec.x_win)
+            & (np.abs(wrap_dlon(block.lon - center.lon)) <= spec.x_win)
+            & (np.abs(block.t - center.t) <= spec.t_win))
+
+
+def window_rows_scan(block: YearBlock, center: SpaceTimePoint,
+                     spec) -> np.ndarray:
+    """Oracle for ``windows.window_rows``: the predicate over the whole block."""
+    return np.flatnonzero(window_mask(block, center, spec))
+
+
+def nearest_cell_lexsort(lat: float, lon: float, cell_lat, cell_lon,
+                         flat) -> int:
+    """Oracle for ``windows.nearest_cell_index``: the nearest cell in
+    degree metric, ties to the lower flat index by a full lexsort."""
+    d2 = (cell_lat - lat) ** 2 + wrap_dlon(cell_lon - lon) ** 2
+    return int(np.lexsort((flat, d2))[0])
+
+
+def cell_for_scan(grid, lat: float, lon: float):
+    """Oracle for the mean-field reader's center lookup: the first
+    nearest grid index on each axis, or None off the lattice (1e-6)."""
+    i = int(np.argmin(np.abs(grid.lats - lat)))
+    j = int(np.argmin(np.abs(wrap_dlon(grid.lons - lon))))
+    if abs(grid.lats[i] - lat) > 1e-6 or abs(wrap_dlon(grid.lons[j] - lon)) > 1e-6:
+        return None
+    return i, j
 
 
 @pytest.fixture

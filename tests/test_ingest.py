@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import mwgp.ingest as ingest
@@ -50,7 +50,8 @@ from mwgp.windows import (
 
 from conftest import (
     apply_filters_loop,
-    nearest_argsort,
+    cell_for_scan,
+    nearest_rows_scan,
     parse_profiles_rows,
     profiles_to_level_loop,
     subtract_mean_loop,
@@ -584,7 +585,7 @@ class TestMeanFieldEstimation:
 
 
 class TestNearestNeighbours:
-    """Partition-based neighbour selection against the stable full sort."""
+    """The latitude-band neighbour search against the full scan."""
 
     @staticmethod
     def tied_blocks():
@@ -600,28 +601,121 @@ class TestNearestNeighbours:
                 rng.normal(size=30)))
         return blocks
 
+    @staticmethod
+    def assert_band_equals_scan(lat, lon, centers, k):
+        lat, lon = np.asarray(lat, float), np.asarray(lon, float)
+        got = list(ingest._nearest_rows(lat, lon, centers, k))
+        want = list(nearest_rows_scan(lat, lon, centers, k))
+        assert len(got) == len(want) == len(centers)
+        for (rows, d), (rows0, d0) in zip(got, want):
+            np.testing.assert_array_equal(rows, rows0)
+            assert d.tobytes() == d0.tobytes()
+
     def test_indices_equal_stable_argsort_at_ties(self):
         blocks = self.tied_blocks()
         lat = np.concatenate([b.lat for b in blocks])
         lon = np.concatenate([b.lon for b in blocks])
         n = lat.size
-        for clat, clon in ((0.0, 0.0), (1.0, -1.0), (lat[7], lon[7])):
-            d = rg_distances(clat, clon, lat, lon, tropic=False)
-            kth = np.sort(d)
-            # every k that ends inside a tie group, plus 1 and n_obs
-            ks = {1, n} | {k for k in range(2, n) if kth[k - 1] == kth[k]}
-            assert len(ks) > 50
-            for k in ks:
-                np.testing.assert_array_equal(ingest._nearest(d, k),
-                                              nearest_argsort(d, k))
+        centers = [(0.0, 0.0), (1.0, -1.0), (lat[7], lon[7])]
+        ks = {1, n}  # plus every k that ends inside a tie group
+        for clat, clon in centers:
+            kth = np.sort(rg_distances(clat, clon, lat, lon, tropic=False))
+            ks |= {k for k in range(2, n) if kth[k - 1] == kth[k]}
+        assert len(ks) > 50
+        for k in sorted(ks):
+            self.assert_band_equals_scan(lat, lon, centers, k)
+
+    def test_excluded_tie_at_the_kth_distance_widens_the_band(self):
+        # Row 0 sits 2 deg north, row 1 2 deg east: both exactly 222.4 km
+        # from (0, 0).  The first center leaves d_k = 0, so the second
+        # starts from a band holding row 1 only; row 0's meridional term
+        # equals d_k, which does not certify, and the lower row wins.
+        self.assert_band_equals_scan([2.0, 0.0], [0.0, 2.0],
+                                     [(0.0, 2.0), (0.0, 0.0)], 1)
+        assert next(ingest._nearest_rows(
+            np.array([2.0, 0.0]), np.array([0.0, 2.0]), [(0.0, 0.0)], 1)
+        )[0].tolist() == [0]
+
+    def test_tie_inside_the_band_breaks_to_the_lower_row(self):
+        # Equal distances, latitude order opposite to row order.
+        rows, _ = next(ingest._nearest_rows(
+            np.array([1.0, -1.0]), np.array([0.0, 0.0]), [(0.0, 0.0)], 1))
+        assert rows.tolist() == [0]
+
+    def test_band_grows_to_every_row_and_the_poles(self):
+        # A cluster at the origin and rows at both poles.  From (60, 0)
+        # the north-pole rows are nearest; the band starts empty (the
+        # previous d_k is 0) and ends holding every row.
+        lat = [0.0] * 5 + [90.0, 90.0, -90.0]
+        lon = [0.0] * 5 + [0.0, 45.0, 0.0]
+        centers = [(0.0, 0.0), (60.0, 0.0), (80.0, 170.0), (-80.0, 0.0)]
+        for k in (1, 3, 5, 7, 8):
+            self.assert_band_equals_scan(lat, lon, centers, k)
+
+    def test_n_equal_to_k_takes_every_row(self):
+        rng = np.random.default_rng(5)
+        lat, lon = rng.uniform(-30, 30, 40), rng.uniform(-180, 180, 40)
+        self.assert_band_equals_scan(lat, lon, [(0.0, 0.0), (25.0, 179.0)], 40)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_band_equals_full_scan(self, data):
+        # Positions drawn with repeats from a few lattice spots (ties),
+        # latitudes up to the poles, centers swept in order as grid
+        # cells are, near LAT_LIMIT included.
+        lat_st = st.one_of(st.sampled_from([-90.0, -80.0, 80.0, 90.0]),
+                           st.integers(-45, 45).map(lambda v: v * 2.0))
+        lon_st = st.integers(-36, 35).map(lambda v: v * 5.0)
+        spots = data.draw(st.lists(st.tuples(lat_st, lon_st), min_size=1,
+                                   max_size=10))
+        picks = data.draw(st.lists(st.sampled_from(spots), min_size=1,
+                                   max_size=40))
+        lat, lon = map(list, zip(*picks))
+        k = data.draw(st.integers(1, len(lat)))
+        centers = data.draw(st.lists(st.tuples(
+            st.sampled_from([-80.0, -79.0, 0.0, 1.0, 79.0, 80.0]) | lat_st,
+            lon_st), min_size=1, max_size=6))
+        self.assert_band_equals_scan(lat, lon, centers, k)
 
     @pytest.mark.parametrize("n_neighbors", [1, 37, 61, 120])
     def test_coefficients_equal_stable_argsort_fit(self, n_neighbors):
         blocks = self.tied_blocks()
         config = MeanFieldConfig(n_neighbors=n_neighbors, n_harmonics=1)
         got = estimate_mean_field(blocks, SMALL_GRID, config)
-        with mock.patch.object(ingest, "_nearest", nearest_argsort):
+        with mock.patch.object(ingest, "_nearest_rows", nearest_rows_scan):
             want = estimate_mean_field(blocks, SMALL_GRID, config)
+        assert sorted(got.coefs) == sorted(want.coefs)
+        for ij in want.coefs:
+            assert got.coefs[ij].tobytes() == want.coefs[ij].tobytes()
+        assert got.ridge_cells == want.ridge_cells
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_coefficients_equal_full_scan_fit(self, data):
+        # Multi-year blocks, some empty, sharing positions, so ties
+        # across years break by the row in the concatenated blocks.
+        spots = data.draw(st.lists(st.tuples(
+            st.integers(-9, 9).map(lambda v: v * 10.0),
+            st.integers(-4, 4).map(lambda v: 177.5 + v * 2.5)),
+            min_size=1, max_size=8))
+        blocks = []
+        for year, m in enumerate(data.draw(st.lists(
+                st.integers(0, 12), min_size=1, max_size=3))):
+            pos = data.draw(st.lists(st.sampled_from(spots), min_size=m,
+                                     max_size=m))
+            blocks.append(YearBlock(
+                2000 + year, [p[0] for p in pos], [p[1] for p in pos],
+                np.linspace(10.0, 300.0, m), np.cos(np.arange(m) + year)))
+        n_obs = sum(b.m for b in blocks)
+        assume(n_obs > 0)
+        config = MeanFieldConfig(n_neighbors=data.draw(st.integers(1, n_obs)),
+                                 n_harmonics=1)
+        grid = GridSpec(-80.0, 80.0, 175.0, 185.0, lat_step=20.0,
+                        lon_step=5.0)
+        got = estimate_mean_field(blocks, grid, config)
+        with mock.patch.object(ingest, "_nearest_rows", nearest_rows_scan):
+            want = estimate_mean_field(blocks, grid, config)
         assert sorted(got.coefs) == sorted(want.coefs)
         for ij in want.coefs:
             assert got.coefs[ij].tobytes() == want.coefs[ij].tobytes()
@@ -898,6 +992,47 @@ class TestMeanFieldIO:
         with pytest.raises(SchemaError) as err:
             read_mean_field(path)
         assert "cell center" in str(err.value)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_centers_resolve_as_the_per_center_scan(self, tmp_path, data):
+        # Centers on a lattice with 0.5 and 1 deg spacings, longitudes
+        # written wrapped or not, repeats in any order, and now and then
+        # a center off the lattice: the reader's one array pass resolves
+        # each as the first nearest center per axis, and the first
+        # offending line raises.
+        coord = st.one_of(st.integers(-8, 8).map(lambda v: v / 2.0),
+                          st.sampled_from([0.1, 0.3, 2.7]))
+        lon_shift = st.sampled_from([0.0, 0.0, 360.0, -360.0])
+        names = st.sampled_from(["intercept", "dlat", "sin1", "cos2"])
+        entries = data.draw(st.lists(st.tuples(
+            coord, st.tuples(coord, lon_shift).map(sum), names,
+            st.integers(-5, 5).map(float)), min_size=1, max_size=25))
+        path = write_lines(tmp_path / "mean.csv", [",".join(MEAN_COEF_HEADER)]
+                           + [f"{a!r},{b!r},{n},{v!r}" for a, b, n, v in entries])
+        lats = sorted({e[0] for e in entries})
+        lons = sorted({e[1] for e in entries})
+        grid = GridSpec(lats[0], lats[-1], lons[0], lons[-1],
+                        min(np.diff(lats), default=1.0),
+                        min(np.diff(lons), default=1.0))
+        cells = [cell_for_scan(grid, a, b) for a, b, _, _ in entries]
+        if None in cells:
+            line = cells.index(None) + 2
+            with pytest.raises(SchemaError) as err:
+                read_mean_field(path)
+            assert err.value.line_number == line
+            assert f"({entries[line - 2][0]}, {entries[line - 2][1]})" \
+                in str(err.value)
+            return
+        back = read_mean_field(path)
+        want: dict = {}
+        for ij, (_, _, name, value) in zip(cells, entries):
+            want.setdefault(ij, {})[name] = value
+        all_names = coef_names(back.n_harmonics)
+        assert sorted(back.coefs) == sorted(want)
+        for ij, c in want.items():
+            assert back.coefs[ij].tolist() == [c.get(n, 0.0) for n in all_names]
 
     def test_unknown_coefficient_name_rejected(self, tmp_path):
         path = write_lines(tmp_path / "mean.csv", [

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mwgp.covariance import CovParams, SpaceTimePoint, cov_matrix
@@ -41,10 +43,15 @@ from mwgp.windows import (
     _predict_reference,
     map_grid,
     month_halfwidth_days,
-    window_mask,
+    window_rows,
 )
 
-from conftest import lofo_partition, loo_partition, run_cv_per_fold
+from conftest import (
+    lofo_partition,
+    loo_partition,
+    nearest_cell_lexsort,
+    run_cv_per_fold,
+)
 
 TRUE = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
 
@@ -226,22 +233,38 @@ class TestNearestCellIndex:
     def test_picks_nearest(self):
         clat = np.array([0.0, 0.0, 5.0])
         clon = np.array([0.0, 2.0, 0.0])
-        flat = np.array([0, 1, 2])
-        assert nearest_cell_index(0.0, 1.9, clat, clon, flat) == 1
+        assert nearest_cell_index(0.0, 1.9, clat, clon) == 1
 
     def test_tie_breaks_to_lower_flat_index(self):
+        # Cells come in ascending flat index, so the first is the lower.
         clat = np.array([0.0, 0.0])
         clon = np.array([0.0, 2.0])
-        assert nearest_cell_index(0.0, 1.0, clat, clon,
-                                  np.array([5, 3])) == 1
-        assert nearest_cell_index(0.0, 1.0, clat, clon,
-                                  np.array([3, 5])) == 0
+        assert nearest_cell_index(0.0, 1.0, clat, clon) == 0
 
     def test_wraps_longitude(self):
         clat = np.array([0.0, 0.0])
         clon = np.array([-179.9, 179.0])
-        flat = np.array([0, 1])
-        assert nearest_cell_index(0.0, 179.9, clat, clon, flat) == 0
+        assert nearest_cell_index(0.0, 179.9, clat, clon) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_lexsort_oracle_ties_included(self, data):
+        # Usable cells of a small grid in ascending flat index, as
+        # ``GridField.ordered()`` lists them; observations on the half-step
+        # lattice sit at exact ties between two or four cells.
+        grid = GridSpec(-3.0, 3.0, 177.0, 183.0)
+        cells = [(i, j, lat, lon) for i, j, lat, lon in grid.cells()]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(cells),
+                                  max_size=len(cells)))
+        cells = [c for c, k in zip(cells, keep) if k] or cells[:1]
+        clat = np.array([c[2] for c in cells])
+        clon = np.array([c[3] for c in cells])
+        flat = [grid.flat_index(c[0], c[1]) for c in cells]
+        for _ in range(20):
+            lat = data.draw(st.integers(-8, 8)) / 2.0
+            lon = data.draw(st.integers(350, 370)) / 2.0
+            assert nearest_cell_index(lat, lon, clat, clon) == \
+                nearest_cell_lexsort(lat, lon, clat, clon, flat)
 
 
 class TestRunCV:
@@ -549,7 +572,7 @@ class TestClosedFormCV:
         ids[0] = "dup"
         data = [YearBlock(b.year, b.lat[dup], b.lon[dup], b.t[dup],
                           b.values[dup], ids)]
-        window = data[0].subset(window_mask(
+        window = data[0].subset(window_rows(
             data[0], SpaceTimePoint(0.0, 0.0, 45.5), self.SPEC3))
         Sigma = cov_matrix(window.points, field_.cells[(0, 0)].fit.params)
         with pytest.raises(np.linalg.LinAlgError):

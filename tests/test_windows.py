@@ -60,10 +60,11 @@ from mwgp.windows import (
     reference_phi_hat,
     select_window,
     single_blas_thread,
+    window_rows,
     zonal_km_to_degrees,
 )
 
-from conftest import exp_cov
+from conftest import exp_cov, window_rows_scan
 
 TRUE = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
 
@@ -287,6 +288,78 @@ class TestSelectWindow:
         kept_small = set(select_window([block], self.CENTER, small)[0].source_ids)
         kept_big = set(select_window([block], self.CENTER, big)[0].source_ids)
         assert kept_small <= kept_big
+
+
+class TestWindowRows:
+    """The latitude-sorted slice against the predicate over every row."""
+
+    @staticmethod
+    def assert_equals_scan(block, center, spec):
+        got = window_rows(block, center, spec)
+        want = window_rows_scan(block, center, spec)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        kept = select_window([block], center, spec)[0]
+        for name in ("lat", "lon", "t", "values"):
+            assert getattr(kept, name).tobytes() == \
+                getattr(block.subset(want), name).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_full_scan(self, data):
+        # Quarter-degree lattice positions (duplicates, rows exactly at
+        # |dlat| = x_win and at |dlon| = x_win across the antimeridian),
+        # data at the poles, empty blocks.
+        m = data.draw(st.integers(0, 40))
+        pos = st.integers(-360, 360).map(lambda v: v / 4.0)
+        lons = st.one_of(st.sampled_from([-180.0, 177.5, 180.0]),
+                         st.integers(-720, 719).map(lambda v: v / 4.0))
+        lat = data.draw(st.lists(pos, min_size=m, max_size=m))
+        lon = data.draw(st.lists(lons, min_size=m, max_size=m))
+        t = data.draw(st.lists(st.integers(0, 8).map(lambda v: 40.0 + v),
+                               min_size=m, max_size=m))
+        block = YearBlock(0, lat, lon, t, np.arange(float(m)), np.arange(m))
+        spec = WindowSpec(data.draw(st.sampled_from([0.25, 2.5, 10.0, 200.0])),
+                          data.draw(st.sampled_from([0.0, 2.0, 15.21875])))
+        for _ in range(5):
+            center = SpaceTimePoint(data.draw(pos), data.draw(lons),
+                                    data.draw(st.sampled_from([41.0, 44.0])))
+            self.assert_equals_scan(block, center, spec)
+
+    def test_rows_just_beyond_the_rounded_band_edge(self):
+        # c + x_win and c - x_win round, and |lat - c| rounds again: some
+        # latitudes one or two ulps outside [c - x_win, c + x_win] (as
+        # computed) are still inside the window; the slice must keep them.
+        lats, centers = [], []
+        for c in np.arange(-89.9, 90.0, 0.7):
+            for x in (0.1, 0.3, 2.5, 7.3, 10.0):
+                for edge, away in ((c + x, math.inf), (c - x, -math.inf)):
+                    step = np.nextafter(edge, away)
+                    for lat in (step, np.nextafter(step, away)):
+                        if abs(lat) <= 90.0 and abs(lat - c) <= x:
+                            lats.append(lat)
+                            centers.append((c, x))
+        assert len(lats) > 20
+        block = YearBlock(0, lats, np.zeros(len(lats)),
+                          np.full(len(lats), 45.5), np.zeros(len(lats)))
+        for c, x in centers:
+            center = SpaceTimePoint(float(c), 0.0, 45.5)
+            self.assert_equals_scan(block, center, WindowSpec(x, 1.0))
+
+    def test_empty_block_gives_no_rows(self):
+        block = YearBlock(0, [], [], [], [])
+        rows = window_rows(block, SpaceTimePoint(0.0, 0.0, 45.5), WindowSpec())
+        assert rows.shape == (0,)
+        assert select_window([block], SpaceTimePoint(0.0, 0.0, 45.5),
+                             WindowSpec())[0].m == 0
+
+    def test_latitude_order_is_computed_once_per_block(self):
+        block = tracked_block()
+        order = block.by_lat
+        select_window([block], SpaceTimePoint(1.0, 2.0, 45.5), WindowSpec())
+        assert block.by_lat is order
+        np.testing.assert_array_equal(
+            order[0], np.argsort(block.lat, kind="stable"))
 
 
 class TestPooledVariance:
