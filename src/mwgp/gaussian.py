@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 from scipy import linalg as sla
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
+from scipy.optimize._lbfgsb_py import status_messages, task_messages
 from scipy.special import ndtri
 
 from .covariance import (
@@ -154,32 +155,44 @@ def _spd_inverse(L: np.ndarray) -> np.ndarray:
 
 
 class _Prepared:
-    """Every nonempty year block's point pairs i > j, packed.
+    """Every nonempty year block's point pairs i > j, packed, and the
+    Gaussian objective's buffers.
 
     ``lags`` is (n_ranges, P): row k holds the squared lat, lon [, t]
-    lags of all pairs, block after block.  ``blocks`` holds each
-    block's (year, rows, cols, flat, pairs, obs): its lower-triangle
-    indices, their column-major flat index, and its slices of the
-    pairs and of ``values``, which concatenates the blocks' values.
+    lags of all pairs, block after block, each block's column by
+    column.  ``blocks`` holds each block's (year, pairs, obs, Sigma):
+    its slices of the pairs and of ``values``, which concatenates the
+    blocks' values, and its m x m matrix, an F-ordered view into the
+    flat ``sigma``.  ``flat`` and ``diag`` place the pairs and the
+    diagonals in ``sigma``; ``rows`` and ``cols`` place the pairs'
+    points in ``values`` and in ``alpha``.
     """
 
     def __init__(self, blocks, spatial: bool):
         self.spatial = spatial
         n_ranges = 2 if spatial else 3
+        self.sigma = np.empty(sum(b.m * b.m for b in blocks))
         self.blocks, lags, values = [], [np.empty((n_ranges, 0))], [np.empty(0)]
-        p = n = 0
+        idx = [[np.empty(0, dtype=np.intp)] for _ in range(4)]
+        p = n = s = 0
         for b in blocks:
             if b.m == 0:
                 continue
-            cols, rows = np.triu_indices(b.m, 1)  # column by column, as Sigma is stored
+            m = b.m
+            cols, rows = np.triu_indices(m, 1)  # column by column, as Sigma is stored
             d = b.points[rows] - b.points[cols]
             d[:, 1] = wrap_dlon(d[:, 1])
             lags.append((d * d)[:, :n_ranges].T)
             values.append(b.values)
-            self.blocks.append((b.year, rows, cols, rows + b.m * cols,
-                                slice(p, p + rows.size), slice(n, n + b.m)))
-            p, n = p + rows.size, n + b.m
+            for out, new in zip(idx, (s + rows + m * cols, s + (m + 1) * np.arange(m),
+                                      n + rows, n + cols)):
+                out.append(new)
+            self.blocks.append((b.year, slice(p, p + rows.size), slice(n, n + m),
+                                self.sigma[s:s + m * m].reshape(m, m, order="F")))
+            p, n, s = p + rows.size, n + m, s + m * m
         self.lags, self.values = np.hstack(lags), np.concatenate(values)
+        self.flat, self.diag, self.rows, self.cols = map(np.concatenate, idx)
+        self.alpha = np.empty(n)
         self.n_obs = n
 
 
@@ -187,10 +200,9 @@ def _lag_kernel(prepared: _Prepared, inv2: np.ndarray):
     """(D, E) on the packed pairs: D = sqrt(sum_k lag_k / theta_k^2), E = exp(-D).
 
     ``inv2`` holds the theta_k^-2.  A vanishing range sends D to inf
-    and E to 0, its limit.
+    and E to 0, its limit; the caller ignores its overflow.
     """
-    with np.errstate(over="ignore"):
-        D = np.sqrt(inv2 @ prepared.lags)
+    D = np.sqrt(inv2 @ prepared.lags)
     return D, np.exp(-D)
 
 
@@ -218,38 +230,74 @@ def _nll(x: np.ndarray, prepared: _Prepared, want_grad: bool):
     gradient, so a line-search excursion makes the optimizer back off.
     With alpha = Sigma^-1 y per block, the gradient is GPML 5.4.1's
     (alpha alpha' - Sigma^-1) . dSigma / 2, summed over the packed pairs.
+    Every block's Sigma, and then its inverse, lives in ``prepared.sigma``.
     """
     with np.errstate(over="ignore"):
         v = np.exp(np.append(x, -2.0 * x[1:-1]))
-    if not (np.all(np.isfinite(v)) and v[0] > 0.0):
-        return (PENALTY, np.zeros_like(x)) if want_grad else PENALTY
+        if not (np.all(np.isfinite(v)) and v[0] > 0.0):
+            return (PENALTY, np.zeros_like(x)) if want_grad else PENALTY
+        D, E = _lag_kernel(prepared, v[x.size:])
     phi, s2, inv2 = float(v[0]), float(v[x.size - 1]), v[x.size:]
-    D, E = _lag_kernel(prepared, inv2)
-    K = phi * E
+    sigma, alpha = prepared.sigma, prepared.alpha
+    sigma[prepared.flat] = phi * E
+    sigma[prepared.diag] = phi + s2
     ll = diag = 0.0
-    W = np.empty_like(E) if want_grad else None
-    for year, rows, cols, flat, pairs, obs in prepared.blocks:
-        y = prepared.values[obs]
-        m = y.size
-        Sigma = np.empty(m * m)
-        Sigma[flat] = K[pairs]
-        Sigma[::m + 1] = phi + s2
-        L = chol_spd(Sigma.reshape(m, m, order="F"), phi, year)
-        alpha = dpotrs(L, y, lower=1)[0]
+    for year, _, obs, Sigma in prepared.blocks:
+        y, a = prepared.values[obs], alpha[obs]
+        L = chol_spd(Sigma, phi, year)
+        a[:] = dpotrs(L, y, lower=1)[0]
         ll -= float(np.sum(np.log(L.diagonal()))) + 0.5 * (
-            float(y @ alpha) + m * LOG_2PI)
+            float(y @ a) + y.size * LOG_2PI)
         if want_grad:
             inv, info = dpotri(L, lower=1, overwrite_c=1)
             if info != 0:
                 raise FactorizationError(f"dpotri failed with info={info}", year)
-            w = W[pairs]
-            np.multiply(alpha[rows], alpha[cols], out=w)
-            w -= inv.reshape(-1, order="F")[flat]
-            diag += float(alpha @ alpha - inv.trace())
+            Sigma[...] = inv
+            diag += float(a @ a - inv.trace())
     if not want_grad:
         return -ll
-    g_phi, g_theta = _kernel_grad(prepared, W, D, E, inv2, phi, 0.5 * diag)
-    return -ll, -np.hstack([g_phi, g_theta, 0.5 * s2 * diag])
+    W = alpha[prepared.rows] * alpha[prepared.cols]
+    W -= sigma[prepared.flat]
+    g = np.empty(x.size)
+    g[0], g[1:-1] = _kernel_grad(prepared, W, D, E, inv2, phi, 0.5 * diag)
+    g[-1] = 0.5 * s2 * diag
+    return -ll, np.negative(g, out=g)
+
+
+def lbfgsb(fun, x0: np.ndarray, bounds=None):
+    """Minimize ``fun(x) -> (f, g)`` by L-BFGS-B with LBFGS_OPTIONS.
+
+    Drives scipy's reverse-communication core as ``minimize`` does, to
+    the bit, with ``maxls`` 20 and, given ``bounds`` = (lo, hi), x0
+    clipped into the box.  A request for the point evaluated last
+    reuses its (f, g), so ``nfev`` counts distinct evaluations.  ``fun``
+    must not modify x.  Returns (x, f, g, nit, nfev, success, message).
+    """
+    n, m = x0.size, LBFGS_OPTIONS["maxcor"]
+    lo, hi = (np.zeros(n), np.zeros(n)) if bounds is None else bounds
+    x = np.array(x0, dtype=float) if bounds is None else np.clip(x0, lo, hi)
+    nbd = np.full(n, 0 if bounds is None else 2, dtype=np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa, task, lsave, ln_task = (np.zeros(k, dtype=np.int32) for k in (3 * n, 2, 4, 2))
+    isave, dsave = np.zeros(44, dtype=np.int32), np.zeros(29)
+    factr = LBFGS_OPTIONS["ftol"] / np.finfo(float).eps
+    f, g, x_eval, nit, nfev = 0.0, np.zeros(n), None, 0, 0
+    while True:
+        setulb(m, x, lo, hi, nbd, f, g, factr, LBFGS_OPTIONS["gtol"], wa, iwa,
+               task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if x_eval is None or not np.array_equal(x, x_eval):
+                x_eval = x.copy()
+                f, g = fun(x_eval)
+                nfev += 1
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= LBFGS_OPTIONS["maxiter"]:
+                task[:] = 5, 504
+        else:
+            break
+    message = f"{status_messages[task[0]]}: {task_messages[task[1]]}"
+    return x, f, g, nit, nfev, bool(task[0] == 4), message
 
 
 def _encode(params: CovParams, spatial: bool) -> np.ndarray:
@@ -321,21 +369,14 @@ def fit_mle_gaussian(blocks, init: CovParams | None = None,
     if init is None:
         init = default_init(blocks)
     x0 = _encode(init, spatial)
-    res = minimize(_nll, x0, args=(prepared, True), jac=True,
-                   method="L-BFGS-B", options=LBFGS_OPTIONS)
-    if res.fun >= PENALTY:
+    x, f, g, nit, nfev, success, message = lbfgsb(
+        lambda x: _nll(x, prepared, True), x0)
+    if f >= PENALTY:
         raise InvalidParameterError("Gaussian fit ended where the objective overflows")
-    fitted = _decode(res.x, init, spatial)
-    report = FitReport(
-        loglik=-float(res.fun),
-        grad_norm=float(np.max(np.abs(res.jac))),
-        n_iter=int(res.nit),
-        n_evals=int(res.nfev),
-        converged=bool(res.success),
-        message=str(res.message),
-        n_obs=prepared.n_obs,
-    )
-    return fitted, report
+    report = FitReport(loglik=-float(f), grad_norm=float(np.max(np.abs(g))),
+                       n_iter=nit, n_evals=nfev, converged=success,
+                       message=message, n_obs=prepared.n_obs)
+    return _decode(x, init, spatial), report
 
 
 def predict_gaussian(target, block: YearBlock, params: CovParams,

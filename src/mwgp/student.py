@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 from scipy.linalg.lapack import dgetrf
-from scipy.optimize import minimize
 from scipy.special import digamma, ndtr, ndtri, polygamma, stdtrit
 
 from .covariance import CovParams, cov_matrix, cross_cov_vector
@@ -59,6 +58,7 @@ from .gaussian import (
     _kernel_grad,
     _lag_kernel,
     _Prepared,
+    lbfgsb,
     check_window,
     chol_spd,
     default_init,
@@ -294,12 +294,14 @@ def _laplace(blocks, prepared: _Prepared, params: StudentParams, want_grad: bool
     s = nu * cov.sigma2
     ranges = (cov.theta_lat, cov.theta_lon, cov.theta_t)[:2 if spatial else 3]
     inv2 = np.array(ranges) ** -2.0
-    D, E = _lag_kernel(prepared, inv2)
+    with np.errstate(over="ignore"):
+        D, E = _lag_kernel(prepared, inv2)
     total = diag = 0.0
     grad = np.zeros(inv2.size + 3)
     W = np.empty_like(E)
     nonempty = [b for b in blocks if b.m > 0]
-    for block, (_, rows, cols, _, pairs, _) in zip(nonempty, prepared.blocks):
+    for block, (_, pairs, obs, _) in zip(nonempty, prepared.blocks):
+        rows, cols = prepared.rows[pairs] - obs.start, prepared.cols[pairs] - obs.start
         K = np.empty((block.m, block.m))
         K[rows, cols] = K[cols, rows] = cov.phi * E[pairs]
         np.fill_diagonal(K, cov.phi)
@@ -392,31 +394,22 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
             return PENALTY, np.zeros_like(x)
         return -value, -grad
 
-    x0 = np.clip(_encode_student(init, spatial), lo, hi)
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                   bounds=list(zip(lo, hi)), options=LBFGS_OPTIONS)
-    if res.fun >= PENALTY:
+    x, f, g, nit, nfev, success, message = lbfgsb(
+        objective, _encode_student(init, spatial), (lo, hi))
+    if f >= PENALTY:
         raise ModeFindingError("Student fit ended where the mode search fails",
                                diagnostics={"n_failures": failures[0]})
     names = ["phi", "theta_lat", "theta_lon", "theta_t", "sigma2", "nu"]
     if spatial:
         names.remove("theta_t")
-    message = str(res.message)
-    for side, hit in (("lower", res.x <= lo), ("upper", res.x >= hi)):
+    for side, hit in (("lower", x <= lo), ("upper", x >= hi)):
         if hit.any():
             message += f"; at {side} bound: " + ", ".join(
                 n for n, h in zip(names, hit) if h)
-    report = FitReport(
-        loglik=-float(res.fun),
-        grad_norm=float(np.max(np.abs(res.jac))),
-        n_iter=int(res.nit),
-        n_evals=int(res.nfev),
-        converged=bool(res.success),
-        message=message,
-        n_obs=n_obs,
-        n_mode_failures=failures[0],
-    )
-    return _decode_student(res.x, init.cov, spatial), report
+    report = FitReport(loglik=-float(f), grad_norm=float(np.max(np.abs(g))),
+                       n_iter=nit, n_evals=nfev, converged=success,
+                       message=message, n_obs=n_obs, n_mode_failures=failures[0])
+    return _decode_student(x, init.cov, spatial), report
 
 
 def predict_student(target, block: YearBlock, params: StudentParams,

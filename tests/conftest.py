@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 from scipy import optimize, stats
+from scipy.linalg.lapack import dpotri, dpotrs
 from scipy.special import stdtrit
 
 from mwgp.covariance import (
@@ -34,17 +35,20 @@ from mwgp.covariance import (
     wrap_lon,
 )
 from mwgp.errors import (
+    FactorizationError,
     InputError,
     InvalidParameterError,
     MappingError,
     SchemaError,
 )
 from mwgp.gaussian import (
+    LBFGS_OPTIONS,
     LOG_2PI,
     PENALTY,
     YearBlock,
     _decode,
     _encode,
+    _kernel_grad,
     _nll,
     _Prepared,
     _spd_inverse,
@@ -198,6 +202,78 @@ def grouped_nll(x, prepared: GroupedLags, template: CovParams, want_grad: bool):
     if spatial:
         glog = glog[[0, 1, 2, 4]]
     return -ll, -glog
+
+
+class PackedLags:
+    """``gaussian._Prepared`` without its buffers: the packed pairs alone.
+
+    ``blocks`` holds each nonempty block's (year, rows, cols, flat,
+    pairs, obs): lower-triangle indices, their column-major flat index
+    in the block's own m x m matrix, and slices of the pairs and values.
+    """
+
+    def __init__(self, blocks, spatial: bool):
+        self.spatial = spatial
+        n_ranges = 2 if spatial else 3
+        self.blocks, lags, values = [], [np.empty((n_ranges, 0))], [np.empty(0)]
+        p = n = 0
+        for b in blocks:
+            if b.m == 0:
+                continue
+            cols, rows = np.triu_indices(b.m, 1)
+            d = b.points[rows] - b.points[cols]
+            d[:, 1] = wrap_dlon(d[:, 1])
+            lags.append((d * d)[:, :n_ranges].T)
+            values.append(b.values)
+            self.blocks.append((b.year, rows, cols, rows + b.m * cols,
+                                slice(p, p + rows.size), slice(n, n + b.m)))
+            p, n = p + rows.size, n + b.m
+        self.lags, self.values = np.hstack(lags), np.concatenate(values)
+
+
+def packed_nll(x, prepared: PackedLags, want_grad: bool):
+    """Oracle for ``gaussian._nll``: the same packed objective, a fresh
+    Sigma per block, its inverse gathered block by block."""
+    with np.errstate(over="ignore"):
+        v = np.exp(np.append(x, -2.0 * x[1:-1]))
+    if not (np.all(np.isfinite(v)) and v[0] > 0.0):
+        return (PENALTY, np.zeros_like(x)) if want_grad else PENALTY
+    phi, s2, inv2 = float(v[0]), float(v[x.size - 1]), v[x.size:]
+    with np.errstate(over="ignore"):
+        D = np.sqrt(inv2 @ prepared.lags)
+    E = np.exp(-D)
+    K = phi * E
+    ll = diag = 0.0
+    W = np.empty_like(E) if want_grad else None
+    for year, rows, cols, flat, pairs, obs in prepared.blocks:
+        y = prepared.values[obs]
+        m = y.size
+        Sigma = np.empty(m * m)
+        Sigma[flat] = K[pairs]
+        Sigma[::m + 1] = phi + s2
+        L = chol_spd(Sigma.reshape(m, m, order="F"), phi, year)
+        alpha = dpotrs(L, y, lower=1)[0]
+        ll -= float(np.sum(np.log(L.diagonal()))) + 0.5 * (
+            float(y @ alpha) + m * LOG_2PI)
+        if want_grad:
+            inv, info = dpotri(L, lower=1, overwrite_c=1)
+            if info != 0:
+                raise FactorizationError(f"dpotri failed with info={info}", year)
+            w = W[pairs]
+            np.multiply(alpha[rows], alpha[cols], out=w)
+            w -= inv.reshape(-1, order="F")[flat]
+            diag += float(alpha @ alpha - inv.trace())
+    if not want_grad:
+        return -ll
+    g_phi, g_theta = _kernel_grad(prepared, W, D, E, inv2, phi, 0.5 * diag)
+    return -ll, -np.hstack([g_phi, g_theta, 0.5 * s2 * diag])
+
+
+def lbfgsb_minimize(fun, x0, bounds=None):
+    """Oracle for ``gaussian.lbfgsb``: scipy's ``minimize`` with the same options."""
+    return optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+                             bounds=None if bounds is None else list(zip(*bounds)),
+                             options=LBFGS_OPTIONS)
 
 
 def scalar_laplace_loglik(y, phi, sigma, nu):

@@ -2,10 +2,11 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mwgp.covariance import CovParams, SpaceTimePoint
 from mwgp.errors import (
@@ -14,7 +15,9 @@ from mwgp.errors import (
     InsufficientVarianceError,
     InvalidParameterError,
 )
+import mwgp.gaussian
 from mwgp.gaussian import (
+    LBFGS_OPTIONS,
     PENALTY,
     GaussianPredictive,
     YearBlock,
@@ -25,6 +28,7 @@ from mwgp.gaussian import (
     default_init,
     fit_mle_gaussian,
     gaussian_interval,
+    lbfgsb,
     predict_gaussian,
 )
 from mwgp.validation import simulate_field
@@ -32,10 +36,13 @@ from mwgp.validation import simulate_field
 from conftest import (
     PARAMS,
     GroupedLags,
+    PackedLags,
     dense_mvn_loglik,
     explicit_conditional,
     gauss_loglik,
     grouped_nll,
+    lbfgsb_minimize,
+    packed_nll,
     random_block,
 )
 
@@ -195,6 +202,139 @@ class TestNllOracle:
                 assert abs(val - ref) <= 1e-12 * abs(ref), case
                 assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad)), case
                 assert _nll(x, _Prepared(blocks, spatial), want_grad=False) == val
+
+
+class TestNllBuffers:
+    """The objective on its reused buffers against the unbuffered one, to the bit."""
+
+    @staticmethod
+    def assert_same(x, prepared, packed):
+        val, grad = _nll(x, prepared, want_grad=True)
+        ref, ref_grad = packed_nll(x, packed, True)
+        assert np.float64(val).tobytes() == np.float64(ref).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert _nll(x, prepared, want_grad=False) == ref
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_equals_unbuffered_oracle_bitwise(self, data):
+        # One to three year blocks, one of them empty, on a quarter-degree
+        # lattice so positions can repeat; several points evaluated in
+        # turn on one set of buffers, a PENALTY point among them.
+        spatial = data.draw(st.booleans())
+        sizes = data.draw(st.lists(st.integers(1, 12), max_size=2))
+        sizes.insert(data.draw(st.integers(0, len(sizes))), 0)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        blocks = [YearBlock(year, rng.integers(-8, 9, m) / 4.0, rng.integers(-8, 9, m) / 4.0,
+                            rng.integers(0, 5, m) * 10.0, rng.standard_normal(m))
+                  for year, m in enumerate(sizes)]
+        prepared, packed = _Prepared(blocks, spatial), PackedLags(blocks, spatial)
+        center = _encode(PARAMS, spatial)
+        penalized = data.draw(st.integers(0, 3))
+        for k in range(4):
+            x = center + rng.uniform(-2.0, 2.0, center.size)
+            if k == penalized:
+                x[0] = 800.0
+            self.assert_same(x, prepared, packed)
+
+    @pytest.mark.parametrize("spatial", [False, True])
+    def test_ridged_block_equals_unbuffered_oracle_bitwise(self, monkeypatch, spatial):
+        # Points 0 and 1 coincide and Sigma_00 = 4 + 1e-26 rounds to 4,
+        # so the plain Cholesky meets a zero pivot and chol_spd retries
+        # with its ridge; the second block factors plainly.
+        rng = np.random.default_rng(7)
+        ridged = random_block(rng, 9)
+        ridged.lat[1], ridged.lon[1], ridged.t[1] = ridged.lat[0], ridged.lon[0], ridged.t[0]
+        blocks = [ridged, YearBlock(1, [], [], [], []), random_block(rng, 6, year=2)]
+        x = _encode(replace(PARAMS, phi=4.0, sigma2=math.exp(-60.0)), spatial)
+        calls = []
+        real = mwgp.gaussian.dpotrf
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mwgp.gaussian, "dpotrf", counted)
+        prepared = _Prepared(blocks, spatial)
+        _nll(_encode(PARAMS, spatial), prepared, want_grad=True)
+        assert len(calls) == 2  # one plain factorization per nonempty block
+        del calls[:]
+        self.assert_same(x, prepared, PackedLags(blocks, spatial))
+        assert len(calls) > 2 * 3  # the ridge retried, in each of the three calls
+
+
+class TestLbfgsb:
+    """The L-BFGS-B driver against scipy's ``minimize``, to the bit."""
+
+    @staticmethod
+    def windows():
+        """(objective, x0) of Gaussian windows: two year blocks of 30-60 points."""
+        out = []
+        for seed, spatial in ((3, False), (4, True), (5, False)):
+            rng = np.random.default_rng(seed)
+            blocks = [random_block(rng, int(rng.integers(30, 61)), year=y) for y in (0, 1)]
+            prepared = _Prepared(blocks, spatial)
+            out.append((lambda x, p=prepared: _nll(x, p, True),
+                        _encode(default_init(blocks), spatial)))
+        blocks = synth_blocks(CovParams(1.0, 3.0, 5.0, 5.0, 0.3), 46, 2, seed=11)
+        prepared = _Prepared(blocks, False)
+        out.append((lambda x: _nll(x, prepared, True), _encode(default_init(blocks), False)))
+        return out
+
+    @staticmethod
+    def assert_as_minimize(fun, x0, bounds=None):
+        """Run both; return the driver's result and its objective's calls."""
+        calls = []
+
+        def counted(x):
+            calls.append(x.copy())
+            return fun(x)
+
+        start = x0.copy()
+        out = lbfgsb(counted, x0, bounds)
+        x, f, g, nit, nfev, success, message = out
+        res = lbfgsb_minimize(fun, x0, bounds)
+        assert x.tobytes() == res.x.tobytes()
+        assert np.float64(f).tobytes() == np.float64(res.fun).tobytes()
+        assert g.tobytes() == res.jac.tobytes()
+        assert (nit, nfev, success, message) == (res.nit, res.nfev, res.success, res.message)
+        assert nfev == len(calls)
+        assert x0.tobytes() == start.tobytes()
+        return out, calls
+
+    @pytest.mark.parametrize("half", [None, 20.0, 3.0])
+    def test_equals_minimize(self, half):
+        for fun, x0 in self.windows():
+            bounds = None if half is None else (x0 - half, x0 + half)
+            (_, _, _, _, _, success, _), _ = self.assert_as_minimize(fun, x0, bounds)
+            assert success
+
+    def test_start_outside_the_box_is_clipped(self):
+        for fun, x0 in self.windows():
+            shift = np.zeros_like(x0)
+            shift[0], shift[-1] = 4.0, -4.0
+            bounds = (x0 + shift - 3.0, x0 + shift + 3.0)
+            _, calls = self.assert_as_minimize(fun, x0, bounds)
+            assert calls[0].tobytes() == np.clip(x0, *bounds).tobytes()
+
+    def test_maxiter_stop(self, monkeypatch):
+        monkeypatch.setitem(LBFGS_OPTIONS, "maxiter", 3)
+        for fun, x0 in self.windows():
+            (_, _, _, nit, _, success, message), _ = self.assert_as_minimize(fun, x0)
+            assert (nit, success) == (3, False)
+            assert message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+
+    def test_penalty_on_part_of_a_line_search(self):
+        # Beyond a ceiling on log phi the objective scores PENALTY with a
+        # zero gradient, as _nll does where exp overflows; the line
+        # search backs off and the fit ends below the ceiling.
+        for fun, x0 in self.windows():
+            def capped(x, fun=fun, top=x0[0] + 0.05):
+                return (PENALTY, np.zeros_like(x)) if x[0] > top else fun(x)
+
+            (_, f, _, _, _, _, _), calls = self.assert_as_minimize(capped, x0)
+            assert any(x[0] > x0[0] + 0.05 for x in calls)
+            assert f < PENALTY
 
 
 class TestFitMleGaussian:
