@@ -241,13 +241,9 @@ def build_config(args) -> RunConfig:
     values = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    for key, value in (args.set or {}).items():
-        values[key] = value
-    for flag in ("threads", "seed", "variant", "pressure", "scheme", "out",
-                 "profiles", "mean", "mask", "records", "params_dir"):
-        flag_value = getattr(args, flag, None)
-        if flag_value is not None:
-            values[flag] = flag_value
+    values.update(args.set or {})
+    values.update({key: value for key, value in vars(args).items()
+                   if key in _FIELD_TYPES and value is not None})
     cfg = RunConfig(**values)
     get_variant(cfg.variant)
     if not 0.0 < cfg.alpha < 1.0:
@@ -389,48 +385,49 @@ def cmd_simulate(cfg: RunConfig) -> tuple[list, dict]:
     return ["profiles.csv"], {}
 
 
+def _closed_window(lo, hi):
+    """(lo, hi) with an unset side open; None when neither side is set."""
+    if lo is None and hi is None:
+        return None
+    return (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+
+
 def _load_level_blocks(cfg: RunConfig):
     """Parse, filter and interpolate the input profiles into year blocks."""
     if not cfg.profiles:
         raise InputError("profiles path is required (profiles=... or --profiles)")
     records = parse_profiles(cfg.profiles)
     mask = load_mask(cfg.mask) if cfg.mask else frozenset()
-    window = None
-    if cfg.day_min is not None or cfg.day_max is not None:
-        window = (cfg.day_min if cfg.day_min is not None else -math.inf,
-                  cfg.day_max if cfg.day_max is not None else math.inf)
-    records = apply_filters(records, window, mask,
-                            cell_size=max(cfg.lat_step, cfg.lon_step))
+    records = apply_filters(records, _closed_window(cfg.day_min, cfg.day_max),
+                            mask, cell_size=max(cfg.lat_step, cfg.lon_step))
     return profiles_to_level(records, cfg.pressure), mask
 
 
-def _load_blocks(cfg: RunConfig, variant):
-    """Year blocks, residualized when a mean-field file is given."""
+def _map_field(cfg: RunConfig, variant):
+    """Load the year blocks, residualized when a mean-field file is given,
+    and map the grid.  Returns (blocks, grid, spec, field, number of
+    observations without a mean, seconds of the sweep alone)."""
     blocks, mask = _load_level_blocks(cfg)
     n_excluded = 0
     if cfg.mean:
         blocks, n_excluded = subtract_mean(blocks, read_mean_field(cfg.mean),
                                            variant.mean_mode, cfg.eval_time)
-    return blocks, mask, n_excluded
-
-
-def _check_eval_year(cfg: RunConfig, blocks) -> None:
     years = [b.year for b in blocks]
     if blocks and cfg.eval_year not in years:
         raise InputError(
             f"eval_year {cfg.eval_year} not among data years {sorted(years)}")
+    grid = cfg.grid_spec(mask)
+    spec = cfg.window_spec()
+    start = time.perf_counter()
+    field_ = map_grid(blocks, grid, variant, spec, cfg.alpha,
+                      cfg.resolved_threads(), cfg.fallback_nearest)
+    return blocks, grid, spec, field_, n_excluded, time.perf_counter() - start
 
 
 def cmd_map(cfg: RunConfig) -> tuple[list, dict]:
     """Fit every grid cell and write the gridded output files."""
     variant = get_variant(cfg.variant)
-    blocks, mask, n_excluded = _load_blocks(cfg, variant)
-    _check_eval_year(cfg, blocks)
-    grid = cfg.grid_spec(mask)
-    start = time.perf_counter()
-    field_ = map_grid(blocks, grid, variant, cfg.window_spec(), cfg.alpha,
-                      cfg.resolved_threads(), cfg.fallback_nearest)
-    wall = time.perf_counter() - start
+    _, grid, _, field_, n_excluded, wall = _map_field(cfg, variant)
     os.makedirs(cfg.out, exist_ok=True)
 
     family = variant.family
@@ -597,19 +594,10 @@ def _write_calibration(out_dir, report) -> list:
 
 def _run_cv_for_variant(cfg: RunConfig, variant_id: int):
     variant = get_variant(variant_id)
-    sub = replace(cfg, variant=variant_id, t_win=cfg.t_win)
-    blocks, mask, _ = _load_blocks(sub, variant)
-    _check_eval_year(sub, blocks)
-    grid = sub.grid_spec(mask)
-    spec = sub.window_spec()
-    field_ = map_grid(blocks, grid, variant, spec, sub.alpha,
-                      sub.resolved_threads(), sub.fallback_nearest)
-    eval_filter = None
-    if cfg.cv_day_min is not None or cfg.cv_day_max is not None:
-        eval_filter = (cfg.cv_day_min if cfg.cv_day_min is not None else -math.inf,
-                       cfg.cv_day_max if cfg.cv_day_max is not None else math.inf)
+    blocks, grid, spec, field_, _, _ = _map_field(
+        replace(cfg, variant=variant_id), variant)
     cv = run_cv(blocks, grid, field_, variant, spec, cfg.scheme,
-                eval_filter, cfg.radius_steps)
+                _closed_window(cfg.cv_day_min, cfg.cv_day_max), cfg.radius_steps)
     return cv, field_
 
 

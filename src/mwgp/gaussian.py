@@ -328,12 +328,27 @@ def degenerate_variance(values: np.ndarray, var: float) -> bool:
     return var <= (8.0 * eps) ** 2 * max(scale, np.finfo(float).tiny)
 
 
+def pooled_window_variance(blocks) -> float:
+    """Unbiased empirical variance pooled over all windowed values.
+
+    Raises InsufficientDataError below two values and
+    InsufficientVarianceError where the variance is rounding noise.
+    """
+    values = [b.values for b in blocks if b.m > 0]
+    total = sum(v.shape[0] for v in values)
+    if total < 2:
+        raise InsufficientDataError(
+            f"variance estimate needs >= 2 observations, got {total}")
+    values = np.concatenate(values)
+    var = float(np.var(values, ddof=1))
+    if var <= 0.0 or degenerate_variance(values, var):
+        raise InsufficientVarianceError("window values are numerically constant")
+    return var
+
+
 def default_init(blocks) -> CovParams:
     """Half the pooled variance to each of GP sill and nugget; 5 deg / 5 d ranges."""
-    values = np.concatenate([b.values for b in blocks if b.m > 0])
-    v = float(np.var(values, ddof=1)) if values.size > 1 else 1.0
-    if v <= 0.0 or degenerate_variance(values, v):
-        raise InsufficientVarianceError("window values are numerically constant")
+    v = pooled_window_variance(blocks)
     return CovParams(phi=0.5 * v, theta_lat=5.0, theta_lon=5.0,
                      theta_t=5.0, sigma2=0.5 * v)
 
@@ -379,26 +394,32 @@ def fit_mle_gaussian(blocks, init: CovParams | None = None,
     return _decode(x, init, spatial), report
 
 
-def predict_gaussian(target, block: YearBlock, params: CovParams,
-                     spatial: bool = False) -> GaussianPredictive:
-    """Kriging predictive distribution for a new noisy observation.
+def gaussian_system(targets, block: YearBlock, params: CovParams,
+                    spatial: bool = False):
+    """(Sigma, K_star): the block's noisy covariance and, row f, target f's
+    cross-covariance with the block."""
+    pts = block.points
+    Sigma = cov_matrix(pts, params, spatial) + params.sigma2 * np.eye(block.m)
+    return Sigma, np.array([cross_cov_vector(t, pts, params, spatial)
+                            for t in targets])
 
-    An empty block yields the prior (0, phi + sigma2).  The variance is
-    clamped into [0, phi + sigma2] against roundoff.
+
+def predict_gaussian(Sigma: np.ndarray, y: np.ndarray, k_star: np.ndarray,
+                     units, year_index: int | None = None) -> GaussianPredictive:
+    """Kriging law of a new noisy observation from its system.
+
+    ``Sigma`` is the window's noisy covariance, ``y`` its values and
+    ``k_star`` the target's cross-covariance with it, in ``units`` =
+    (sill, prior, scale): the factor's ridge is relative to the sill,
+    and the variance is scale * (prior - k*' Sigma^-1 k*), clamped into
+    [0, prior] against roundoff.
     """
-    prior_var = params.phi + params.sigma2
-    if block.m == 0:
-        return GaussianPredictive(0.0, prior_var)
-    K = cov_matrix(block.points, params, spatial)
-    Sigma = K + params.sigma2 * np.eye(block.m)
-    L = chol_spd(Sigma, params.phi, block.year)
-    alpha = sla.cho_solve((L, True), block.values, check_finite=False)
-    k_star = cross_cov_vector(target, block.points, params, spatial)
-    mean = float(k_star @ alpha)
+    sill, prior, scale = units
+    L = chol_spd(Sigma, sill, year_index)
+    alpha = sla.cho_solve((L, True), y, check_finite=False)
     w = sla.solve_triangular(L, k_star, lower=True, check_finite=False)
-    var = prior_var - float(w @ w)
-    var = min(max(var, 0.0), prior_var)
-    return GaussianPredictive(mean, var)
+    return GaussianPredictive(float(k_star @ alpha),
+                              scale * min(max(prior - float(w @ w), 0.0), prior))
 
 
 def holdout_predictions(Sigma: np.ndarray, y: np.ndarray, K_star: np.ndarray,

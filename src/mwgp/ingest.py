@@ -84,15 +84,6 @@ class ProfileTable(Sequence):
     pressure: np.ndarray
     value: np.ndarray
 
-    @classmethod
-    def from_records(cls, records) -> "ProfileTable":
-        recs = list(records)
-        levels = np.array([lv for r in recs for lv in r.levels]).reshape(-1, 2)
-        return cls([r.source_id for r in recs], *(np.array(
-            [getattr(r, a) for r in recs], np.int64 if a == "year" else float)
-            for a in ("lat", "lon", "year", "day")),
-            np.cumsum([0] + [len(r.levels) for r in recs]), *levels.T)
-
     def __len__(self) -> int:
         return len(self.source_ids)
 

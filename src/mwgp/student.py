@@ -47,7 +47,6 @@ from scipy.special import digamma, ndtr, ndtri, polygamma, stdtrit
 from .covariance import CovParams, cov_matrix, cross_cov_vector
 from .errors import InputError, InvalidParameterError, ModeFindingError
 from .gaussian import (
-    LBFGS_OPTIONS,
     LOG_2PI,
     MIN_OBS,
     PENALTY,
@@ -63,6 +62,7 @@ from .gaussian import (
     chol_spd,
     default_init,
     fit_mle_gaussian,
+    pooled_window_variance,
 )
 
 MODE_MAX_ITER = 60
@@ -375,9 +375,8 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
         # mode search an un-evaluable start; floor the initial scale at
         # a small fraction of the data variance and let the optimizer
         # shrink it again from an evaluable point.
-        values = np.concatenate([b.values for b in blocks if b.m > 0])
-        pooled = float(np.var(values, ddof=1))
-        s2 = max(gfit.sigma2, 1e-3 * pooled) / nu_variance_factor(nu0)
+        s2 = max(gfit.sigma2, 1e-3 * pooled_window_variance(blocks)) \
+            / nu_variance_factor(nu0)
         init = StudentParams(replace(gfit, sigma2=s2), nu0)
     center = _encode_student(StudentParams(default_init(blocks), nu0), spatial)
     lo, hi = center - LOG_BAND, center + LOG_BAND
@@ -413,8 +412,7 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
 
 
 def predict_student(target, block: YearBlock, params: StudentParams,
-                    spatial: bool = False,
-                    state: LaplaceState | None = None) -> StudentPredictive:
+                    spatial: bool = False) -> StudentPredictive:
     """Laplace predictive for a new observation location.
 
     The latent mean is k*' K^-1 f_hat; the variance correction uses
@@ -425,8 +423,7 @@ def predict_student(target, block: YearBlock, params: StudentParams,
     if block.m == 0:
         return StudentPredictive(0.0, cov.phi, math.sqrt(cov.sigma2), params.nu)
     K = cov_matrix(block.points, cov, spatial)
-    if state is None:
-        state = find_mode(block, params, spatial, K)
+    state = find_mode(block, params, spatial, K)
     k_star = cross_cov_vector(target, block.points, cov, spatial)
     f_mean = float(k_star @ state.a)
     sw = np.sqrt(state.w)

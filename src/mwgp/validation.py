@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .covariance import CovParams, SpaceTimePoint, as_point_array, wrap_dlon
+from .covariance import CovParams, SpaceTimePoint, as_point_array, cov_matrix, wrap_dlon
 from .errors import (
     EmptyInputError,
     FactorizationError,
@@ -39,15 +39,14 @@ from .windows import (
 )
 
 
-def simulate_field(params, locations, n_years: int, seed: int,
-                   spatial: bool = False, start_year: int = 0) -> list[YearBlock]:
-    """Independent yearly field draws plus nugget noise at fixed locations.
+def _field_draws(params, pts: np.ndarray, n_draws: int, rng,
+                 spatial: bool = False) -> list[np.ndarray]:
+    """Independent field draws plus nugget noise at ``pts``.
 
     The latent field is drawn through one Cholesky factor shared by all
-    years (identical geometry per year).  The nugget follows the
-    parameter type: Gaussian variance or scaled Student t.  Output is
-    deterministic in the seed; draw order is latent first, nugget second,
-    year by year.
+    draws.  The nugget follows the parameter type: Gaussian variance or
+    scaled Student t.  Each draw takes its latent normals first, then
+    its nugget.
     """
     if isinstance(params, StudentParams):
         cov, nu = params.cov, params.nu
@@ -55,29 +54,29 @@ def simulate_field(params, locations, n_years: int, seed: int,
         cov, nu = params, None
     else:
         raise InvalidParameterError(f"unsupported params type {type(params)!r}")
+    try:
+        L = np.linalg.cholesky(cov_matrix(pts, cov, spatial))
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"simulation covariance not PD: {exc}") from None
+    sigma, m = math.sqrt(cov.sigma2), pts.shape[0]
+    return [L @ rng.standard_normal(m) + sigma * (
+        rng.standard_normal(m) if nu is None else rng.standard_t(nu, m))
+        for _ in range(n_draws)]
+
+
+def simulate_field(params, locations, n_years: int, seed: int,
+                   spatial: bool = False, start_year: int = 0) -> list[YearBlock]:
+    """Independent yearly field draws plus nugget noise at fixed locations.
+
+    Output is deterministic in the seed; see ``_field_draws`` for the law
+    and the draw order, year by year.
+    """
     if n_years < 1:
         raise InvalidParameterError(f"n_years must be >= 1, got {n_years}")
     pts = as_point_array(locations)
-    m = pts.shape[0]
-    from .covariance import cov_matrix
-
-    K = cov_matrix(pts, cov, spatial)
-    try:
-        L = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"simulation covariance not PD: {exc}") from None
-    rng = np.random.default_rng(seed)
-    sigma = math.sqrt(cov.sigma2)
-    blocks = []
-    for k in range(n_years):
-        f = L @ rng.standard_normal(m)
-        if nu is None:
-            eps = sigma * rng.standard_normal(m)
-        else:
-            eps = sigma * rng.standard_t(nu, m)
-        blocks.append(YearBlock(start_year + k, pts[:, 0].copy(), pts[:, 1].copy(),
-                                pts[:, 2].copy(), f + eps))
-    return blocks
+    draws = _field_draws(params, pts, n_years, np.random.default_rng(seed), spatial)
+    return [YearBlock(start_year + k, pts[:, 0].copy(), pts[:, 1].copy(),
+                      pts[:, 2].copy(), values) for k, values in enumerate(draws)]
 
 
 def synthetic_float_blocks(params, n_floats: int, profiles_per_float: int,
@@ -94,15 +93,8 @@ def synthetic_float_blocks(params, n_floats: int, profiles_per_float: int,
     values come from a fresh field draw each year at that year's
     geometry.  Blocks carry source ids for track-level holdout.
     """
-    if isinstance(params, StudentParams):
-        cov, nu = params.cov, params.nu
-    else:
-        cov, nu = params, None
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt(cov.sigma2)
     days = np.linspace(t_range[0], t_range[1], profiles_per_float)
-    from .covariance import cov_matrix
-
     blocks = []
     for k in range(n_years):
         lats, lons, ts, sids = [], [], [], []
@@ -118,18 +110,9 @@ def synthetic_float_blocks(params, n_floats: int, profiles_per_float: int,
                                     -90.0, 90.0))
                 lon = lon + drift_deg * rng.standard_normal()
         pts = np.column_stack([lats, lons, ts])
-        K = cov_matrix(pts, cov, spatial)
-        try:
-            L = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                f"simulation covariance not PD: {exc}") from None
-        m = pts.shape[0]
-        f = L @ rng.standard_normal(m)
-        eps = sigma * (rng.standard_t(nu, m) if nu is not None
-                       else rng.standard_normal(m))
+        values, = _field_draws(params, pts, 1, rng, spatial)
         blocks.append(YearBlock(start_year + k, pts[:, 0], pts[:, 1], pts[:, 2],
-                                f + eps, np.array(sids)))
+                                values, np.array(sids)))
     return blocks
 
 
@@ -194,6 +177,9 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
     """
     if scheme not in ("looo", "lofo"):
         raise InvalidParameterError(f"unknown cv scheme {scheme!r}")
+    if not 0.0 <= radius_steps < math.inf:
+        raise InvalidParameterError(
+            f"radius_steps must be finite and >= 0, got {radius_steps}")
     result = CVResult(scheme, variant.id)
     family = variant.family
     lookup = _usable_cells(field_)

@@ -21,15 +21,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .covariance import (
     KM_PER_DEG,
     RG_DEFAULT,
     CovParams,
     SpaceTimePoint,
-    cov_matrix,
-    cross_cov_vector,
     rg_corr_matrix,
     rg_corr_vector,
     wrap_dlon,
@@ -48,10 +45,11 @@ from .gaussian import (
     FitReport,
     GaussianPredictive,
     YearBlock,
-    degenerate_variance,
     fit_mle_gaussian,
     gaussian_interval,
+    gaussian_system,
     holdout_predictions,
+    pooled_window_variance,
     predict_gaussian,
 )
 from .student import (
@@ -205,8 +203,10 @@ class GridSpec:
     mask: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.lat_step <= 0.0 or self.lon_step <= 0.0:
-            raise InvalidParameterError("grid steps must be positive")
+        if not all(0.0 < s < math.inf for s in (self.lat_step, self.lon_step)):
+            raise InvalidParameterError("grid steps must be finite and positive")
+        if not all(map(math.isfinite, (self.lon_min, self.lon_max, self.eval_time))):
+            raise InvalidParameterError("grid longitudes and eval_time must be finite")
         if self.lat_max < self.lat_min or self.lon_max < self.lon_min:
             raise InvalidParameterError("grid ranges must be nonempty")
         if not (-90.0 <= self.lat_min and self.lat_max <= 90.0):
@@ -378,55 +378,6 @@ def window_rows(block: YearBlock, center: SpaceTimePoint,
     return np.sort(order[rows])
 
 
-def pooled_window_variance(blocks) -> float:
-    """Unbiased empirical variance pooled over all windowed values."""
-    values = [b.values for b in blocks if b.m > 0]
-    total = sum(v.shape[0] for v in values)
-    if total < 2:
-        raise InsufficientDataError(
-            f"variance estimate needs >= 2 observations, got {total}")
-    return float(np.var(np.concatenate(values), ddof=1))
-
-
-def reference_phi_hat(blocks) -> float:
-    """Plug-in process variance for the reference covariance.
-
-    The windowed empirical variance estimates the total variance
-    phi + sigma^2 = phi (1 + noise/signal), so the process part is
-    recovered by deflating with the fixed ratio.
-    """
-    var = pooled_window_variance(blocks)
-    values = np.concatenate([b.values for b in blocks if b.m > 0])
-    if var <= 0.0 or degenerate_variance(values, var):
-        raise InsufficientVarianceError(
-            "windowed values are numerically constant; no usable "
-            "plug-in variance")
-    return var / (1.0 + RG_DEFAULT.noise_signal_ratio)
-
-
-def _predict_reference(target: SpaceTimePoint, block: YearBlock,
-                       params: ReferenceParams) -> GaussianPredictive:
-    """Reference-covariance kriging for one year.
-
-    Computed in correlation space (unit diagonal plus the fixed
-    noise-to-signal nugget) so the predictive mean is exactly
-    invariant to the plug-in variance; only the variance rescales.
-    """
-    if block.m == 0:
-        return GaussianPredictive(0.0, params.prior_var)
-    ratio = RG_DEFAULT.noise_signal_ratio
-    R = rg_corr_matrix(block.lat, block.lon)
-    A = R + ratio * np.eye(block.m)
-    L = sla.cholesky(A, lower=True, check_finite=False)
-    r_star = rg_corr_vector(target.lat, target.lon, block.lat, block.lon)
-    alpha = sla.cho_solve((L, True), block.values, check_finite=False)
-    mean = float(r_star @ alpha)
-    w = sla.solve_triangular(L, r_star, lower=True, check_finite=False)
-    corr_var = 1.0 + ratio - float(w @ w)
-    var = params.phi_hat * min(max(corr_var, 0.0), 1.0 + ratio)
-    return GaussianPredictive(mean, var)
-
-
 def _unit(ratio) -> float:
     return min(max(float(ratio), 0.0), 1.0)
 
@@ -438,7 +389,7 @@ class ModelFamily:
     or the parameter type.  The variance ratio (post- to pre-data
     predictive variance) lies in [0, 1] and is exactly 1 without data.
     ``predict_folds`` scores the cross-validation folds of one window:
-    from one factor of it, or (Student family) fold by fold.
+    from one factor of it (kriging families) or fold by fold (Student).
     """
 
     def interval(self, pred, alpha: float):
@@ -468,41 +419,71 @@ class ModelFamily:
         return preds
 
 
-@dataclass(frozen=True)
-class ReferenceFamily(ModelFamily):
-    """Fixed-shape reference covariance; the fit is the plug-in variance."""
+class KrigingFamily(ModelFamily):
+    """A Gaussian law by kriging each window with a fitted covariance.
 
-    def fit(self, blocks, min_obs):
-        return ReferenceParams(reference_phi_hat(blocks)), None
+    A subclass gives its ``fit``, ``system(targets, block, params)``:
+    the window's noisy covariance Sigma and, row f, target f's
+    cross-covariance with it, and ``units(params)``: that system's
+    (sill, prior variance, scale).  Predictive variances are scale
+    times the system's, and the prior is scale * prior variance.
+    """
 
     def predict(self, target, block, params):
-        return _predict_reference(target, block, params)
+        units = self.units(params)
+        if block.m == 0:
+            return GaussianPredictive(0.0, units[2] * units[1])
+        Sigma, K_star = self.system([target], block, params)
+        return predict_gaussian(Sigma, block.values, K_star[0], units, block.year)
 
     def predict_folds(self, targets, block, removals, params):
-        """One factor of the window, in correlation space as ``predict``."""
-        if block.m == 0:
-            return super().predict_folds(targets, block, removals, params)
-        ratio = RG_DEFAULT.noise_signal_ratio
-        A = rg_corr_matrix(block.lat, block.lon) + ratio * np.eye(block.m)
-        r_star = np.array([rg_corr_vector(t.lat, t.lon, block.lat, block.lon)
-                           for t in targets])
-        try:
-            preds = holdout_predictions(A, block.values, r_star, 1.0 + ratio,
-                                        removals)
-        except np.linalg.LinAlgError:
-            return super().predict_folds(targets, block, removals, params)
-        return [GaussianPredictive(p.mean, params.phi_hat * p.variance)
-                for p in preds]
+        """One factor of the window serves every fold, through
+        ``holdout_predictions``; fold by fold where its Cholesky fails."""
+        _, prior, scale = self.units(params)
+        if block.m > 0:
+            Sigma, K_star = self.system(targets, block, params)
+            try:
+                return [GaussianPredictive(p.mean, scale * p.variance)
+                        for p in holdout_predictions(Sigma, block.values, K_star,
+                                                     prior, removals)]
+            except np.linalg.LinAlgError:
+                pass
+        return super().predict_folds(targets, block, removals, params)
 
     def variance_ratio(self, pred, params) -> float:
-        return _unit(pred.variance / params.prior_var)
+        _, prior, scale = self.units(params)
+        return _unit(pred.variance / (scale * prior))
+
+
+@dataclass(frozen=True)
+class ReferenceFamily(KrigingFamily):
+    """Fixed-shape reference covariance with a plug-in variance.
+
+    Kriged in correlation space, unit diagonal plus the fixed
+    noise-to-signal nugget, so the predictive mean is exactly invariant
+    to the plug-in variance and only the variance rescales.  The fit is
+    that variance: the pooled window variance estimates the total
+    phi (1 + noise/signal), so it is deflated by the fixed ratio.
+    """
+
+    def fit(self, blocks, min_obs):
+        return ReferenceParams(pooled_window_variance(blocks)
+                               / (1.0 + RG_DEFAULT.noise_signal_ratio)), None
+
+    def system(self, targets, block, params):
+        R = rg_corr_matrix(block.lat, block.lon)
+        return R + RG_DEFAULT.noise_signal_ratio * np.eye(block.m), np.array(
+            [rg_corr_vector(t.lat, t.lon, block.lat, block.lon) for t in targets])
+
+    def units(self, params):
+        return 1.0, 1.0 + RG_DEFAULT.noise_signal_ratio, params.phi_hat
 
     def param_values(self, params) -> dict:
         return {"phi": params.phi, "sigma2": params.sigma2}
 
 
 @dataclass(frozen=True)
-class GaussianFamily(ModelFamily):
+class GaussianFamily(KrigingFamily):
     """Locally fitted exponential kernel with a Gaussian nugget."""
 
     spatial: bool
@@ -510,25 +491,11 @@ class GaussianFamily(ModelFamily):
     def fit(self, blocks, min_obs):
         return fit_mle_gaussian(blocks, min_obs=min_obs, spatial=self.spatial)
 
-    def predict(self, target, block, params):
-        return predict_gaussian(target, block, params, spatial=self.spatial)
+    def system(self, targets, block, params):
+        return gaussian_system(targets, block, params, self.spatial)
 
-    def predict_folds(self, targets, block, removals, params):
-        """One factor of the window's covariance serves every fold."""
-        if block.m == 0:
-            return super().predict_folds(targets, block, removals, params)
-        pts, spatial = block.points, self.spatial
-        Sigma = cov_matrix(pts, params, spatial) + params.sigma2 * np.eye(block.m)
-        k_star = np.array([cross_cov_vector(t, pts, params, spatial)
-                           for t in targets])
-        try:
-            return holdout_predictions(Sigma, block.values, k_star,
-                                       params.phi + params.sigma2, removals)
-        except np.linalg.LinAlgError:
-            return super().predict_folds(targets, block, removals, params)
-
-    def variance_ratio(self, pred, params) -> float:
-        return _unit(pred.variance / (params.phi + params.sigma2))
+    def units(self, params):
+        return params.phi, params.phi + params.sigma2, 1.0
 
     def param_values(self, params) -> dict:
         names = ("phi", "theta_lat", "theta_lon", "sigma2")

@@ -27,6 +27,8 @@ from mwgp.covariance import (
     as_point_array,
     cov_matrix,
     cross_cov_vector,
+    rg_corr_matrix,
+    rg_corr_vector,
     rg_distances,
     rg_tropic_factor,
     scaled_distance,
@@ -45,6 +47,7 @@ from mwgp.gaussian import (
     LBFGS_OPTIONS,
     LOG_2PI,
     PENALTY,
+    GaussianPredictive,
     YearBlock,
     _decode,
     _encode,
@@ -53,10 +56,12 @@ from mwgp.gaussian import (
     _Prepared,
     _spd_inverse,
     chol_spd,
+    holdout_predictions,
 )
 from mwgp.ingest import (
     PROFILE_HEADER,
     ProfileRecord,
+    ProfileTable,
     _check_header,
     _data_rows,
     _parse_float,
@@ -391,6 +396,104 @@ def rg_cov(x1, x2, phi_hat, tropic=True) -> float:
     c = RG_DEFAULT
     return phi_hat * (c.gauss_weight * math.exp(-(d / c.gauss_scale_km) ** 2)
                       + c.exp_weight * math.exp(-d / c.exp_scale_km))
+
+
+def predict_reference_oracle(target: SpaceTimePoint, block: YearBlock,
+                             params) -> GaussianPredictive:
+    """Reference-covariance kriging for one year, as its own routine.
+
+    Correlation space (unit diagonal plus the fixed noise-to-signal
+    nugget), a plain Cholesky, the variance rescaled by phi_hat.
+    """
+    ratio = RG_DEFAULT.noise_signal_ratio
+    if block.m == 0:
+        return GaussianPredictive(0.0, params.prior_var)
+    A = rg_corr_matrix(block.lat, block.lon) + ratio * np.eye(block.m)
+    L = sla.cholesky(A, lower=True, check_finite=False)
+    r_star = rg_corr_vector(target.lat, target.lon, block.lat, block.lon)
+    alpha = sla.cho_solve((L, True), block.values, check_finite=False)
+    w = sla.solve_triangular(L, r_star, lower=True, check_finite=False)
+    corr_var = 1.0 + ratio - float(w @ w)
+    return GaussianPredictive(float(r_star @ alpha),
+                              params.phi_hat * min(max(corr_var, 0.0), 1.0 + ratio))
+
+
+def predict_gaussian_oracle(target: SpaceTimePoint, block: YearBlock,
+                            params: CovParams, spatial=False) -> GaussianPredictive:
+    """Gaussian-nugget kriging for one year, kernel built in place.
+
+    The prior without data; the variance clamped into [0, phi + sigma2].
+    """
+    prior_var = params.phi + params.sigma2
+    if block.m == 0:
+        return GaussianPredictive(0.0, prior_var)
+    K = cov_matrix(block.points, params, spatial)
+    L = chol_spd(K + params.sigma2 * np.eye(block.m), params.phi, block.year)
+    alpha = sla.cho_solve((L, True), block.values, check_finite=False)
+    k_star = cross_cov_vector(target, block.points, params, spatial)
+    w = sla.solve_triangular(L, k_star, lower=True, check_finite=False)
+    var = min(max(prior_var - float(w @ w), 0.0), prior_var)
+    return GaussianPredictive(float(k_star @ alpha), var)
+
+
+def per_fold_oracle(predict, targets, block, removals, params) -> list:
+    """``predict`` once per fold on the block without ``removals[f]``;
+    None where it raised a MappingError or LinAlgError."""
+    preds = []
+    for target, rem in zip(targets, removals):
+        keep = np.ones(block.m, dtype=bool)
+        keep[rem] = False
+        try:
+            preds.append(predict(target, block.subset(keep), params))
+        except (MappingError, np.linalg.LinAlgError):
+            preds.append(None)
+    return preds
+
+
+def reference_folds_oracle(targets, block, removals, params) -> list:
+    """Reference folds from one correlation-space factor, per fold on failure."""
+    if block.m > 0:
+        ratio = RG_DEFAULT.noise_signal_ratio
+        A = rg_corr_matrix(block.lat, block.lon) + ratio * np.eye(block.m)
+        r_star = np.array([rg_corr_vector(t.lat, t.lon, block.lat, block.lon)
+                           for t in targets])
+        try:
+            preds = holdout_predictions(A, block.values, r_star, 1.0 + ratio,
+                                        removals)
+            return [GaussianPredictive(p.mean, params.phi_hat * p.variance)
+                    for p in preds]
+        except np.linalg.LinAlgError:
+            pass
+    return per_fold_oracle(predict_reference_oracle, targets, block, removals,
+                           params)
+
+
+def gaussian_folds_oracle(targets, block, removals, params,
+                          spatial=False) -> list:
+    """Gaussian-nugget folds from one factor, per fold on failure."""
+    if block.m > 0:
+        pts = block.points
+        Sigma = cov_matrix(pts, params, spatial) + params.sigma2 * np.eye(block.m)
+        k_star = np.array([cross_cov_vector(t, pts, params, spatial)
+                           for t in targets])
+        try:
+            return holdout_predictions(Sigma, block.values, k_star,
+                                       params.phi + params.sigma2, removals)
+        except np.linalg.LinAlgError:
+            pass
+    return per_fold_oracle(
+        lambda t, b, p: predict_gaussian_oracle(t, b, p, spatial),
+        targets, block, removals, params)
+
+
+def profile_table(records) -> ProfileTable:
+    """The ``ProfileTable`` holding ``records``, in order."""
+    recs = list(records)
+    levels = np.array([lv for r in recs for lv in r.levels]).reshape(-1, 2)
+    return ProfileTable([r.source_id for r in recs], *(np.array(
+        [getattr(r, a) for r in recs], np.int64 if a == "year" else float)
+        for a in ("lat", "lon", "year", "day")),
+        np.cumsum([0] + [len(r.levels) for r in recs]), *levels.T)
 
 
 @dataclass(frozen=True)

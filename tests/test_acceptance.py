@@ -25,7 +25,7 @@ from mwgp.covariance import (
     rg_tropic_factor,
 )
 from mwgp import gaussian
-from mwgp.gaussian import YearBlock, fit_mle_gaussian, predict_gaussian
+from mwgp.gaussian import YearBlock, fit_mle_gaussian, pooled_window_variance
 from mwgp.student import (
     StudentParams,
     find_mode,
@@ -41,11 +41,11 @@ from mwgp.validation import (
 )
 from mwgp.windows import (
     VARIANTS,
+    GaussianFamily,
     GridSpec,
+    ReferenceFamily,
     WindowSpec,
     map_grid,
-    pooled_window_variance,
-    reference_phi_hat,
 )
 
 from conftest import (
@@ -120,7 +120,7 @@ def test_02_prediction_matches_explicit_conditional(capsys):
         target = SpaceTimePoint(float(rng.uniform(-2, 2)),
                                 float(rng.uniform(-2, 2)),
                                 float(rng.uniform(20, 70)))
-        pred = predict_gaussian(target, block, params, spatial=spatial)
+        pred = GaussianFamily(spatial).predict(target, block, params)
         mean, var = explicit_conditional(target, block, params, spatial)
         worst = max(worst,
                     abs(pred.mean - mean) / max(abs(mean), 1e-10),
@@ -251,7 +251,7 @@ def test_05_student_gaussian_limit(capsys):
         worst = max(worst, abs(ll_s - ll_g) / abs(ll_g))
         # Predictive mean.
         ps = predict_student(target, block, sp)
-        pg = predict_gaussian(target, block, params)
+        pg = GaussianFamily(False).predict(target, block, params)
         worst = max(worst, abs(ps.f_mean - pg.mean) / max(abs(pg.mean), 1e-10))
     ok = worst < 1e-4
     announce(capsys, 5, ok, "Gaussian limit at nu=1e6",
@@ -423,7 +423,7 @@ def test_10_reference_covariance_constants(capsys):
     blocks = [YearBlock(0, np.zeros(2), np.zeros(2), np.full(2, 45.0),
                         np.array([-1.0, 1.0]))]
     checks.append(pooled_window_variance(blocks) == 2.0)
-    checks.append(reference_phi_hat(blocks) == 2.0 / 1.15)
+    checks.append(ReferenceFamily().fit(blocks, 2)[0].phi_hat == 2.0 / 1.15)
     # Shape value at d = 140 km against scalar arithmetic (zonal
     # displacement at 50N, outside the tropics, chosen to land at
     # exactly one Gaussian scale length).

@@ -419,6 +419,21 @@ class TestMapCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3:") and "lat" in err
 
+    @pytest.mark.parametrize("setting", ["lon_step=inf", "lat_step=nan",
+                                         "lon_max=nan", "eval_time=inf"])
+    def test_non_finite_grid_fails(self, tmp_path, pipeline, capsys, setting):
+        assert run_cli("map", "--profiles", pipeline["profiles"],
+                       "--out", tmp_path / "m", *GRID_ARGS,
+                       "--set", setting) == 1
+        assert capsys.readouterr().err.startswith("error: grid")
+        assert not (tmp_path / "m").exists()
+
+    def test_non_finite_cv_radius_fails(self, tmp_path, pipeline, capsys):
+        assert run_cli("cv", "--profiles", pipeline["profiles"],
+                       "--variant", 2, "--out", tmp_path / "c", *GRID_ARGS,
+                       "--set", "radius_steps=nan") == 1
+        assert capsys.readouterr().err.startswith("error: radius_steps")
+
     def test_missing_profiles_flag_fails(self, tmp_path, capsys):
         assert run_cli("map", "--out", tmp_path / "m") == 1
         assert "profiles" in capsys.readouterr().err

@@ -29,9 +29,9 @@ from mwgp.gaussian import (
     fit_mle_gaussian,
     gaussian_interval,
     lbfgsb,
-    predict_gaussian,
 )
 from mwgp.validation import simulate_field
+from mwgp.windows import GaussianFamily
 
 from conftest import (
     PARAMS,
@@ -45,6 +45,9 @@ from conftest import (
     packed_nll,
     random_block,
 )
+
+
+krige = GaussianFamily(spatial=False).predict  # kriging law of one target
 
 
 def synth_blocks(params, m, n_years, seed, span=6.0):
@@ -398,14 +401,14 @@ class TestFitMleGaussian:
 class TestPredictGaussian:
     def test_prior_for_empty_block(self):
         empty = YearBlock(0, [], [], [], [])
-        pred = predict_gaussian(SpaceTimePoint(0, 0, 0), empty, PARAMS)
+        pred = krige(SpaceTimePoint(0, 0, 0), empty, PARAMS)
         assert pred.mean == 0.0
         assert pred.variance == pytest.approx(PARAMS.phi + PARAMS.sigma2)
 
     def test_single_coincident_observation(self):
         y1 = 1.7
         block = YearBlock(0, [2.0], [3.0], [4.0], [y1])
-        pred = predict_gaussian(SpaceTimePoint(2.0, 3.0, 4.0), block, PARAMS)
+        pred = krige(SpaceTimePoint(2.0, 3.0, 4.0), block, PARAMS)
         tot = PARAMS.phi + PARAMS.sigma2
         assert pred.mean == pytest.approx(PARAMS.phi / tot * y1, rel=1e-12)
         assert pred.variance == pytest.approx(tot - PARAMS.phi ** 2 / tot,
@@ -414,7 +417,7 @@ class TestPredictGaussian:
     def test_zero_nugget_interpolates_exactly(self):
         params = CovParams(1.3, 2.0, 4.0, 7.0, 0.0)
         block = YearBlock(0, [1.0, -2.0], [0.5, 3.0], [10.0, 20.0], [0.7, -0.4])
-        pred = predict_gaussian(SpaceTimePoint(1.0, 0.5, 10.0), block, params)
+        pred = krige(SpaceTimePoint(1.0, 0.5, 10.0), block, params)
         assert pred.mean == pytest.approx(0.7, rel=1e-9)
         assert pred.variance == pytest.approx(0.0, abs=1e-9)
 
@@ -425,7 +428,7 @@ class TestPredictGaussian:
             target = SpaceTimePoint(rng.uniform(-6, 6), rng.uniform(-6, 6),
                                     rng.uniform(0, 40))
             mean, var = explicit_conditional(target, block, PARAMS)
-            pred = predict_gaussian(target, block, PARAMS)
+            pred = krige(target, block, PARAMS)
             assert abs(pred.mean - mean) <= 1e-8 * max(1.0, abs(mean))
             assert abs(pred.variance - var) <= 1e-8 * max(1.0, abs(var))
 
@@ -434,7 +437,7 @@ class TestPredictGaussian:
             block = random_block(rng, int(rng.integers(1, 9)))
             target = SpaceTimePoint(rng.uniform(-6, 6), rng.uniform(-6, 6),
                                     rng.uniform(0, 40))
-            pred = predict_gaussian(target, block, PARAMS)
+            pred = krige(target, block, PARAMS)
             assert 0.0 <= pred.variance <= PARAMS.phi + PARAMS.sigma2 + 1e-12
 
     def test_extra_observation_never_inflates_variance(self, rng):
@@ -443,8 +446,8 @@ class TestPredictGaussian:
             target = SpaceTimePoint(rng.uniform(-4, 4), rng.uniform(-4, 4),
                                     rng.uniform(0, 40))
             smaller = block.subset(np.arange(6) < 5)
-            v_small = predict_gaussian(target, smaller, PARAMS).variance
-            v_full = predict_gaussian(target, block, PARAMS).variance
+            v_small = krige(target, smaller, PARAMS).variance
+            v_full = krige(target, block, PARAMS).variance
             assert v_full <= v_small + 1e-10
 
 

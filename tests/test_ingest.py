@@ -26,7 +26,6 @@ from mwgp.ingest import (
     MeanField,
     MeanFieldConfig,
     ProfileRecord,
-    ProfileTable,
     apply_filters,
     coef_names,
     estimate_mean_field,
@@ -42,9 +41,9 @@ from mwgp.ingest import (
 from mwgp.covariance import SpaceTimePoint, rg_distances
 from mwgp.windows import (
     GridSpec,
+    ReferenceFamily,
     WindowSpec,
     month_halfwidth_days,
-    reference_phi_hat,
     select_window,
 )
 
@@ -53,6 +52,7 @@ from conftest import (
     cell_for_scan,
     nearest_rows_scan,
     parse_profiles_rows,
+    profile_table,
     profiles_to_level_loop,
     subtract_mean_loop,
 )
@@ -65,19 +65,19 @@ def make_profile(sid="f1", lat=10.0, lon=20.0, year=2007, day=45.5,
 
 def level_blocks(*obs):
     """Year blocks of (source_id, lat, lon, year, day, value) observations."""
-    return profiles_to_level(ProfileTable.from_records(
+    return profiles_to_level(profile_table(
         ProfileRecord(*o[:5], ((300.0, o[5]),)) for o in obs), 300.0)
 
 
 def level_value(rec, level):
     """One profile's value at a pressure level; None when it is dropped."""
-    blocks = profiles_to_level(ProfileTable.from_records([rec]), level)
+    blocks = profiles_to_level(profile_table([rec]), level)
     return float(blocks[0].values[0]) if blocks else None
 
 
 def kept(records, *args, **kwargs):
     """The records ``apply_filters`` keeps from a table of them."""
-    return list(apply_filters(ProfileTable.from_records(records), *args,
+    return list(apply_filters(profile_table(records), *args,
                               **kwargs))
 
 
@@ -105,7 +105,7 @@ class TestProfileRecord:
             make_profile(lat=-95.0)
 
     def test_level_arrays(self):
-        table = ProfileTable.from_records([make_profile()])
+        table = profile_table([make_profile()])
         np.testing.assert_array_equal(table.pressure, [290.0, 310.0])
         np.testing.assert_array_equal(table.value, [10.0, 9.0])
 
@@ -242,7 +242,7 @@ class TestProfileTable:
     ]
 
     def test_from_records_is_a_sequence_of_the_records(self):
-        table = ProfileTable.from_records(self.RECORDS)
+        table = profile_table(self.RECORDS)
         assert len(table) == 3
         assert list(table) == self.RECORDS
         assert table[-1] == self.RECORDS[-1]
@@ -252,12 +252,12 @@ class TestProfileTable:
             table[3]
 
     def test_empty_table(self):
-        table = ProfileTable.from_records([])
+        table = profile_table([])
         assert len(table) == 0 and list(table) == []
         assert table.year.dtype == np.int64 and table.pressure.shape == (0,)
 
     def test_subset_keeps_each_profile_levels(self):
-        table = ProfileTable.from_records(self.RECORDS)
+        table = profile_table(self.RECORDS)
         sub = table.subset(np.array([False, True, True]))
         assert list(sub) == self.RECORDS[1:]
         np.testing.assert_array_equal(sub.offsets, [0, 3, 4])
@@ -343,7 +343,7 @@ class TestColumnarParserOracle:
         for level in (LEVEL, 287.123456789, 333.3):
             want = profiles_to_level_loop(records, level)
             assert_blocks_identical(
-                profiles_to_level(ProfileTable.from_records(records), level),
+                profiles_to_level(profile_table(records), level),
                 want)
             assert 50 < want[0].m < 400
 
@@ -441,7 +441,7 @@ class TestVerticalInterpolation:
         deep = make_profile("deep", levels=((100.0, 15.0), (400.0, 8.0)))
         shallow = make_profile("shallow", levels=((5.0, 18.0), (50.0, 16.0)))
         [block] = profiles_to_level(
-            ProfileTable.from_records([deep, shallow]), 300.0)
+            profile_table([deep, shallow]), 300.0)
         assert list(block.source_ids) == ["deep"]
         assert block.values[0] == pytest.approx(15.0 - 7.0 * 200.0 / 300.0)
         assert (block.lat[0], block.lon[0], block.year, block.t[0]) == \
@@ -462,7 +462,7 @@ class TestLevelBlocks:
         np.testing.assert_array_equal(blocks[1].t, [40.0, 60.0])
 
     def test_empty_input(self):
-        assert profiles_to_level(ProfileTable.from_records([]), 300.0) == []
+        assert profiles_to_level(profile_table([]), 300.0) == []
 
 
 def polynomial_obs(m=240, seed=5, span=10.0):
@@ -860,16 +860,16 @@ class TestWindowedPluginVariance:
                           np.array([-1.0, 1.0]))
         center = SpaceTimePoint(0.0, 0.0, 45.5)
         windowed = select_window([block], center, self.WINDOW)
-        assert reference_phi_hat(windowed) == pytest.approx(2.0 / 1.15,
-                                                            rel=1e-15)
+        params, _ = ReferenceFamily().fit(windowed, 2)
+        assert params.phi_hat == pytest.approx(2.0 / 1.15, rel=1e-15)
 
     def test_window_excludes_distant_observations(self):
         block = YearBlock(0, np.array([0.0, 0.0, 50.0]), np.zeros(3),
                           np.full(3, 45.5), np.array([-1.0, 1.0, 100.0]))
         center = SpaceTimePoint(0.0, 0.0, 45.5)
         windowed = select_window([block], center, self.WINDOW)
-        assert reference_phi_hat(windowed) == pytest.approx(2.0 / 1.15,
-                                                            rel=1e-15)
+        params, _ = ReferenceFamily().fit(windowed, 2)
+        assert params.phi_hat == pytest.approx(2.0 / 1.15, rel=1e-15)
 
     def test_custom_window(self):
         block = YearBlock(0, np.array([0.0, 4.0]), np.zeros(2),
@@ -877,7 +877,7 @@ class TestWindowedPluginVariance:
         center = SpaceTimePoint(0.0, 0.0, 45.5)
         narrow = WindowSpec(2.0, 20.0, min_obs=2)
         with pytest.raises(InsufficientDataError):
-            reference_phi_hat(select_window([block], center, narrow))
+            ReferenceFamily().fit(select_window([block], center, narrow), 2)
 
 
 class TestMaskAndFilters:

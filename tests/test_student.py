@@ -23,7 +23,6 @@ from mwgp.gaussian import (
     YearBlock,
     _Prepared,
     default_init,
-    predict_gaussian,
 )
 from mwgp.student import (
     LOG_BAND,
@@ -43,7 +42,7 @@ from mwgp.student import (
     student_interval,
 )
 from mwgp.validation import simulate_field
-from mwgp.windows import single_blas_thread
+from mwgp.windows import GaussianFamily, single_blas_thread
 
 from conftest import deviation_sample, gauss_loglik, random_block, t_log_gamma_ratio
 
@@ -411,7 +410,7 @@ class TestPredictStudent:
         block = random_block(rng, 7)
         target = SpaceTimePoint(0.5, -0.7, 20.0)
         pred = predict_student(target, block, params)
-        krig = predict_gaussian(target, block, params.cov)
+        krig = GaussianFamily(False).predict(target, block, params.cov)
         assert abs(pred.f_mean - krig.mean) < 1e-4 * max(1.0, abs(krig.mean))
 
     def test_far_target_prior_limit(self, rng):
@@ -427,7 +426,7 @@ class TestPredictStudent:
         state = find_mode(block, heavy)
         assert state.w[1] == 0.0 and state.w[0] > 0.0
         target = SpaceTimePoint(0.3, 0.2, 1.0)
-        pred = predict_student(target, block, heavy, state=state)
+        pred = predict_student(target, block, heavy)
         # oracle: with the floored row dropped, the correction reduces
         # to the single remaining observation
         K = cov_matrix(block.points, heavy.cov)

@@ -19,7 +19,7 @@ from mwgp.errors import (
     InputError,
     InvalidParameterError,
 )
-from mwgp.gaussian import GaussianPredictive, YearBlock, predict_gaussian
+from mwgp.gaussian import GaussianPredictive, YearBlock
 from mwgp.student import StudentParams, StudentPredictive
 from mwgp.validation import (
     DEFAULT_LEVELS,
@@ -37,10 +37,10 @@ from mwgp.windows import (
     VARIANTS,
     GaussianFamily,
     GridSpec,
+    ReferenceFamily,
     ReferenceParams,
     StudentFamily,
     WindowSpec,
-    _predict_reference,
     map_grid,
     month_halfwidth_days,
     window_rows,
@@ -127,6 +127,11 @@ class TestSimulateField:
 
 
 class TestSyntheticFloats:
+    def test_rejects_unsupported_params(self):
+        with pytest.raises(InvalidParameterError):
+            synthetic_float_blocks((1.0, 3.0, 5.0, 5.0, 0.3), n_floats=2,
+                                   profiles_per_float=3, n_years=1, seed=0)
+
     def test_shapes_and_ids(self):
         blocks = synthetic_float_blocks(TRUE, n_floats=4,
                                         profiles_per_float=5, n_years=2,
@@ -289,6 +294,13 @@ class TestRunCV:
         keys = {(r.year_pos, r.obs_index) for r in cv.records}
         assert len(keys) == total
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+    def test_radius_must_be_finite_and_nonnegative(self, radius):
+        data, field_ = self.mapped(m=25, n_years=1)
+        with pytest.raises(InvalidParameterError):
+            run_cv(data, self.GRID, field_, VARIANTS[2], self.SPEC,
+                   radius_steps=radius)
+
     def test_errors_match_predictive_spread(self):
         data, field_ = self.mapped()
         cv = run_cv(data, self.GRID, field_, VARIANTS[2], self.SPEC)
@@ -366,9 +378,9 @@ print(len(cv.records), hashlib.sha256(repr(cv.records).encode()).hexdigest())
         for rec in cv.records:
             keep = np.ones(block.m, dtype=bool)
             keep[rec.obs_index] = False
-            expected = predict_gaussian(
+            expected = GaussianFamily(VARIANTS[2].spatial).predict(
                 SpaceTimePoint(rec.lat, rec.lon, rec.day),
-                block.subset(keep), params, spatial=VARIANTS[2].spatial)
+                block.subset(keep), params)
             assert rec.pred.mean == pytest.approx(expected.mean, rel=1e-9, abs=0)
             assert rec.pred.variance == pytest.approx(expected.variance,
                                                       rel=1e-9, abs=0)
@@ -408,7 +420,7 @@ print(len(cv.records), hashlib.sha256(repr(cv.records).encode()).hexdigest())
         block = data[0]
         keep = np.ones(block.m, dtype=bool)
         keep[rec.obs_index] = False
-        expected = _predict_reference(
+        expected = ReferenceFamily().predict(
             SpaceTimePoint(rec.lat, rec.lon, rec.day), block.subset(keep),
             params)
         assert rec.pred.mean == pytest.approx(expected.mean, rel=1e-9, abs=0)

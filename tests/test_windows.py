@@ -8,6 +8,7 @@ nearest-cell parameter fallback).
 
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -21,13 +22,14 @@ from mwgp.errors import (
     InsufficientDataError,
     InsufficientVarianceError,
     InvalidParameterError,
+    MappingError,
 )
 from mwgp.gaussian import (
     GaussianPredictive,
     YearBlock,
     fit_mle_gaussian,
     gaussian_interval,
-    predict_gaussian,
+    pooled_window_variance,
 )
 from mwgp.student import (
     StudentParams,
@@ -48,7 +50,6 @@ from mwgp.windows import (
     ReferenceParams,
     StudentFamily,
     WindowSpec,
-    _predict_reference,
     cell_key,
     correlation_at_lag,
     fit_grid_point,
@@ -56,15 +57,20 @@ from mwgp.windows import (
     _blas_thread_controls,
     map_grid,
     month_halfwidth_days,
-    pooled_window_variance,
-    reference_phi_hat,
     select_window,
     single_blas_thread,
     window_rows,
     zonal_km_to_degrees,
 )
 
-from conftest import exp_cov, window_rows_scan
+from conftest import (
+    exp_cov,
+    gaussian_folds_oracle,
+    predict_gaussian_oracle,
+    predict_reference_oracle,
+    reference_folds_oracle,
+    window_rows_scan,
+)
 
 TRUE = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
 
@@ -192,6 +198,11 @@ class TestGridSpec:
         {"lat_min": 2.0, "lat_max": 1.0},
         {"lat_min": -95.0},
         {"lat_max": 91.0},
+        {"lat_step": math.nan}, {"lon_step": math.inf},
+        {"lat_min": math.nan}, {"lat_max": math.inf},
+        {"lon_min": math.nan}, {"lon_max": math.nan},
+        {"lon_min": -math.inf}, {"lon_max": math.inf},
+        {"eval_time": math.nan}, {"eval_time": math.inf},
     ])
     def test_invalid_geometry_rejected(self, kwargs):
         base = dict(lat_min=0.0, lat_max=1.0, lon_min=0.0, lon_max=1.0)
@@ -367,7 +378,7 @@ class TestPooledVariance:
         block = YearBlock(0, np.zeros(2), np.zeros(2), np.zeros(2),
                           np.array([-1.0, 1.0]))
         assert pooled_window_variance([block]) == 2.0
-        assert reference_phi_hat([block]) == 2.0 / 1.15
+        assert ReferenceFamily().fit([block], 1)[0].phi_hat == 2.0 / 1.15
 
     def test_pools_across_years_with_single_denominator(self):
         blocks = [
@@ -390,7 +401,7 @@ class TestPooledVariance:
         block = YearBlock(0, np.zeros(4), np.zeros(4), np.zeros(4),
                           np.full(4, 0.7))
         with pytest.raises(InsufficientVarianceError):
-            reference_phi_hat([block])
+            ReferenceFamily().fit([block], 1)
 
 
 class TestReferenceParams:
@@ -415,15 +426,15 @@ class TestReferencePrediction:
 
     def test_no_data_returns_prior(self):
         empty = YearBlock(0, np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
-        pred = _predict_reference(self.TARGET, empty, ReferenceParams(2.0))
+        pred = ReferenceFamily().predict(self.TARGET, empty, ReferenceParams(2.0))
         assert pred.mean == 0.0
         assert pred.variance == pytest.approx(2.3, rel=1e-15)
 
     def test_single_coincident_observation_closed_form(self):
         rho = 0.15
         phi_hat = 2.0
-        pred = _predict_reference(self.TARGET, self.coincident_block(1.5),
-                                  ReferenceParams(phi_hat))
+        pred = ReferenceFamily().predict(self.TARGET, self.coincident_block(1.5),
+                                         ReferenceParams(phi_hat))
         assert pred.mean == pytest.approx(1.5 / (1.0 + rho), rel=1e-12)
         expected_var = phi_hat * ((1.0 + rho) - 1.0 / (1.0 + rho))
         assert pred.variance == pytest.approx(expected_var, rel=1e-12)
@@ -433,8 +444,8 @@ class TestReferencePrediction:
         # with the nugget tied to the plug-in variance by the fixed ratio.
         phi_hat = 2.0
         params = ReferenceParams(phi_hat)
-        pred = _predict_reference(self.TARGET, self.coincident_block(),
-                                  params)
+        pred = ReferenceFamily().predict(self.TARGET, self.coincident_block(),
+                                         params)
         phi, s2 = params.phi, params.sigma2
         expected = (s2 * (phi + s2) + phi * s2) / (phi + s2) ** 2
         assert ReferenceFamily().variance_ratio(pred, params) == \
@@ -446,8 +457,8 @@ class TestReferencePrediction:
         block = YearBlock(0, 10.0 + rng.uniform(-3, 3, 8),
                           20.0 + rng.uniform(-3, 3, 8),
                           np.full(8, 45.5), rng.normal(size=8))
-        a = _predict_reference(self.TARGET, block, ReferenceParams(0.7))
-        b = _predict_reference(self.TARGET, block, ReferenceParams(123.4))
+        a = ReferenceFamily().predict(self.TARGET, block, ReferenceParams(0.7))
+        b = ReferenceFamily().predict(self.TARGET, block, ReferenceParams(123.4))
         assert a.mean == b.mean
         # Variances rescale exactly with the plug-in variance.
         assert b.variance / a.variance == pytest.approx(123.4 / 0.7,
@@ -459,8 +470,92 @@ class TestReferencePrediction:
                           20.0 + rng.uniform(-3, 3, 15),
                           np.full(15, 45.5), rng.normal(size=15))
         params = ReferenceParams(1.7)
-        pred = _predict_reference(self.TARGET, block, params)
+        pred = ReferenceFamily().predict(self.TARGET, block, params)
         assert 0.0 < pred.variance < params.prior_var
+
+
+def law_bits(pred):
+    """The exact bits of a Gaussian law, None for a failed fold."""
+    return None if pred is None else struct.pack("<dd", pred.mean, pred.variance)
+
+
+def outcome(fn, *args):
+    """The bits ``fn`` returns, or the type of the error it raises."""
+    try:
+        out = fn(*args)
+    except (MappingError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+    return [law_bits(p) for p in out] if isinstance(out, list) else law_bits(out)
+
+
+class TestKrigingOracles:
+    """The reference and Gaussian families against the routines the
+    shared kriging path replaced, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_predict_and_folds_equal_the_oracles(self, data):
+        # Blocks of 0 to 12 rows, some coincident, nuggets from 0 up;
+        # targets on and off the data; folds removing nothing, one row
+        # or several.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        m = data.draw(st.integers(0, 12))
+        pts = np.column_stack([10.0 + rng.uniform(-3, 3, m),
+                               20.0 + rng.uniform(-3, 3, m),
+                               rng.uniform(30.0, 60.0, m)])
+        n_dup = data.draw(st.integers(0, m))
+        pts[:n_dup] = pts[m - n_dup:] if m else pts[:0]
+        block = YearBlock(0, *pts.T, rng.normal(size=m))
+        sigma2 = data.draw(st.one_of(st.just(0.0),
+                                     st.floats(-9.0, 0.5).map(lambda e: 10.0 ** e)))
+        params = CovParams(1.3, 2.0, 4.0, 7.0, sigma2)
+        targets = [SpaceTimePoint(*(block.points[k] if k < m
+                                    else (10.0 + rng.uniform(-4, 4),
+                                          20.0 + rng.uniform(-4, 4), 45.5)))
+                   for k in rng.integers(0, m + 3, size=4)]
+        removals = [np.sort(rng.choice(m, size=min(m, size), replace=False))
+                    for size in data.draw(st.lists(st.integers(0, 3),
+                                                   min_size=4, max_size=4))]
+        ref = ReferenceParams(float(rng.uniform(0.1, 5.0)))
+        for target in targets:
+            assert outcome(ReferenceFamily().predict, target, block, ref) == \
+                outcome(predict_reference_oracle, target, block, ref)
+        assert outcome(ReferenceFamily().predict_folds, targets, block,
+                       removals, ref) == \
+            outcome(reference_folds_oracle, targets, block, removals, ref)
+        for spatial in (True, False):
+            family = GaussianFamily(spatial)
+            for target in targets:
+                assert outcome(family.predict, target, block, params) == \
+                    outcome(predict_gaussian_oracle, target, block, params,
+                            spatial)
+            assert outcome(family.predict_folds, targets, block, removals,
+                           params) == \
+                outcome(gaussian_folds_oracle, targets, block, removals,
+                        params, spatial)
+
+    @pytest.mark.parametrize("spatial", [True, False])
+    def test_failed_window_factor_runs_the_per_fold_path(self, spatial):
+        # No nugget and a duplicated row: the plain Cholesky of the window
+        # fails, so each fold is predicted on its own reduced block.
+        rng = np.random.default_rng(5)
+        pts = np.column_stack([rng.uniform(-2, 2, 9), rng.uniform(-2, 2, 9),
+                               rng.uniform(40, 50, 9)])
+        pts[0] = pts[1]
+        block = YearBlock(0, *pts.T, rng.normal(size=9))
+        params = CovParams(1.0, 3.0, 5.0, 5.0, 0.0)
+        Sigma = GaussianFamily(spatial).system([], block, params)[0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(Sigma)
+        targets = [SpaceTimePoint(*block.points[k]) for k in (0, 3, 5)]
+        removals = [np.array([0]), np.array([3]), np.array([1, 5])]
+        got = GaussianFamily(spatial).predict_folds(targets, block, removals,
+                                                    params)
+        assert [law_bits(p) for p in got] == [law_bits(p) for p in
+                                              gaussian_folds_oracle(
+                                                  targets, block, removals,
+                                                  params, spatial)]
+        assert all(p is not None for p in got)
 
 
 class TestVarianceSummaries:
@@ -538,7 +633,7 @@ class TestModelFamily:
         windowed = select_window(data, center, spec)
         sp = variant.spatial
         if vid == 1:
-            params = ReferenceParams(reference_phi_hat(windowed))
+            params = ReferenceParams(pooled_window_variance(windowed) / 1.15)
         elif variant.nugget == "gaussian":
             params, _ = fit_mle_gaussian(windowed, min_obs=spec.min_obs,
                                          spatial=sp)
@@ -549,9 +644,9 @@ class TestModelFamily:
         assert len(fit.predictions) == len(windowed) == 2
         for block, cell in zip(windowed, fit.predictions):
             if vid == 1:
-                pred = _predict_reference(center, block, params)
+                pred = ReferenceFamily().predict(center, block, params)
             elif variant.nugget == "gaussian":
-                pred = predict_gaussian(center, block, params, spatial=sp)
+                pred = GaussianFamily(sp).predict(center, block, params)
             else:
                 pred = predict_student(center, block, params, spatial=sp)
             if isinstance(pred, StudentPredictive):
@@ -658,12 +753,15 @@ class TestFitGridPoint:
         assert fit.status == "insufficient_data"
 
     def test_constant_values_report_no_variance(self):
-        block = YearBlock(0, np.linspace(-3, 3, 30), np.linspace(-3, 3, 30),
-                          np.full(30, 45.5), np.full(30, 0.7))
-        for vid in (1, 2):
-            fit = fit_grid_point([block], self.CENTER, VARIANTS[vid],
-                                 self.SPEC)
-            assert fit.status == "no_variance"
+        # Exactly equal values, and values whose sample variance is
+        # rounding noise, leave every family without a variance.
+        for spread in (0.0, 1e-17):
+            block = YearBlock(0, np.linspace(-3, 3, 30), np.linspace(-3, 3, 30),
+                              np.full(30, 45.5), 0.7 + spread * np.arange(30))
+            for vid in (1, 2, 3):
+                fit = fit_grid_point([block], self.CENTER, VARIANTS[vid],
+                                     self.SPEC)
+                assert fit.status == "no_variance"
 
     def test_fitted_cell_with_estimated_covariance(self):
         data = gp_blocks(m=35, seed=7)
