@@ -5,9 +5,9 @@ Simulates a locally stationary field at scattered locations from known
 covariance parameters, fits by maximum likelihood for each seed, and
 reports per-parameter quartiles of the estimates together with the
 median relative error.  With --nu the nugget becomes Student-t and the
-fit switches to the Laplace-approximate likelihood (much slower: the
-gradients are finite differences and every evaluation runs a Newton
-mode search per year).
+fit switches to the Laplace-approximate likelihood (much slower: its
+gradients are analytic, but every evaluation runs a Newton mode search
+per year).
 
 The degrees of freedom are only identifiable with plenty of data in a
 noise-visible regime: at small sizes (say --m 100 --years 2) the fitted

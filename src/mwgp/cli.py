@@ -250,6 +250,9 @@ def build_config(args) -> RunConfig:
         raise InputError(f"alpha must lie in (0, 1), got {cfg.alpha}")
     if cfg.scheme not in ("looo", "lofo"):
         raise InputError(f"scheme must be looo or lofo, got {cfg.scheme!r}")
+    if not 0.0 <= cfg.radius_steps < math.inf:
+        raise InputError(
+            f"radius_steps must be finite and >= 0, got {cfg.radius_steps}")
     return cfg
 
 

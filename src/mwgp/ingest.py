@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice, repeat
 from operator import ne
 
 import numpy as np
@@ -178,26 +179,68 @@ def _chunk(rows, start: int):
         return (*_columns(rows[:exc.line_number - start], start), exc)
 
 
+def _plain_chunk(lines, start: int):
+    """``_chunk`` of a plain chunk's text lines by numpy's C reader; None
+    for a chunk that is not plain or that the C reader rejects.
+
+    A plain chunk has exactly six commas on every line (so no blank
+    line), no line longer than the csv field limit, no quote (a quoted
+    field may span lines) and no \\x1c-\\x1f, which the C reader strips
+    as whitespace around a number and float/int reject.  On the rest
+    the C reader accepts a subset of what float/int accept (it rejects
+    underscores and non-ASCII digits) and converts it with the same
+    routine, so its columns are the row path's, bit for bit.  A warning
+    (older numpy parses "1.0" as an int64 with a DeprecationWarning)
+    counts as a rejection.
+    """
+    text = "".join(lines)
+    commas = set(map(str.count, lines, repeat(",")))
+    if (commas != {len(PROFILE_HEADER) - 1}
+            or max(map(len, lines)) > csv.field_size_limit()
+            or any(c in text for c in '"\x1c\x1d\x1e\x1f')):
+        return None
+    sids = [line.partition(",")[0].strip() for line in lines]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = np.loadtxt(lines, delimiter=",", comments=None,
+                           usecols=(1, 2, 4, 5, 6), ndmin=2)
+            year = np.loadtxt(lines, np.int64, delimiter=",", comments=None,
+                              usecols=3, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if not all(sids) or not np.isfinite(x).all():
+        return None
+    lat, lon, day, pressure, value = x.T
+    return (sids, lat, lon, year, day, pressure, value,
+            start + np.arange(len(lines)), None)
+
+
 def parse_profiles(path) -> ProfileTable:
     """Read the profile CSV; strict schema, line-numbered rejections.
 
     A profile is a maximal run of rows sharing (source_id, lat, lon,
     year, day); its pressures must strictly increase and a profile key
     must not reappear after its run ends.  Rows stream in chunks of
-    CHUNK_ROWS, converted column by column with Python's float/int.
+    CHUNK_ROWS rows: a plain chunk is converted by numpy's C reader
+    (``_plain_chunk``), any other by the csv module and Python's
+    float/int column by column (``_chunk``), with equal doubles.
     The fault a row-by-row reader meets first is raised; it meets a
     latitude outside [-90, 90], named at the profile's first line,
     where the profile ends.  A zero-byte file gives an empty table.
     """
     chunks = [_chunk([], 2)]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for header in islice(reader, 1):
+        for header in islice(csv.reader(fh), 1):
             _check_header(header, PROFILE_HEADER)
         chunk_lines = count(2, CHUNK_ROWS)
         while chunks[-1][-1] is None and (
-                rows := list(islice(reader, CHUNK_ROWS))):
-            chunks.append(_chunk(rows, next(chunk_lines)))
+                text := list(islice(fh, CHUNK_ROWS))):
+            start = next(chunk_lines)
+            # CHUNK_ROWS rows span at least the lines read, so the csv
+            # reader uses them all and leaves fh at a row boundary.
+            chunks.append(_plain_chunk(text, start) or _chunk(list(islice(
+                csv.reader(chain(text, fh)), CHUNK_ROWS)), start))
     sids = [s for c in chunks for s in c[0]]
     lat, lon, year, day, pressure, value, lines = (
         np.concatenate([c[k] for c in chunks]) for k in range(1, 8))

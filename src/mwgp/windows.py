@@ -269,10 +269,6 @@ class ReferenceParams:
     def sigma2(self) -> float:
         return RG_DEFAULT.noise_signal_ratio * self.phi_hat
 
-    @property
-    def prior_var(self) -> float:
-        return self.phi_hat * (1.0 + RG_DEFAULT.noise_signal_ratio)
-
 
 @dataclass(frozen=True)
 class CellPrediction:

@@ -398,6 +398,11 @@ def rg_cov(x1, x2, phi_hat, tropic=True) -> float:
                       + c.exp_weight * math.exp(-d / c.exp_scale_km))
 
 
+def reference_prior_var(params) -> float:
+    """The reference law's variance with no data, phi_hat (1 + ratio)."""
+    return params.phi_hat * (1.0 + RG_DEFAULT.noise_signal_ratio)
+
+
 def predict_reference_oracle(target: SpaceTimePoint, block: YearBlock,
                              params) -> GaussianPredictive:
     """Reference-covariance kriging for one year, as its own routine.
@@ -407,7 +412,7 @@ def predict_reference_oracle(target: SpaceTimePoint, block: YearBlock,
     """
     ratio = RG_DEFAULT.noise_signal_ratio
     if block.m == 0:
-        return GaussianPredictive(0.0, params.prior_var)
+        return GaussianPredictive(0.0, reference_prior_var(params))
     A = rg_corr_matrix(block.lat, block.lon) + ratio * np.eye(block.m)
     L = sla.cholesky(A, lower=True, check_finite=False)
     r_star = rg_corr_vector(target.lat, target.lon, block.lat, block.lon)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -433,6 +434,17 @@ class TestMapCommand:
                        "--variant", 2, "--out", tmp_path / "c", *GRID_ARGS,
                        "--set", "radius_steps=nan") == 1
         assert capsys.readouterr().err.startswith("error: radius_steps")
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+    def test_bad_cv_radius_fails_before_mapping(self, tmp_path, pipeline,
+                                                capsys, radius):
+        with mock.patch("mwgp.cli._map_field") as map_field:
+            assert run_cli("cv", "--profiles", pipeline["profiles"],
+                           "--variant", 2, "--out", tmp_path / "c",
+                           *GRID_ARGS, "--set", f"radius_steps={radius}") == 1
+        map_field.assert_not_called()
+        assert capsys.readouterr().err.startswith("error: radius_steps")
+        assert not (tmp_path / "c").exists()
 
     def test_missing_profiles_flag_fails(self, tmp_path, capsys):
         assert run_cli("map", "--out", tmp_path / "m") == 1

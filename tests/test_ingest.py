@@ -2,7 +2,10 @@
 the local-regression mean field (estimation, residualization, and file
 round trips)."""
 
+import csv
 import math
+import re
+import warnings
 from itertools import permutations
 from unittest import mock
 
@@ -81,8 +84,8 @@ def kept(records, *args, **kwargs):
                               **kwargs))
 
 
-def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_lines(path, lines, end="\n", last_end=True):
+    path.write_bytes((end.join(lines) + end * last_end).encode("utf-8"))
     return path
 
 
@@ -407,6 +410,200 @@ class TestColumnarParserOracle:
         with pytest.raises(SchemaError, match="year is not an integer") as err:
             parse_profiles(path)
         assert err.value.line_number == 3
+
+
+
+def parse_csv_path(path):
+    """``parse_profiles`` with every chunk on the csv reader and float/int."""
+    with mock.patch.object(ingest, "_plain_chunk", lambda lines, start: None):
+        return parse_profiles(path)
+
+
+def parse_outcome(parse, path):
+    """The table ``parse`` returns, or its SchemaError's (line, message)."""
+    try:
+        return parse(path)
+    except SchemaError as exc:
+        return exc.line_number, str(exc)
+
+
+def assert_parses_alike(path, chunks=(1, 2, 3, 8192)):
+    """``parse_profiles`` at each chunk size: the row parser's records or
+    fault, and the csv path's table bit for bit."""
+    want = parse_outcome(parse_profiles_rows, path)
+    for chunk in chunks:
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk):
+            got = parse_outcome(parse_profiles, path)
+            slow = parse_outcome(parse_csv_path, path)
+        if isinstance(want, tuple):
+            assert got == slow == want
+            continue
+        assert list(got) == want
+        assert got.source_ids == slow.source_ids
+        for name in ("lat", "lon", "year", "day", "offsets", "pressure",
+                     "value"):
+            x, y = getattr(got, name), getattr(slow, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+# Whitespace that float/int strip, and \x1c-\x1f, which only numpy's C
+# reader strips.
+PADS = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"),
+               max_size=2)
+ODD_FIELDS = ["nan", "-NaN", "inf", "+Infinity", "1e400", "1_0", "\uff12",
+              "\u0663", "0x10", "", " ", "1\x00", "2007.0", str(2 ** 63),
+              str(-2 ** 63 - 1), "#", "1#2"]
+ODD_IDS = ['"f1"', '" f2 "', '"f,3"', '"f""4"', '"f\n5"', '"f\r\n6"', "",
+           " ", "#f7", "f\x1c8", "f\u20289", "f\x0c10", "f\x0011"]
+
+
+@st.composite
+def spelled(draw, text):
+    """``text`` as is, or respelled where float/int and the C reader may
+    disagree: padding, underscores, fullwidth digits, '#', odd values."""
+    kind = draw(st.sampled_from(
+        ["as is", "as is", "pad", "underscore", "fullwidth", "hash", "odd"]))
+    if kind == "pad":
+        return draw(PADS) + text + draw(PADS)
+    if kind == "underscore":
+        return re.sub(r"(\d)(\d)", r"\1_\2", text, count=1)
+    if kind == "fullwidth":
+        return text.translate({ord("0") + d: 0xFF10 + d for d in range(10)})
+    if kind == "hash":
+        return draw(st.sampled_from([text + "#", text + "#1", "#" + text]))
+    return draw(st.sampled_from(ODD_FIELDS)) if kind == "odd" else text
+
+
+@st.composite
+def spelled_files(draw):
+    """CSV lines of profiles whose fields are spelled every which way."""
+    lines = [",".join(PROFILE_HEADER)]
+    for k in range(draw(st.integers(1, 5))):
+        sid = draw(st.one_of(SIDS, st.sampled_from(ODD_IDS)))
+        lat, lon = repr(draw(LATS)), repr(draw(LONS))
+        year = str(draw(st.integers(2005, 2008)))
+        day = repr(k + draw(st.floats(0.0, 0.9)))
+        key = [sid] + [draw(spelled(t)) for t in (lat, lon, year, day)]
+        for p in sorted(draw(PRESSURES)):
+            lines.append(",".join(key + [draw(spelled(repr(p))), draw(
+                spelled(repr(draw(st.floats(-5.0, 35.0)))))]))
+    return lines
+
+
+class TestPlainChunkReader:
+    """numpy's C reader on plain chunks against the row parser and,
+    bitwise, the csv path it falls back to."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spelled_files(), st.sampled_from(["\n", "\r\n"]))
+    def test_field_spellings_match_row_parser(self, tmp_path, lines, end):
+        assert_parses_alike(write_lines(tmp_path / "p.csv", lines, end))
+
+    @pytest.mark.parametrize("column", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("text", ODD_FIELDS + [
+        " 7\t", "\x0c7\u2028", "7\x1c", "\x1f7", "7\x85", "+7", "007"])
+    def test_each_odd_field_matches_row_parser(self, tmp_path, column, text):
+        rows = [["f1", "10", "20", "2007", "45", str(p), "9"]
+                for p in (100, 200, 300)]
+        rows[1][column] = text
+        assert_parses_alike(write_lines(
+            tmp_path / "p.csv", [",".join(PROFILE_HEADER)] + [
+                ",".join(row) for row in rows]))
+
+    ROWS = [f"f{k // 3},{k // 3}.5,{k // 3}.25,2007,{k // 3},{100 + k % 3},"
+            f"{10 - k % 3}" for k in range(9)]
+    HEADER = ",".join(PROFILE_HEADER)
+
+    @pytest.mark.parametrize("end,last_end", [
+        ("\n", True), ("\r\n", True), ("\r", True), ("\n", False),
+        ("\r\n", False)])
+    @pytest.mark.parametrize("edit", [
+        "clean", "quote_late", "quote_early", "blank_early",
+        "multiline_id", "fault_late", "nonfinite_late", "pressure_late"])
+    def test_chunk_boundaries_match_row_parser(self, tmp_path, end, last_end,
+                                               edit):
+        rows = list(self.ROWS)
+        if edit == "quote_late":
+            rows[5] = rows[5].replace("f1", '"f1"', 1)
+        elif edit == "quote_early":
+            rows[0] = rows[0].replace("f0", '"f0"', 1)
+        elif edit == "blank_early":
+            rows.insert(1, "")
+        elif edit == "multiline_id":  # one row over two lines
+            rows[3:6] = [r.replace("f1", '"f\n1"', 1) for r in rows[3:6]]
+        elif edit == "fault_late":
+            rows[4] = rows[4].replace("1.5", "north", 1)
+        elif edit == "nonfinite_late":
+            rows[4] = rows[4][:rows[4].rindex(",")] + ",inf"
+        elif edit == "pressure_late":
+            rows[5] = rows[5].replace(",102,", ",100,", 1)
+        assert_parses_alike(write_lines(tmp_path / "p.csv",
+                                       [self.HEADER] + rows, end, last_end))
+
+    @pytest.mark.parametrize("edit,fallback_starts", [
+        (lambda rows: rows, []),
+        (lambda rows: rows.__setitem__(4, rows[4].replace("f1", '"f1"')),
+         [5]),
+        (lambda rows: rows.insert(0, ""), [2]),
+    ])
+    def test_only_unplain_chunks_take_the_csv_path(self, tmp_path, edit,
+                                                   fallback_starts):
+        rows = list(self.ROWS)
+        edit(rows)
+        path = write_lines(tmp_path / "p.csv", [self.HEADER] + rows)
+        spy = mock.Mock(wraps=ingest._chunk)
+        with mock.patch.object(ingest, "CHUNK_ROWS", 3), \
+                mock.patch.object(ingest, "_chunk", spy):
+            table = parse_profiles(path)
+        assert len(table) == 3
+        # The first call is parse_profiles' empty seed chunk.
+        assert [c.args[1] for c in spy.call_args_list] == [2] + fallback_starts
+
+    def test_written_file_never_takes_the_csv_path(self, tmp_path):
+        rng = np.random.default_rng(7)
+        records = [ProfileRecord(
+            f"f{k:06d}", rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0),
+            int(rng.integers(0, 3)), rng.uniform(0.0, 365.0),
+            tuple(zip((250.0, 300.0, 350.0), rng.normal(10.0, 2.0, 3))))
+            for k in range(700)]
+        path = tmp_path / "p.csv"
+        write_profiles(records, path)
+        spy = mock.Mock(wraps=ingest._chunk)
+        with mock.patch.object(ingest, "CHUNK_ROWS", 256), \
+                mock.patch.object(ingest, "_chunk", spy):
+            table = parse_profiles(path)
+        assert spy.call_args_list == [mock.call([], 2)]
+        assert list(table) == records
+
+    def test_field_over_csv_limit_raises_as_the_row_parser(self, tmp_path):
+        limit = csv.field_size_limit(64)
+        try:
+            path = write_lines(tmp_path / "p.csv", [self.HEADER, "f" * 65 +
+                                                   ",1,2,2007,3,100,9"])
+            with pytest.raises(csv.Error) as want:
+                parse_profiles_rows(path)
+            with pytest.raises(csv.Error) as got:
+                parse_profiles(path)
+            assert str(got.value) == str(want.value)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_reader_warning_falls_back(self, tmp_path):
+        # numpy < 2 parses "1.0" as an int64 with a DeprecationWarning.
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("parsed leniently", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        path = write_lines(tmp_path / "p.csv", [self.HEADER] + self.ROWS)
+        spy = mock.Mock(wraps=ingest._chunk)
+        with mock.patch.object(np, "loadtxt", warning_loadtxt), \
+                mock.patch.object(ingest, "_chunk", spy):
+            table = parse_profiles(path)
+        assert [c.args[1] for c in spy.call_args_list] == [2, 2]
+        assert list(table) == parse_profiles_rows(path)
 
 
 class TestVerticalInterpolation:

@@ -50,6 +50,7 @@ from conftest import (
     lofo_partition,
     loo_partition,
     nearest_cell_lexsort,
+    reference_prior_var,
     run_cv_per_fold,
 )
 
@@ -562,7 +563,7 @@ class TestClosedFormCV:
                                  self.SPEC3, scheme, radius_steps=10.0)
         assert_matches_oracle(cv, oracle)
         first, second = [r.pred for r in cv.records if r.year == 1]
-        prior = params.prior_var if variant.reference else \
+        prior = reference_prior_var(params) if variant.reference else \
             params.phi + params.sigma2
         emptied = [first, second] if scheme == "lofo" else [first]
         for pred in emptied:

@@ -69,6 +69,7 @@ from conftest import (
     predict_gaussian_oracle,
     predict_reference_oracle,
     reference_folds_oracle,
+    reference_prior_var,
     window_rows_scan,
 )
 
@@ -409,7 +410,6 @@ class TestReferenceParams:
         p = ReferenceParams(2.0)
         assert p.phi == 2.0
         assert p.sigma2 == pytest.approx(0.3, rel=1e-15)
-        assert p.prior_var == pytest.approx(2.3, rel=1e-15)
 
     def test_positive_variance_required(self):
         with pytest.raises(InvalidParameterError):
@@ -471,7 +471,7 @@ class TestReferencePrediction:
                           np.full(15, 45.5), rng.normal(size=15))
         params = ReferenceParams(1.7)
         pred = ReferenceFamily().predict(self.TARGET, block, params)
-        assert 0.0 < pred.variance < params.prior_var
+        assert 0.0 < pred.variance < reference_prior_var(params)
 
 
 def law_bits(pred):
@@ -574,7 +574,7 @@ class TestVarianceSummaries:
     def test_ratio_is_one_with_no_data(self):
         ref = ReferenceParams(2.0)
         assert self.REFERENCE.variance_ratio(
-            GaussianPredictive(0.0, ref.prior_var), ref) == 1.0
+            GaussianPredictive(0.0, reference_prior_var(ref)), ref) == 1.0
         cov = CovParams(1.0, 2.0, 3.0, 4.0, 0.5)
         assert self.GAUSSIAN.variance_ratio(GaussianPredictive(0.0, 1.5),
                                             cov) == 1.0
@@ -659,7 +659,7 @@ class TestModelFamily:
             else:
                 lower, upper = gaussian_interval(pred, alpha)
                 mean, var = pred.mean, pred.variance
-                prior = (params.prior_var if vid == 1
+                prior = (reference_prior_var(params) if vid == 1
                          else params.phi + params.sigma2)
                 ratio = var / prior
             ratio = min(max(ratio, 0.0), 1.0)
@@ -785,7 +785,7 @@ class TestFitGridPoint:
         assert isinstance(fit.params, ReferenceParams)
         assert fit.report is None
         pred = fit.prediction_for(0)
-        assert pred.variance < fit.params.prior_var
+        assert pred.variance < reference_prior_var(fit.params)
 
     def test_student_variant_produces_student_fit(self):
         data = gp_blocks(m=25, seed=19)
