@@ -37,8 +37,10 @@ from .ingest import (
     _parse_float,
     _parse_int,
     apply_filters,
+    csv_rows,
     estimate_mean_field,
     load_mask,
+    open_text,
     parse_profiles,
     profiles_to_level,
     read_mean_field,
@@ -223,7 +225,7 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path) -> dict:
     """key=value lines; # starts a comment; blank lines ignored."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_number, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -317,8 +319,8 @@ def read_grid_csv(path):
 
     Values may be non-finite, as written (an infinite Student variance).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open_text(path) as fh:
+        reader = csv_rows(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["lat", "lon", "value"]:
             raise InputError(f"{path}: expected header lat,lon,value")
@@ -529,8 +531,8 @@ def write_cv_records(cv: CVResult, path) -> None:
 
 
 def read_cv_records(path) -> CVResult:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open_text(path) as fh:
+        reader = csv_rows(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != CV_HEADER:
             raise InputError(f"{path}: not a cv_records file")

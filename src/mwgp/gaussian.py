@@ -11,15 +11,18 @@ genuinely needs it).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy
 from scipy import linalg as sla
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize._lbfgsb import setulb
-from scipy.optimize._lbfgsb_py import status_messages, task_messages
 from scipy.special import ndtri
 
 from .covariance import (
@@ -264,6 +267,62 @@ def _nll(x: np.ndarray, prepared: _Prepared, want_grad: bool):
     return -ll, np.negative(g, out=g)
 
 
+def _load_setulb():
+    """scipy's compiled L-BFGS-B core, loaded without ``scipy.optimize``.
+
+    The package's ``__init__`` (linprog, shgo, sparse, ...) would add
+    about 0.1 s and 17 MB to every process that imports this module,
+    and the core needs none of it.  The module is found in scipy's
+    ``optimize`` directory and registered under its own name, so a later
+    ``import scipy.optimize`` reuses it.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name not in sys.modules:
+        where = os.path.join(scipy.__path__[0], "optimize")
+        spec = importlib.machinery.PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ImportError(f"scipy's L-BFGS-B core _lbfgsb is not in {where}",
+                              name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name].setulb
+
+
+setulb = _load_setulb()
+# scipy.optimize._lbfgsb_py's tables for setulb's task codes.
+STATUS_MESSAGES = {0: "START", 1: "NEW_X", 2: "RESTART", 3: "FG",
+                   4: "CONVERGENCE", 5: "STOP", 6: "WARNING", 7: "ERROR",
+                   8: "ABNORMAL"}
+TASK_MESSAGES = {
+    0: "", 301: "", 302: "",
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+    402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    501: "CPU EXCEEDING THE TIME LIMIT",
+    502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL",
+    504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    505: "CALLBACK REQUESTED HALT",
+    601: "ROUNDING ERRORS PREVENT PROGRESS",
+    602: "STP = STPMAX",
+    603: "STP = STPMIN",
+    604: "XTOL TEST SATISFIED",
+    701: "NO FEASIBLE SOLUTION",
+    702: "FACTR < 0",
+    703: "FTOL < 0",
+    704: "GTOL < 0",
+    705: "XTOL < 0",
+    706: "STP < STPMIN",
+    707: "STP > STPMAX",
+    708: "STPMIN < 0",
+    709: "STPMAX < STPMIN",
+    710: "INITIAL G >= 0",
+    711: "M <= 0",
+    712: "N <= 0",
+    713: "INVALID NBD",
+}
+
+
 def lbfgsb(fun, x0: np.ndarray, bounds=None):
     """Minimize ``fun(x) -> (f, g)`` by L-BFGS-B with LBFGS_OPTIONS.
 
@@ -296,7 +355,7 @@ def lbfgsb(fun, x0: np.ndarray, bounds=None):
                 task[:] = 5, 504
         else:
             break
-    message = f"{status_messages[task[0]]}: {task_messages[task[1]]}"
+    message = f"{STATUS_MESSAGES[task[0]]}: {TASK_MESSAGES[task[1]]}"
     return x, f, g, nit, nfev, bool(task[0] == 4), message
 
 

@@ -16,6 +16,7 @@ import csv
 import math
 import warnings
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import ne
@@ -126,6 +127,43 @@ def _parse_int(text: str, name: str, line_number: int) -> int:
                           line_number) from None
 
 
+@contextmanager
+def open_text(path):
+    """``path`` opened as UTF-8 text with its line endings kept, as the
+    csv module reads it.  A byte that is not UTF-8 raises SchemaError at
+    its physical line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 "
+                f"({exc.reason})", _undecodable_line(path)) from None
+
+
+def _undecodable_line(path) -> int | None:
+    """The first physical line that is not UTF-8.  A line ending is ASCII
+    and never part of a multi-byte character, so lines decode alone."""
+    with open(path, "rb") as fh:
+        for line_number, line in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_number
+    return None
+
+
+def csv_rows(lines, start: int = 1):
+    """The csv module's rows of ``lines``, whose first is physical line
+    ``start``.  A csv.Error (a field over the csv field size limit)
+    raises SchemaError at the line the reader had reached."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(str(exc), start + reader.line_num - 1) from None
+
+
 def _check_header(row, expected, line_number=1):
     got = [c.strip() for c in row]
     if got != expected:
@@ -162,11 +200,12 @@ def _columns(rows, start: int):
             day, pressure, value, np.flatnonzero(filled) + start)
 
 
-def _chunk(rows, start: int):
+def _chunk(rows, start: int, fault: SchemaError | None = None):
     """``_columns`` cut before the first row a row-by-row check rejects,
-    plus that check's SchemaError (None for a clean chunk)."""
+    plus that check's SchemaError (``fault``, met after the last row,
+    for a clean chunk)."""
     try:
-        return (*_columns(rows, start), None)
+        return (*_columns(rows, start), fault)
     except (ValueError, OverflowError):
         pass
     try:
@@ -177,6 +216,20 @@ def _chunk(rows, start: int):
                 (_parse_int if name == "year" else _parse_float)(text, name, n)
     except SchemaError as exc:
         return (*_columns(rows[:exc.line_number - start], start), exc)
+
+
+def _csv_chunk(lines, fh, start: int):
+    """``_chunk`` of the CHUNK_ROWS csv rows that begin with text
+    ``lines`` and go on in ``fh``; a csv.Error ends them early as the
+    chunk's fault."""
+    rows, fault = [], None
+    try:
+        # CHUNK_ROWS rows span at least the lines given, so the csv
+        # reader uses them all and leaves fh at a row boundary.
+        rows.extend(islice(csv_rows(chain(lines, fh), start), CHUNK_ROWS))
+    except SchemaError as exc:
+        fault = exc
+    return _chunk(rows, start, fault)
 
 
 def _plain_chunk(lines, start: int):
@@ -224,23 +277,20 @@ def parse_profiles(path) -> ProfileTable:
     must not reappear after its run ends.  Rows stream in chunks of
     CHUNK_ROWS rows: a plain chunk is converted by numpy's C reader
     (``_plain_chunk``), any other by the csv module and Python's
-    float/int column by column (``_chunk``), with equal doubles.
+    float/int column by column (``_csv_chunk``), with equal doubles.
     The fault a row-by-row reader meets first is raised; it meets a
     latitude outside [-90, 90], named at the profile's first line,
     where the profile ends.  A zero-byte file gives an empty table.
     """
     chunks = [_chunk([], 2)]
-    with open(path, newline="", encoding="utf-8") as fh:
-        for header in islice(csv.reader(fh), 1):
+    with open_text(path) as fh:
+        for header in islice(csv_rows(fh), 1):
             _check_header(header, PROFILE_HEADER)
         chunk_lines = count(2, CHUNK_ROWS)
         while chunks[-1][-1] is None and (
                 text := list(islice(fh, CHUNK_ROWS))):
             start = next(chunk_lines)
-            # CHUNK_ROWS rows span at least the lines read, so the csv
-            # reader uses them all and leaves fh at a row boundary.
-            chunks.append(_plain_chunk(text, start) or _chunk(list(islice(
-                csv.reader(chain(text, fh)), CHUNK_ROWS)), start))
+            chunks.append(_plain_chunk(text, start) or _csv_chunk(text, fh, start))
     sids = [s for c in chunks for s in c[0]]
     lat, lon, year, day, pressure, value, lines = (
         np.concatenate([c[k] for c in chunks]) for k in range(1, 8))
@@ -532,8 +582,8 @@ def subtract_mean(blocks, mean: MeanField, mode: str = "spatio-temporal",
 def load_mask(path) -> frozenset:
     """Read the excluded-cell mask CSV into canonical cell keys."""
     cells = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open_text(path) as fh:
+        reader = csv_rows(fh)
         header = next(reader, None)
         if header is not None:
             _check_header(header, MASK_HEADER)
@@ -602,8 +652,8 @@ def read_mean_field(path) -> MeanField:
     coordinates (1 for a single row or column, where no step changes
     the nearest cell).  It may differ from the prediction grid.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    with open_text(path) as fh:
+        rows = list(csv_rows(fh))
     if not rows:
         raise SchemaError("empty mean-field file", 1)
     header = [c.strip() for c in rows[0]]

@@ -8,7 +8,6 @@ is evidence, not circularity.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -66,6 +65,7 @@ from mwgp.ingest import (
     _data_rows,
     _parse_float,
     _parse_int,
+    csv_rows,
 )
 from mwgp.student import StudentPredictive
 from mwgp.validation import (
@@ -677,7 +677,7 @@ def parse_profiles_rows(path) -> list[ProfileRecord]:
         seen_keys.add(current_key)
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh)
         header = next(reader, None)
         if header is None:
             return records

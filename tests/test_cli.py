@@ -5,6 +5,7 @@ formats, manifests, and error exits."""
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from unittest import mock
@@ -454,6 +455,52 @@ class TestMapCommand:
         assert run_cli("map", "--profiles", tmp_path / "nope.csv",
                        "--out", tmp_path / "m") == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestUnreadableInputs:
+    """An input file with a byte that is not UTF-8, or with a field over
+    the csv field size limit (131,072 characters by default), exits 1
+    with the line it is on."""
+
+    @staticmethod
+    def damaged(path, line, damage):
+        lines = path.read_bytes().splitlines(keepends=True)
+        text = lines[line - 1]
+        lines[line - 1] = (b"\xff" + text if damage == "byte" else
+                           b'"' + b"9" * 140000 + b'"' + text[text.index(b","):])
+        path.write_bytes(b"".join(lines))
+
+    @pytest.mark.parametrize("kind,damage", [
+        (kind, damage) for kind in ("profiles", "mean", "mask", "records",
+                                    "params") for damage in ("byte", "field")
+    ] + [("config", "byte")])
+    def test_exits_1_with_the_line(self, tmp_path, pipeline, capsys, kind,
+                                   damage):
+        copy, line, map_args = tmp_path / f"{kind}.csv", 3, ["map", *GRID_ARGS]
+        if kind == "profiles":
+            shutil.copy(pipeline["profiles"], copy)
+            args = [*map_args, "--profiles", copy]
+        elif kind == "mean":
+            shutil.copy(pipeline["mean"] / "mean_field.csv", copy)
+            args = [*map_args, "--profiles", pipeline["profiles"], "--mean", copy]
+        elif kind == "mask":
+            copy.write_text("lat,lon\n10.0,20.0\n30.0,40.0\n", encoding="utf-8")
+            args = [*map_args, "--profiles", pipeline["profiles"], "--mask", copy]
+        elif kind == "config":
+            copy.write_text("variant=2\nseed=9\nx_win=7\n", encoding="utf-8")
+            args = [*map_args, "--profiles", pipeline["profiles"], "--config", copy]
+        elif kind == "records":
+            shutil.copy(pipeline["cv"] / "cv_records.csv", copy)
+            args = ["calibrate", "--records", copy]
+        else:
+            shutil.copytree(pipeline["map"], tmp_path / "params")
+            copy, line = tmp_path / "params" / "param_phi.csv", 2
+            args = ["lagmaps", "--params-dir", tmp_path / "params"]
+        self.damaged(copy, line, damage)
+        assert run_cli(*args, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: "), err
+        assert ("is not UTF-8" if damage == "byte" else "field limit") in err
 
 
 class TestCVCommand:

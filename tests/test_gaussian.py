@@ -1,12 +1,17 @@
 """Gaussian-nugget likelihood, fitting, and kriging tests."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import _lbfgsb_py
 
 from mwgp.covariance import CovParams, SpaceTimePoint
 from mwgp.errors import (
@@ -19,11 +24,14 @@ import mwgp.gaussian
 from mwgp.gaussian import (
     LBFGS_OPTIONS,
     PENALTY,
+    STATUS_MESSAGES,
+    TASK_MESSAGES,
     GaussianPredictive,
     YearBlock,
     _encode,
     _nll,
     _Prepared,
+    _load_setulb,
     chol_spd,
     default_init,
     fit_mle_gaussian,
@@ -338,6 +346,83 @@ class TestLbfgsb:
             (_, f, _, _, _, _, _), calls = self.assert_as_minimize(capped, x0)
             assert any(x[0] > x0[0] + 0.05 for x in calls)
             assert f < PENALTY
+
+
+# Fits and a tiny map in a fresh interpreter; argv[1] == "optimize-first"
+# imports scipy.optimize before the package.  Prints each fit's repr
+# (exact for floats), the map's prediction digest and whether
+# scipy.optimize ended up loaded.
+LOADER_SCRIPT = """
+import hashlib, pathlib, sys, tempfile
+if sys.argv[1] == "optimize-first":
+    import scipy.optimize
+import numpy as np
+from mwgp.cli import main
+from mwgp.covariance import CovParams
+from mwgp.gaussian import fit_mle_gaussian
+from mwgp.student import fit_mle_student
+from mwgp.validation import simulate_field
+
+rng = np.random.default_rng(5)
+locs = np.column_stack([rng.uniform(-6, 6, 40), rng.uniform(-6, 6, 40),
+                        rng.uniform(0, 60, 40)])
+blocks = simulate_field(CovParams(1.0, 3.0, 5.0, 5.0, 0.3), locs, 2, 5)
+print(repr(fit_mle_gaussian(blocks)))
+print(repr(fit_mle_student(blocks)))
+with tempfile.TemporaryDirectory() as tmp:
+    assert main(["simulate", "--out", f"{tmp}/sim", "--seed", "5",
+                 "--set", "sim_m=60", "--set", "sim_years=2"]) == 0
+    assert main(["map", "--profiles", f"{tmp}/sim/profiles.csv",
+                 "--variant", "2", "--out", f"{tmp}/map",
+                 "--set", "lat_min=0", "--set", "lat_max=1",
+                 "--set", "lon_min=0", "--set", "lon_max=0"]) == 0
+    print(hashlib.sha256(pathlib.Path(tmp, "map", "prediction.csv")
+                         .read_bytes()).hexdigest())
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def run_loader_script(mode: str) -> list[str]:
+    src = os.path.dirname(os.path.dirname(mwgp.gaussian.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", LOADER_SCRIPT, mode], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def loader_runs():
+    return {mode: run_loader_script(mode) for mode in ("package-only", "optimize-first")}
+
+
+class TestSetulbLoader:
+    """The L-BFGS-B core is loaded without importing scipy.optimize."""
+
+    def test_package_runs_without_scipy_optimize(self, loader_runs):
+        lines = loader_runs["package-only"]
+        assert len(lines) == 4 and lines[-1] == "False"
+
+    def test_fits_equal_after_scipy_optimize_import(self, loader_runs):
+        alone, after = loader_runs["package-only"], loader_runs["optimize-first"]
+        assert after[-1] == "True"
+        assert alone[:-1] == after[:-1]
+
+    def test_message_tables_are_scipys(self):
+        assert STATUS_MESSAGES == _lbfgsb_py.status_messages
+        assert TASK_MESSAGES == _lbfgsb_py.task_messages
+
+    def test_scipy_optimize_shares_the_loaded_core(self):
+        assert _lbfgsb_py._lbfgsb.setulb is mwgp.gaussian.setulb
+        assert _load_setulb() is mwgp.gaussian.setulb
+
+    def test_changed_scipy_layout_names_the_directory(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=str(tmp_path / "optimize")):
+            _load_setulb()
 
 
 class TestFitMleGaussian:

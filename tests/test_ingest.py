@@ -225,6 +225,23 @@ class TestProfileParsing:
             parse_profiles(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("line,bad", [
+        (1, b"\xff"), (3, b"\xff"), (4, b"\xe2\x82"), (20002, b"\xc3(")])
+    def test_byte_not_utf8_rejected_at_its_line(self, tmp_path, end, line, bad):
+        # Line 20002 sits in the third CHUNK_ROWS chunk; "\u00e9" before
+        # the bad byte is a two-byte character that decodes.
+        rows = [f"f{k // 2}\u00e9,10,20,2007,{k // 2},{290 + k % 2},10"
+                for k in range(max(line, 3))]
+        raw = [r.encode("utf-8") for r in [",".join(PROFILE_HEADER)] + rows]
+        raw[line - 1] += bad
+        path = tmp_path / "p.csv"
+        path.write_bytes(end.encode().join(raw))
+        with pytest.raises(SchemaError) as err:
+            parse_profiles(path)
+        assert err.value.line_number == line
+        assert f"byte 0x{bad[0]:02x} is not UTF-8" in str(err.value)
+
     def test_same_float_different_day_is_a_new_profile(self, tmp_path):
         path = write_lines(tmp_path / "p.csv", [
             ",".join(PROFILE_HEADER),
@@ -581,11 +598,36 @@ class TestPlainChunkReader:
         try:
             path = write_lines(tmp_path / "p.csv", [self.HEADER, "f" * 65 +
                                                    ",1,2,2007,3,100,9"])
-            with pytest.raises(csv.Error) as want:
+            with pytest.raises(SchemaError) as want:
                 parse_profiles_rows(path)
-            with pytest.raises(csv.Error) as got:
+            with pytest.raises(SchemaError) as got:
                 parse_profiles(path)
             assert str(got.value) == str(want.value)
+            assert got.value.line_number == want.value.line_number == 2
+        finally:
+            csv.field_size_limit(limit)
+
+    LONG = "f" * 65  # a field over a csv field size limit of 64
+
+    @pytest.mark.parametrize("edits", [
+        {7: LONG + ROWS[7][2:]},
+        {7: f'"f2\n{LONG}"' + ROWS[7][2:]},
+        # A fault before the long field, in its chunk or an earlier one.
+        {6: ROWS[6].replace("2.5", "north", 1), 7: LONG + ROWS[7][2:]},
+        {2: ROWS[2].replace(",102,", ",101,"), 7: LONG + ROWS[7][2:]},
+        # A latitude out of range is met where its profile ends: before
+        # the long field, or at it, where the long field comes first.
+        {3: ROWS[3].replace("1.5", "91.5", 1), 4: ROWS[4].replace("1.5", "91.5", 1),
+         5: ROWS[5].replace("1.5", "91.5", 1), 7: LONG + ROWS[7][2:]},
+        {3: ROWS[3].replace("1.5", "91.5", 1), 4: ROWS[4].replace("1.5", "91.5", 1),
+         5: ROWS[5].replace("1.5", "91.5", 1), 6: LONG + ROWS[6][2:]},
+    ])
+    def test_field_over_csv_limit_is_a_fault_of_its_line(self, tmp_path, edits):
+        rows = [edits.get(k, row) for k, row in enumerate(self.ROWS)]
+        limit = csv.field_size_limit(64)
+        try:
+            assert_parses_alike(write_lines(tmp_path / "p.csv",
+                                            [self.HEADER] + rows))
         finally:
             csv.field_size_limit(limit)
 
@@ -1089,6 +1131,18 @@ class TestMaskAndFilters:
         with pytest.raises(SchemaError):
             load_mask(path)
 
+    def test_load_mask_rejects_unreadable_lines(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        path.write_bytes(b"lat,lon\n10.0,20.0\n\xff1.0,2.0\n")
+        with pytest.raises(SchemaError) as err:
+            load_mask(path)
+        assert err.value.line_number == 3
+        path.write_text(f"lat,lon\n10.0,20.0\n\"{'9' * 200000}\",2.0\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError, match="field limit") as err:
+            load_mask(path)
+        assert err.value.line_number == 3
+
     def test_no_filters_is_identity(self):
         records = [make_profile("a"), make_profile("b", lat=11.0)]
         assert kept(records) == records
@@ -1178,6 +1232,18 @@ class TestMeanFieldIO:
         path = write_lines(tmp_path / "mean.csv", ["a,b,c,d,e"])
         with pytest.raises(SchemaError):
             read_mean_field(path)
+
+    def test_unreadable_lines_rejected(self, tmp_path):
+        path = tmp_path / "mean.csv"
+        path.write_bytes(b"lat,lon,mean_c\n0.0,0.0,1.0\n0.0,1.0,\xff\n")
+        with pytest.raises(SchemaError) as err:
+            read_mean_field(path)
+        assert err.value.line_number == 3
+        path.write_text(f"lat,lon,mean_c\n0.0,0.0,\"{'1' * 200000}\"\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError, match="field limit") as err:
+            read_mean_field(path)
+        assert err.value.line_number == 2
 
     def test_off_grid_coordinates_rejected(self, tmp_path):
         path = write_lines(tmp_path / "mean.csv", [
