@@ -123,23 +123,12 @@ class RGCovConfig:
 RG_DEFAULT = RGCovConfig()
 
 
-def sq_lag_matrices(pts: np.ndarray):
-    """Pairwise squared lags (dlat2, dlon2, dt2), each (m, m)."""
-    lat = pts[:, 0]
-    lon = pts[:, 1]
-    t = pts[:, 2]
-    dlat = lat[:, None] - lat[None, :]
-    dlon = wrap_dlon(lon[:, None] - lon[None, :])
-    dt = t[:, None] - t[None, :]
-    return dlat * dlat, dlon * dlon, dt * dt
-
-
-def cross_sq_lags(target, pts: np.ndarray):
-    """Squared lags from one target to each row of ``pts``, each (m,)."""
-    tgt = as_point_array(target)[0]
-    dlat = tgt[0] - pts[:, 0]
-    dlon = wrap_dlon(tgt[1] - pts[:, 1])
-    dt = tgt[2] - pts[:, 2]
+def cross_sq_lags(tgt: np.ndarray, pts: np.ndarray):
+    """Squared lags (dlat2, dlon2, dt2) from each row of ``tgt`` to each
+    row of ``pts``, each (len(tgt), len(pts))."""
+    dlat = tgt[:, 0, None] - pts[:, 0]
+    dlon = wrap_dlon(tgt[:, 1, None] - pts[:, 1])
+    dt = tgt[:, 2, None] - pts[:, 2]
     return dlat * dlat, dlon * dlon, dt * dt
 
 
@@ -161,17 +150,18 @@ def cov_matrix(points, params: CovParams, spatial: bool = False) -> np.ndarray:
     pts = as_point_array(points)
     if pts.shape[0] == 0:
         raise EmptyInputError("cov_matrix needs at least one point")
-    K = params.phi * np.exp(-scaled_distance(sq_lag_matrices(pts), params, spatial))
+    K = params.phi * np.exp(-scaled_distance(cross_sq_lags(pts, pts), params, spatial))
     np.fill_diagonal(K, params.phi)
     return K
 
 
-def cross_cov_vector(target, points, params: CovParams, spatial: bool = False) -> np.ndarray:
-    """Covariances between one target point and each of ``points``."""
+def cross_cov_vector(targets, points, params: CovParams, spatial: bool = False) -> np.ndarray:
+    """Covariances between each of ``targets`` (one point included) and
+    each of ``points``, (F, m)."""
     pts = as_point_array(points)
     if pts.shape[0] == 0:
         raise EmptyInputError("cross_cov_vector needs at least one point")
-    d = scaled_distance(cross_sq_lags(target, pts), params, spatial)
+    d = scaled_distance(cross_sq_lags(as_point_array(targets), pts), params, spatial)
     return params.phi * np.exp(-d)
 
 

@@ -16,7 +16,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -107,7 +107,8 @@ class GaussianPredictive:
 
 @dataclass
 class FitReport:
-    """Outcome summary of a maximum-likelihood fit."""
+    """Outcome summary of a maximum-likelihood fit (a Gaussian fit's grad_norm
+    is over log theta and log tau; its n_evals counts the closing phi_hat one)."""
 
     loglik: float
     grad_norm: float
@@ -168,7 +169,8 @@ class _Prepared:
     blocks' values, and its m x m matrix, an F-ordered view into the
     flat ``sigma``.  ``flat`` and ``diag`` place the pairs and the
     diagonals in ``sigma``; ``rows`` and ``cols`` place the pairs'
-    points in ``values`` and in ``alpha``.
+    points in ``values`` and in ``alpha``.  ``_nll`` leaves its sill
+    MLE in ``phi_hat``.
     """
 
     def __init__(self, blocks, spatial: bool):
@@ -224,47 +226,51 @@ def _kernel_grad(prepared: _Prepared, W: np.ndarray, D: np.ndarray,
     return g_phi, phi * (inv2 * (prepared.lags @ W))  # phi * inv2 alone may overflow
 
 
-def _nll(x: np.ndarray, prepared: _Prepared, want_grad: bool):
-    """Negative loglik (and gradient wrt log-parameters) at log-point x.
+def _nll(z: np.ndarray, prepared: _Prepared, want_grad: bool):
+    """Profiled negative loglik (and gradient) at z = (log theta_k..., log tau).
 
-    Parameter order: log phi, log theta_lat, log theta_lon,
-    [log theta_t unless spatial], log sigma2.  A point where exp(x) or
-    a theta^-2 overflows, or phi underflows, scores PENALTY with a zero
-    gradient, so a line-search excursion makes the optimizer back off.
-    With alpha = Sigma^-1 y per block, the gradient is GPML 5.4.1's
-    (alpha alpha' - Sigma^-1) . dSigma / 2, summed over the packed pairs.
-    Every block's Sigma, and then its inverse, lives in ``prepared.sigma``.
+    Per block C = R(theta) + tau I, tau = sigma2 / phi, and alpha = C^-1 y;
+    the sill's MLE phi_hat = sum y'alpha / n goes to ``prepared.phi_hat``.
+    The gradient is GPML 5.4.1's W . dC / 2, W = alpha alpha' / phi_hat - C^-1,
+    on the packed pairs; each C, then its inverse, lives in ``prepared.sigma``.
+    PENALTY, with a zero gradient, where exp(z) or a theta^-2 overflows or
+    y'C^-1 y is not positive.
     """
+    penalty = (PENALTY, np.zeros_like(z)) if want_grad else PENALTY
     with np.errstate(over="ignore"):
-        v = np.exp(np.append(x, -2.0 * x[1:-1]))
-        if not (np.all(np.isfinite(v)) and v[0] > 0.0):
-            return (PENALTY, np.zeros_like(x)) if want_grad else PENALTY
-        D, E = _lag_kernel(prepared, v[x.size:])
-    phi, s2, inv2 = float(v[0]), float(v[x.size - 1]), v[x.size:]
+        v = np.exp(np.append(z, -2.0 * z[:-1]))
+        if not np.all(np.isfinite(v)):
+            return penalty
+        D, E = _lag_kernel(prepared, v[z.size:])
+    tau, inv2 = float(v[z.size - 1]), v[z.size:]
     sigma, alpha = prepared.sigma, prepared.alpha
-    sigma[prepared.flat] = phi * E
-    sigma[prepared.diag] = phi + s2
-    ll = diag = 0.0
-    for year, _, obs, Sigma in prepared.blocks:
+    sigma[prepared.flat] = E
+    sigma[prepared.diag] = 1.0 + tau
+    half_logdet = Q = trace = 0.0
+    for year, _, obs, C in prepared.blocks:
         y, a = prepared.values[obs], alpha[obs]
-        L = chol_spd(Sigma, phi, year)
+        L = chol_spd(C, 1.0, year)
         a[:] = dpotrs(L, y, lower=1)[0]
-        ll -= float(np.sum(np.log(L.diagonal()))) + 0.5 * (
-            float(y @ a) + y.size * LOG_2PI)
+        half_logdet += float(np.sum(np.log(L.diagonal())))
+        Q += float(y @ a)
         if want_grad:
             inv, info = dpotri(L, lower=1, overwrite_c=1)
             if info != 0:
                 raise FactorizationError(f"dpotri failed with info={info}", year)
-            Sigma[...] = inv
-            diag += float(a @ a - inv.trace())
+            C[...] = inv
+            trace += float(inv.trace())
+    if not Q > 0.0:
+        return penalty
+    prepared.phi_hat = phi = Q / prepared.n_obs
+    f = half_logdet + 0.5 * prepared.n_obs * (math.log(phi) + 1.0 + LOG_2PI)
     if not want_grad:
-        return -ll
-    W = alpha[prepared.rows] * alpha[prepared.cols]
-    W -= sigma[prepared.flat]
-    g = np.empty(x.size)
-    g[0], g[1:-1] = _kernel_grad(prepared, W, D, E, inv2, phi, 0.5 * diag)
-    g[-1] = 0.5 * s2 * diag
-    return -ll, np.negative(g, out=g)
+        return f
+    W = alpha[prepared.rows] * (alpha / phi)[prepared.cols] - sigma[prepared.flat]
+    diag = 0.5 * (float(alpha @ alpha) / phi - trace)
+    g = np.empty(z.size)
+    g[:-1] = _kernel_grad(prepared, W, D, E, inv2, 1.0, diag)[1]
+    g[-1] = tau * diag
+    return f, np.negative(g, out=g)
 
 
 def _load_setulb():
@@ -433,24 +439,28 @@ def fit_mle_gaussian(blocks, init: CovParams | None = None,
                      spatial: bool = False) -> tuple[CovParams, FitReport]:
     """Maximum-likelihood fit of the Gaussian-nugget model.
 
-    Quasi-Newton (L-BFGS-B) on log-parameters with analytic gradients.
-    With ``spatial`` the time range is excluded from the optimization
-    and carried through from the initial value.  Non-convergence is
-    flagged in the report; the best iterate is still returned.
+    L-BFGS-B with analytic gradients on ``_nll``'s log ranges and
+    log tau = log sigma2 / phi, then phi_hat from one more evaluation at
+    the returned point.  With ``spatial`` the time range is carried
+    through from ``init``.  Non-convergence is flagged in the report;
+    the best iterate is still returned.
     """
     check_window(blocks, min_obs)
     prepared = _Prepared(blocks, spatial)
     if init is None:
         init = default_init(blocks)
     x0 = _encode(init, spatial)
-    x, f, g, nit, nfev, success, message = lbfgsb(
-        lambda x: _nll(x, prepared, True), x0)
+    z, _, g, nit, nfev, success, message = lbfgsb(
+        lambda z: _nll(z, prepared, True), np.append(x0[1:-1], x0[-1] - x0[0]))
+    f = _nll(z, prepared, False)  # not the last line-search trial's phi_hat
     if f >= PENALTY:
         raise InvalidParameterError("Gaussian fit ended where the objective overflows")
+    unit = _decode(np.append(0.0, z), init, spatial)  # phi 1, sigma2 tau
     report = FitReport(loglik=-float(f), grad_norm=float(np.max(np.abs(g))),
-                       n_iter=nit, n_evals=nfev, converged=success,
+                       n_iter=nit, n_evals=nfev + 1, converged=success,
                        message=message, n_obs=prepared.n_obs)
-    return _decode(x, init, spatial), report
+    return replace(unit, phi=prepared.phi_hat,
+                   sigma2=unit.sigma2 * prepared.phi_hat), report
 
 
 def gaussian_system(targets, block: YearBlock, params: CovParams,
@@ -459,8 +469,7 @@ def gaussian_system(targets, block: YearBlock, params: CovParams,
     cross-covariance with the block."""
     pts = block.points
     Sigma = cov_matrix(pts, params, spatial) + params.sigma2 * np.eye(block.m)
-    return Sigma, np.array([cross_cov_vector(t, pts, params, spatial)
-                            for t in targets])
+    return Sigma, cross_cov_vector(targets, pts, params, spatial)
 
 
 def predict_gaussian(Sigma: np.ndarray, y: np.ndarray, k_star: np.ndarray,

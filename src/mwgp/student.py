@@ -424,7 +424,7 @@ def predict_student(target, block: YearBlock, params: StudentParams,
         return StudentPredictive(0.0, cov.phi, math.sqrt(cov.sigma2), params.nu)
     K = cov_matrix(block.points, cov, spatial)
     state = find_mode(block, params, spatial, K)
-    k_star = cross_cov_vector(target, block.points, cov, spatial)
+    k_star = cross_cov_vector(target, block.points, cov, spatial)[0]
     f_mean = float(k_star @ state.a)
     sw = np.sqrt(state.w)
     B = np.eye(block.m) + sw[:, None] * K * sw[None, :]

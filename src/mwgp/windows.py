@@ -468,8 +468,9 @@ class ReferenceFamily(KrigingFamily):
 
     def system(self, targets, block, params):
         R = rg_corr_matrix(block.lat, block.lon)
-        return R + RG_DEFAULT.noise_signal_ratio * np.eye(block.m), np.array(
-            [rg_corr_vector(t.lat, t.lon, block.lat, block.lon) for t in targets])
+        tgt = np.array([(t.lat, t.lon) for t in targets]).reshape(-1, 2, 1)  # columns
+        return R + RG_DEFAULT.noise_signal_ratio * np.eye(block.m), rg_corr_vector(
+            tgt[:, 0], tgt[:, 1], block.lat, block.lon)
 
     def units(self, params):
         return 1.0, 1.0 + RG_DEFAULT.noise_signal_ratio, params.phi_hat

@@ -26,12 +26,12 @@ from mwgp.covariance import (
     as_point_array,
     cov_matrix,
     cross_cov_vector,
+    cross_sq_lags,
     rg_corr_matrix,
     rg_corr_vector,
     rg_distances,
     rg_tropic_factor,
     scaled_distance,
-    sq_lag_matrices,
     wrap_dlon,
     wrap_lon,
 )
@@ -51,8 +51,6 @@ from mwgp.gaussian import (
     _decode,
     _encode,
     _kernel_grad,
-    _nll,
-    _Prepared,
     _spd_inverse,
     chol_spd,
     holdout_predictions,
@@ -111,7 +109,7 @@ def explicit_conditional(target: SpaceTimePoint, block: YearBlock,
     """Conditional-Gaussian mean/variance for y* by explicit inverse."""
     K = cov_matrix(block.points, params, spatial)
     A = K + params.sigma2 * np.eye(block.m)
-    k = cross_cov_vector(target, block.points, params, spatial)
+    k = cross_cov_vector(target, block.points, params, spatial)[0]
     A_inv = np.linalg.inv(A)
     mean = k @ A_inv @ block.values
     var = params.phi + params.sigma2 - k @ A_inv @ k
@@ -119,14 +117,42 @@ def explicit_conditional(target: SpaceTimePoint, block: YearBlock,
 
 
 def gauss_loglik(blocks, params: CovParams, spatial: bool = False) -> float:
-    """Sum of year-block Gaussian log-likelihoods, by the fit's objective.
+    """Sum of year-block Gaussian log-likelihoods, by ``packed_nll``.
 
     Empty blocks contribute exactly zero.
     """
-    prepared = _Prepared(blocks, spatial)
-    if prepared.n_obs == 0:
+    if sum(b.m for b in blocks) == 0:
         return 0.0
-    return -float(_nll(_encode(params, spatial), prepared, want_grad=False))
+    return -float(packed_nll(_encode(params, spatial), PackedLags(blocks, spatial), False))
+
+
+def profiled_point(params: CovParams, spatial: bool = False) -> np.ndarray:
+    """The profiled objective's z = (log theta_k..., log tau) at ``params``."""
+    x = _encode(params, spatial)
+    return np.append(x[1:-1], x[-1] - x[0])
+
+
+def full_point(z: np.ndarray, phi: float) -> np.ndarray:
+    """The full objective's x = (log phi, log theta_k..., log tau phi) at z."""
+    return np.concatenate([[math.log(phi)], z[:-1], [z[-1] + math.log(phi)]])
+
+
+def cross_cov_loop(targets, pts: np.ndarray, params: CovParams,
+                   spatial: bool = False) -> np.ndarray:
+    """Oracle for ``cross_cov_vector`` on many targets: one row per target."""
+    rows = []
+    for t in targets:
+        dlat, dlon, dt = t.lat - pts[:, 0], wrap_dlon(t.lon - pts[:, 1]), t.t - pts[:, 2]
+        d = scaled_distance((dlat * dlat, dlon * dlon, dt * dt), params, spatial)
+        rows.append(params.phi * np.exp(-d))
+    return np.array(rows).reshape(len(rows), pts.shape[0])
+
+
+def rg_corr_loop(targets, block: YearBlock) -> np.ndarray:
+    """Oracle for the reference family's cross-correlations: one
+    ``rg_corr_vector`` call per target."""
+    return np.array([rg_corr_vector(t.lat, t.lon, block.lat, block.lon)
+                     for t in targets]).reshape(len(targets), block.m)
 
 
 class GroupedLags:
@@ -149,7 +175,7 @@ class GroupedLags:
                     g["ys"].append((idx, b.values))
                     break
             else:
-                self.groups.append({"pts": pts, "sq_lags": sq_lag_matrices(pts),
+                self.groups.append({"pts": pts, "sq_lags": cross_sq_lags(pts, pts),
                                     "ys": [(idx, b.values)], "year": b.year})
         self.n_obs = sum(b.m for b in blocks)
 
@@ -164,7 +190,9 @@ def assemble_group(group, params: CovParams, spatial: bool):
 
 
 def grouped_nll(x, prepared: GroupedLags, template: CovParams, want_grad: bool):
-    """Oracle for ``gaussian._nll``: full matrices, raw-parameter gradient.
+    """Oracle for the full-parameter Gaussian objective at
+    x = (log phi, log theta_k..., log sigma2): full matrices, raw-parameter
+    gradient.
 
     Same value and log-parameter gradient, computed from full m x m lag
     matrices and the raw-scale derivative d Sigma / d theta = K D' / theta^3,
@@ -237,7 +265,8 @@ class PackedLags:
 
 
 def packed_nll(x, prepared: PackedLags, want_grad: bool):
-    """Oracle for ``gaussian._nll``: the same packed objective, a fresh
+    """Oracle for the full-parameter Gaussian objective at
+    x = (log phi, log theta_k..., log sigma2): packed pairs, a fresh
     Sigma per block, its inverse gathered block by block."""
     with np.errstate(over="ignore"):
         v = np.exp(np.append(x, -2.0 * x[1:-1]))
@@ -435,7 +464,7 @@ def predict_gaussian_oracle(target: SpaceTimePoint, block: YearBlock,
     K = cov_matrix(block.points, params, spatial)
     L = chol_spd(K + params.sigma2 * np.eye(block.m), params.phi, block.year)
     alpha = sla.cho_solve((L, True), block.values, check_finite=False)
-    k_star = cross_cov_vector(target, block.points, params, spatial)
+    k_star = cross_cov_vector(target, block.points, params, spatial)[0]
     w = sla.solve_triangular(L, k_star, lower=True, check_finite=False)
     var = min(max(prior_var - float(w @ w), 0.0), prior_var)
     return GaussianPredictive(float(k_star @ alpha), var)
@@ -460,8 +489,7 @@ def reference_folds_oracle(targets, block, removals, params) -> list:
     if block.m > 0:
         ratio = RG_DEFAULT.noise_signal_ratio
         A = rg_corr_matrix(block.lat, block.lon) + ratio * np.eye(block.m)
-        r_star = np.array([rg_corr_vector(t.lat, t.lon, block.lat, block.lon)
-                           for t in targets])
+        r_star = rg_corr_loop(targets, block)
         try:
             preds = holdout_predictions(A, block.values, r_star, 1.0 + ratio,
                                         removals)
@@ -479,8 +507,7 @@ def gaussian_folds_oracle(targets, block, removals, params,
     if block.m > 0:
         pts = block.points
         Sigma = cov_matrix(pts, params, spatial) + params.sigma2 * np.eye(block.m)
-        k_star = np.array([cross_cov_vector(t, pts, params, spatial)
-                           for t in targets])
+        k_star = cross_cov_loop(targets, pts, params, spatial)
         try:
             return holdout_predictions(Sigma, block.values, k_star,
                                        params.phi + params.sigma2, removals)

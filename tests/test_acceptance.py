@@ -46,12 +46,14 @@ from mwgp.windows import (
     ReferenceFamily,
     WindowSpec,
     map_grid,
+    single_blas_thread,
 )
 
 from conftest import (
     dense_mvn_loglik,
     explicit_conditional,
     gauss_loglik,
+    profiled_point,
     rg_cov,
     scalar_laplace_loglik,
 )
@@ -454,13 +456,16 @@ def test_11_fit_cost_scales_like_dense_factorization(capsys):
     16^2=256), which keeps the check robust to constant per-call
     overhead at the small end; each single doubling must still fall in
     a loose superlinear band.  Each size times the fit's objective
-    (``gaussian._nll`` with its gradient) at one fixed parameter point,
-    and keeps the least process CPU time of many evaluations: CPU time
-    leaves out the time this process waits while others run, and the
-    minimum leaves out evaluations slowed by them.
+    (``gaussian._nll`` with its gradient) at one fixed point, the true
+    ranges and noise-to-sill ratio, and keeps the least process CPU
+    time of many evaluations: CPU time leaves out the time this process
+    waits while others run, and the minimum leaves out evaluations
+    slowed by them.  It runs at one BLAS thread, as map_grid and run_cv
+    run fits: a second thread's CPU time is counted in some processes
+    and not in others.
     """
     true = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
-    x = gaussian._encode(true, spatial=False)
+    z = profiled_point(true)
     start = time.perf_counter()
     per_eval = {}
     for m in (100, 200, 400):
@@ -471,10 +476,11 @@ def test_11_fit_cost_scales_like_dense_factorization(capsys):
         prepared = gaussian._Prepared(simulate_field(true, locs, 1, seed=50),
                                       spatial=False)
         best = float("inf")
-        for _ in range(50):
-            t0 = time.process_time()
-            gaussian._nll(x, prepared, want_grad=True)
-            best = min(best, time.process_time() - t0)
+        with single_blas_thread():
+            for _ in range(50):
+                t0 = time.process_time()
+                gaussian._nll(z, prepared, want_grad=True)
+                best = min(best, time.process_time() - t0)
         per_eval[m] = best
     elapsed = time.perf_counter() - start
     r1 = per_eval[200] / per_eval[100]

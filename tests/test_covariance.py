@@ -26,7 +26,18 @@ from mwgp.covariance import (
 )
 from mwgp.errors import EmptyInputError, InvalidParameterError
 
-from conftest import PARAMS, anisotropic_distance, exp_cov, rg_cov, rg_distance
+from mwgp.gaussian import YearBlock, gaussian_system
+from mwgp.windows import ReferenceFamily
+
+from conftest import (
+    PARAMS,
+    anisotropic_distance,
+    cross_cov_loop,
+    exp_cov,
+    rg_corr_loop,
+    rg_cov,
+    rg_distance,
+)
 
 finite_lats = st.floats(-90.0, 90.0)
 finite_lons = st.floats(-1000.0, 1000.0, allow_nan=False)
@@ -140,8 +151,8 @@ class TestAnisotropicDistance:
         pts = [pt(rng.uniform(-60, 60), rng.uniform(-180, 180),
                   rng.uniform(0, 365)) for _ in range(8)]
         target = pt(3.0 * PARAMS.theta_lat, 179.5, 17.0)
-        d = scaled_distance(cross_sq_lags(target, as_point_array(pts)),
-                            PARAMS, spatial)
+        d = scaled_distance(cross_sq_lags(as_point_array(target), as_point_array(pts)),
+                            PARAMS, spatial)[0]
         expected = [anisotropic_distance(target, p, PARAMS, spatial)
                     for p in pts]
         np.testing.assert_allclose(d, expected, rtol=1e-12)
@@ -224,20 +235,52 @@ class TestCrossCovVector:
         pts = [pt(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 30))
                for _ in range(6)]
         target = pt(0.3, -0.2, 10.0)
-        vec = cross_cov_vector(target, pts, PARAMS)
+        vec = cross_cov_vector(target, pts, PARAMS)[0]
         expected = [exp_cov(target, p, PARAMS) for p in pts]
         np.testing.assert_allclose(vec, expected, rtol=1e-12)
 
     def test_coincident_first_entry(self):
         pts = [pt(1, 1, 1), pt(5, 5, 5)]
-        vec = cross_cov_vector(pt(1, 1, 1), pts, PARAMS)
+        vec = cross_cov_vector(pt(1, 1, 1), pts, PARAMS)[0]
         assert vec[0] == pytest.approx(PARAMS.phi)
 
     def test_distance_zero_and_one(self):
         pts = [pt(0, 0, 0), pt(PARAMS.theta_lat, 0, 0)]
-        vec = cross_cov_vector(pt(0, 0, 0), pts, PARAMS)
+        vec = cross_cov_vector(pt(0, 0, 0), pts, PARAMS)[0]
         np.testing.assert_allclose(
             vec, [PARAMS.phi, PARAMS.phi * math.exp(-1.0)], rtol=1e-12)
+
+
+class TestCrossRows:
+    """Every target's row in one broadcast, to the bit as one target at a time."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(23)
+        for k in range(40):
+            m, n_targets = (int(v) for v in rng.integers(1, 601 if k % 4 == 0 else 40, 2))
+            if k % 10 == 0:
+                n_targets = 0 if k == 0 else 1
+            lon0 = rng.choice([0.0, 179.0])  # half the cases straddle the antimeridian
+            block = YearBlock(0, rng.uniform(-60, 60, m), lon0 + rng.uniform(-9, 9, m),
+                              rng.uniform(0, 91, m), rng.standard_normal(m))
+            targets = [SpaceTimePoint(lat, lon, t) for lat, lon, t in zip(
+                rng.uniform(-60, 60, n_targets), lon0 + rng.uniform(-9, 9, n_targets),
+                rng.uniform(0, 91, n_targets))]
+            yield k % 2 == 1, block, targets
+
+    def test_gaussian_system_equals_loop(self):
+        for spatial, block, targets in self.cases():
+            _, K_star = gaussian_system(targets, block, PARAMS, spatial)
+            assert K_star.shape == (len(targets), block.m)
+            np.testing.assert_array_equal(
+                K_star, cross_cov_loop(targets, block.points, PARAMS, spatial))
+
+    def test_reference_system_equals_loop(self):
+        for _, block, targets in self.cases():
+            _, R_star = ReferenceFamily().system(targets, block, None)
+            assert R_star.shape == (len(targets), block.m)
+            np.testing.assert_array_equal(R_star, rg_corr_loop(targets, block))
 
 
 class TestTropicFactor:

@@ -24,6 +24,7 @@ from mwgp.errors import (
 import mwgp.gaussian
 from mwgp.gaussian import (
     LBFGS_OPTIONS,
+    LOG_2PI,
     PENALTY,
     STATUS_MESSAGES,
     TASK_MESSAGES,
@@ -48,10 +49,12 @@ from conftest import (
     PackedLags,
     dense_mvn_loglik,
     explicit_conditional,
+    full_point,
     gauss_loglik,
     grouped_nll,
     lbfgsb_minimize,
     packed_nll,
+    profiled_point,
     random_block,
 )
 
@@ -125,38 +128,57 @@ class TestCholSpd:
             chol_spd(bad, scale=1.0)
 
 
+def assert_envelope(z, prepared, oracle):
+    """The profiled objective at z against ``oracle``, the full-parameter
+    objective's (value, gradient), at x = (log phi_hat, log theta,
+    log tau phi_hat): equal values, equal range and log tau / log sigma2
+    partials, and a zero partial along the sill direction (log phi and
+    log sigma2 together)."""
+    val, grad = _nll(z, prepared, want_grad=True)
+    phi_hat = prepared.phi_hat
+    assert _nll(z, prepared, want_grad=False) == val
+    assert prepared.phi_hat == phi_hat
+    ref, ref_grad = oracle(full_point(z, phi_hat))
+    scale = max(np.max(np.abs(ref_grad)), 1e-3 * abs(ref))  # ref_grad is 0 at m = 1
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+    assert np.max(np.abs(grad[:-1] - ref_grad[1:-1])) <= 1e-10 * scale
+    assert abs(grad[-1] - ref_grad[-1]) <= 1e-10 * scale
+    assert abs(ref_grad[0] + ref_grad[-1]) <= 1e-10 * scale
+
+
 class TestNll:
     @pytest.mark.parametrize("spatial", [False, True])
-    def test_overflowing_point_is_penalized_silently(self, rng, spatial):
-        # A line-search step to log phi = 800 overflows exp; the
-        # objective backs the optimizer off instead of raising or warning.
+    @pytest.mark.parametrize("axis", [0, -1])  # log theta_lat, log tau
+    def test_overflowing_point_is_penalized_silently(self, rng, spatial, axis):
+        # A line-search step to log theta or log tau = 800 overflows
+        # exp; the objective backs the optimizer off instead of raising
+        # or warning.
         block = random_block(rng, 12)
-        x = _encode(PARAMS, spatial)
-        x[0] = 800.0
+        z = profiled_point(PARAMS, spatial)
+        z[axis] = 800.0
         prepared = _Prepared([block], spatial)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, grad = _nll(x, prepared, want_grad=True)
-            assert _nll(x, prepared, want_grad=False) == PENALTY
+            val, grad = _nll(z, prepared, want_grad=True)
+            assert _nll(z, prepared, want_grad=False) == PENALTY
         assert val == PENALTY
-        np.testing.assert_array_equal(grad, np.zeros_like(x))
+        np.testing.assert_array_equal(grad, np.zeros_like(z))
 
     @pytest.mark.parametrize("log_theta", [-240.0, -300.0])
-    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_vanishing_range_keeps_gradient_finite(self, rng, axis, log_theta):
         # theta**3 overflows 0.5 / theta**3 at log theta = -240 and
         # underflows to zero at -300, while the lag sum it scales is 0.
         block = random_block(rng, 12)
-        x = _encode(PARAMS, False)
-        x[axis] = log_theta
+        z = profiled_point(PARAMS)
+        z[axis] = log_theta
         prepared = _Prepared([block], False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, grad = _nll(x, prepared, want_grad=True)
+            val, grad = _nll(z, prepared, want_grad=True)
         assert np.isfinite(val) and val != PENALTY
         assert np.all(np.isfinite(grad))
         assert grad[axis] == 0.0
-
 
     @pytest.mark.parametrize("spatial", [False, True])
     def test_extreme_ranges_evaluate_silently(self, rng, spatial):
@@ -164,23 +186,32 @@ class TestNll:
         # PENALTY; at +400 it underflows to 0 and the axis drops out.
         block = random_block(rng, 12)
         prepared = _Prepared([block], spatial)
-        for axis in range(1, 3 if spatial else 4):
+        for axis in range(2 if spatial else 3):
             for log_theta in (-400.0, 400.0):
-                x = _encode(PARAMS, spatial)
-                x[axis] = log_theta
+                z = profiled_point(PARAMS, spatial)
+                z[axis] = log_theta
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    val, grad = _nll(x, prepared, want_grad=True)
+                    val, grad = _nll(z, prepared, want_grad=True)
                 if log_theta < 0.0:
                     assert val == PENALTY
-                    np.testing.assert_array_equal(grad, np.zeros_like(x))
+                    np.testing.assert_array_equal(grad, np.zeros_like(z))
                 else:
                     assert np.isfinite(val) and val != PENALTY
                     assert np.all(np.isfinite(grad)) and grad[axis] == 0.0
 
+    def test_zero_quadratic_form_is_penalized(self):
+        # All values zero: Q = 0 has no sill estimate.
+        block = YearBlock(0, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0])
+        prepared = _Prepared([block], False)
+        val, grad = _nll(profiled_point(PARAMS), prepared, want_grad=True)
+        assert val == PENALTY
+        np.testing.assert_array_equal(grad, np.zeros(4))
+
 
 class TestNllOracle:
-    """The packed objective against the full-matrix, grouped one it replaced."""
+    """The profiled objective against the full-matrix, grouped
+    full-parameter objective, through the envelope identities."""
 
     # Block sizes per case; "again" repeats block 0's geometry with new values.
     CASES = [(9,), (1,), (0, 7), (5, 1, 0, 12), (14, "again"),
@@ -203,33 +234,44 @@ class TestNllOracle:
 
     @pytest.mark.parametrize("spatial", [False, True])
     @pytest.mark.parametrize("duplicate", [False, True])
-    def test_value_and_gradient_match_grouped_oracle(self, spatial, duplicate):
+    def test_envelope_identities_against_grouped_oracle(self, spatial, duplicate):
         rng = np.random.default_rng([31, spatial, duplicate])
         for case in self.CASES:
             blocks = self.blocks_for(case, rng, duplicate)
             for _ in range(5):
-                x = _encode(PARAMS, spatial) + rng.uniform(-1.5, 1.5, 4 if spatial else 5)
-                val, grad = _nll(x, _Prepared(blocks, spatial), want_grad=True)
-                ref, ref_grad = grouped_nll(x, GroupedLags(blocks, spatial), PARAMS, True)
-                assert abs(val - ref) <= 1e-12 * abs(ref), case
-                assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * np.max(np.abs(ref_grad)), case
-                assert _nll(x, _Prepared(blocks, spatial), want_grad=False) == val
+                z = profiled_point(PARAMS, spatial) + rng.uniform(-1.5, 1.5, 3 if spatial else 4)
+                assert_envelope(z, _Prepared(blocks, spatial), lambda x: grouped_nll(
+                    x, GroupedLags(blocks, spatial), PARAMS, True))
+
+    def test_single_point_profile_is_flat_in_tau(self):
+        # One observation: C = 1 + tau, phi_hat = y^2 / (1 + tau), so
+        # the value is (log y^2 + 1 + log 2 pi) / 2 at every tau.
+        block = YearBlock(0, [1.0], [2.0], [3.0], [0.7])
+        prepared = _Prepared([block], False)
+        for log_tau in (-3.0, 0.0, 2.5):
+            val, grad = _nll(np.array([0.5, 1.0, 1.5, log_tau]), prepared, True)
+            assert val == pytest.approx(0.5 * (math.log(0.49) + 1.0 + LOG_2PI), rel=1e-14)
+            assert np.max(np.abs(grad)) <= 1e-15
+            assert prepared.phi_hat == pytest.approx(0.49 / (1.0 + math.exp(log_tau)),
+                                                     rel=1e-14)
 
 
 class TestNllBuffers:
-    """The objective on its reused buffers against the unbuffered one, to the bit."""
+    """The objective on its reused buffers: to the bit as on fresh ones,
+    and by the envelope identities against the unbuffered oracle."""
 
     @staticmethod
-    def assert_same(x, prepared, packed):
-        val, grad = _nll(x, prepared, want_grad=True)
-        ref, ref_grad = packed_nll(x, packed, True)
-        assert np.float64(val).tobytes() == np.float64(ref).tobytes()
-        assert grad.tobytes() == ref_grad.tobytes()
-        assert _nll(x, prepared, want_grad=False) == ref
+    def assert_same(z, prepared, blocks, spatial):
+        val, grad = _nll(z, prepared, want_grad=True)
+        fresh, fresh_grad = _nll(z, _Prepared(blocks, spatial), want_grad=True)
+        assert np.float64(val).tobytes() == np.float64(fresh).tobytes()
+        assert grad.tobytes() == fresh_grad.tobytes()
+        assert _nll(z, prepared, want_grad=False) == val
+        return val
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
-    def test_equals_unbuffered_oracle_bitwise(self, data):
+    def test_equals_fresh_buffers_and_oracle(self, data):
         # One to three year blocks, one of them empty, on a quarter-degree
         # lattice so positions can repeat; several points evaluated in
         # turn on one set of buffers, a PENALTY point among them.
@@ -240,25 +282,31 @@ class TestNllBuffers:
         blocks = [YearBlock(year, rng.integers(-8, 9, m) / 4.0, rng.integers(-8, 9, m) / 4.0,
                             rng.integers(0, 5, m) * 10.0, rng.standard_normal(m))
                   for year, m in enumerate(sizes)]
-        prepared, packed = _Prepared(blocks, spatial), PackedLags(blocks, spatial)
-        center = _encode(PARAMS, spatial)
+        prepared = _Prepared(blocks, spatial)
+        center = profiled_point(PARAMS, spatial)
         penalized = data.draw(st.integers(0, 3))
         for k in range(4):
-            x = center + rng.uniform(-2.0, 2.0, center.size)
+            z = center + rng.uniform(-2.0, 2.0, center.size)
             if k == penalized:
-                x[0] = 800.0
-            self.assert_same(x, prepared, packed)
+                z[-1] = 800.0
+            if self.assert_same(z, prepared, blocks, spatial) != PENALTY:
+                assert_envelope(z, prepared, lambda x: packed_nll(
+                    x, PackedLags(blocks, spatial), True))
 
     @pytest.mark.parametrize("spatial", [False, True])
-    def test_ridged_block_equals_unbuffered_oracle_bitwise(self, monkeypatch, spatial):
-        # Points 0 and 1 coincide and Sigma_00 = 4 + 1e-26 rounds to 4,
-        # so the plain Cholesky meets a zero pivot and chol_spd retries
-        # with its ridge; the second block factors plainly.
+    def test_ridged_block(self, monkeypatch, spatial):
+        # Points 0 and 1 coincide and C_00 = 1 + tau = 1 + e^-60 / 4
+        # rounds to 1, so the plain Cholesky meets a zero pivot and
+        # chol_spd retries with its ridge; the second block factors
+        # plainly.  The oracle's Sigma = phi_hat C rounds to a pivot of
+        # either sign, so the value is checked at phi = 1 instead, where
+        # the oracle factors C itself: the profile is the full nll there
+        # plus n (log phi_hat + 1 - phi_hat) / 2.
         rng = np.random.default_rng(7)
         ridged = random_block(rng, 9)
         ridged.lat[1], ridged.lon[1], ridged.t[1] = ridged.lat[0], ridged.lon[0], ridged.t[0]
         blocks = [ridged, YearBlock(1, [], [], [], []), random_block(rng, 6, year=2)]
-        x = _encode(replace(PARAMS, phi=4.0, sigma2=math.exp(-60.0)), spatial)
+        z = profiled_point(replace(PARAMS, phi=4.0, sigma2=math.exp(-60.0)), spatial)
         calls = []
         real = mwgp.gaussian.dpotrf
 
@@ -268,11 +316,16 @@ class TestNllBuffers:
 
         monkeypatch.setattr(mwgp.gaussian, "dpotrf", counted)
         prepared = _Prepared(blocks, spatial)
-        _nll(_encode(PARAMS, spatial), prepared, want_grad=True)
+        _nll(profiled_point(PARAMS, spatial), prepared, want_grad=True)
         assert len(calls) == 2  # one plain factorization per nonempty block
         del calls[:]
-        self.assert_same(x, prepared, PackedLags(blocks, spatial))
-        assert len(calls) > 2 * 3  # the ridge retried, in each of the three calls
+        val = self.assert_same(z, prepared, blocks, spatial)
+        nll_1 = packed_nll(full_point(z, 1.0), PackedLags(blocks, spatial), False)
+        n, phi_hat = prepared.n_obs, prepared.phi_hat
+        # The ridge leaves Q = n phi_hat large, so nll_1 sets the rounding.
+        assert abs(val - nll_1 - 0.5 * n * (math.log(phi_hat) + 1.0 - phi_hat)) \
+            <= 1e-12 * abs(nll_1)
+        assert len(calls) > 2 * 4  # the ridge retried, in each of the four calls
 
 
 class TestLbfgsb:
@@ -286,11 +339,11 @@ class TestLbfgsb:
             rng = np.random.default_rng(seed)
             blocks = [random_block(rng, int(rng.integers(30, 61)), year=y) for y in (0, 1)]
             prepared = _Prepared(blocks, spatial)
-            out.append((lambda x, p=prepared: _nll(x, p, True),
-                        _encode(default_init(blocks), spatial)))
+            out.append((lambda z, p=prepared: _nll(z, p, True),
+                        profiled_point(default_init(blocks), spatial)))
         blocks = synth_blocks(CovParams(1.0, 3.0, 5.0, 5.0, 0.3), 46, 2, seed=11)
         prepared = _Prepared(blocks, False)
-        out.append((lambda x: _nll(x, prepared, True), _encode(default_init(blocks), False)))
+        out.append((lambda z: _nll(z, prepared, True), profiled_point(default_init(blocks))))
         return out
 
     @staticmethod
@@ -337,15 +390,19 @@ class TestLbfgsb:
             assert message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
 
     def test_penalty_on_part_of_a_line_search(self):
-        # Beyond a ceiling on log phi the objective scores PENALTY with a
-        # zero gradient, as _nll does where exp overflows; the line
-        # search backs off and the fit ends below the ceiling.
+        # Beyond a ceiling on the coordinate that the free fit raises
+        # most, the objective scores PENALTY with a zero gradient, as
+        # _nll does where exp overflows; the line search backs off and
+        # the fit ends below the ceiling.
         for fun, x0 in self.windows():
-            def capped(x, fun=fun, top=x0[0] + 0.05):
-                return (PENALTY, np.zeros_like(x)) if x[0] > top else fun(x)
+            k = int(np.argmax(lbfgsb(fun, x0)[0] - x0))
+            top = x0[k] + 0.05
+
+            def capped(x, fun=fun, k=k, top=top):
+                return (PENALTY, np.zeros_like(x)) if x[k] > top else fun(x)
 
             (_, f, _, _, _, _, _), calls = self.assert_as_minimize(capped, x0)
-            assert any(x[0] > x0[0] + 0.05 for x in calls)
+            assert any(x[k] > top for x in calls)
             assert f < PENALTY
 
 
@@ -462,6 +519,20 @@ class TestFitMleGaussian:
             dn = gauss_loglik(blocks, replace(fitted, **lo))
             grads.append((up - dn) / (2 * eps))
         assert np.max(np.abs(grads)) < 1e-3 * abs(base)
+
+    @pytest.mark.parametrize("seed,spatial", [(3, False), (7, True), (11, False), (12, True)])
+    def test_sill_is_the_closed_form(self, seed, spatial):
+        # At the returned params the full objective is stationary along
+        # the sill direction (phi and sigma2 scaled together), as it is
+        # exactly at phi_hat = y'C^-1 y / n and not merely to the
+        # optimizer's tolerance; the loglik is the full model's.
+        blocks = synth_blocks(CovParams(1.0, 3.0, 5.0, 5.0, 0.3), 60, 2, seed=seed)
+        fitted, report = fit_mle_gaussian(blocks, spatial=spatial)
+        ll, grad = packed_nll(_encode(fitted, spatial), PackedLags(blocks, spatial), True)
+        assert abs(grad[0] + grad[-1]) <= 1e-8 * abs(ll)
+        assert report.loglik == pytest.approx(gauss_loglik(blocks, fitted, spatial), rel=1e-12)
+        assert report.grad_norm == pytest.approx(
+            np.max(np.abs(grad[1:])), rel=1e-6, abs=1e-9 * abs(ll))
 
     def test_bitwise_reproducible(self):
         params = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)

@@ -430,7 +430,7 @@ class TestPredictStudent:
         # oracle: with the floored row dropped, the correction reduces
         # to the single remaining observation
         K = cov_matrix(block.points, heavy.cov)
-        k = cross_cov_vector(target, block.points, heavy.cov)
+        k = cross_cov_vector(target, block.points, heavy.cov)[0]
         expected = heavy.cov.phi - k[0] ** 2 / (K[0, 0] + 1.0 / state.w[0])
         assert pred.f_var == pytest.approx(expected, rel=1e-10)
 
