@@ -59,7 +59,6 @@ from .student import (
     StudentPredictive,
     find_mode,
     fit_mle_student,
-    laplace_loglik,
     predict_student,
     student_cdf,
     student_interval,

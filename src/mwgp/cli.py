@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .covariance import KM_PER_DEG, CovParams
-from .errors import InputError, MappingError
+from .errors import InputError, InvalidParameterError, MappingError, SchemaError
 from .gaussian import MIN_OBS, GaussianPredictive
 from .ingest import (
     FLOAT_FMT,
@@ -67,7 +67,6 @@ from .windows import (
     correlation_at_lag,
     get_variant,
     map_grid,
-    month_halfwidth_days,
     zonal_km_to_degrees,
 )
 
@@ -152,7 +151,7 @@ class RunConfig:
 
     def resolved_t_win(self, warn=True) -> float:
         """Window half-width in days, defaulting to the variant's months."""
-        default = month_halfwidth_days(get_variant(self.variant).months)
+        default = get_variant(self.variant).t_win
         if self.t_win is None:
             return default
         if warn and abs(self.t_win - default) > 1e-9:
@@ -213,13 +212,20 @@ def _coerce(key: str, raw: str):
             if text.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(text)
-        if key in _OPTIONAL_FLOATS:
-            return float(text)
         if key in _OPTIONAL_INTS:
             return int(text)
+        if key in _OPTIONAL_FLOATS or _FIELD_TYPES[key] == "float":
+            return _finite_float(text)
         return type(getattr(RunConfig(), key))(text)
     except ValueError:
         raise InputError(f"bad value for config key {key}: {raw!r}") from None
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
 
 
 def parse_config_file(path) -> dict:
@@ -252,9 +258,11 @@ def build_config(args) -> RunConfig:
         raise InputError(f"alpha must lie in (0, 1), got {cfg.alpha}")
     if cfg.scheme not in ("looo", "lofo"):
         raise InputError(f"scheme must be looo or lofo, got {cfg.scheme!r}")
-    if not 0.0 <= cfg.radius_steps < math.inf:
-        raise InputError(
-            f"radius_steps must be finite and >= 0, got {cfg.radius_steps}")
+    if cfg.lag_normalization not in ("total", "process"):
+        raise InputError(f"lag_normalization must be total or process, "
+                         f"got {cfg.lag_normalization!r}")
+    if cfg.radius_steps < 0.0:
+        raise InputError(f"radius_steps must be >= 0, got {cfg.radius_steps}")
     return cfg
 
 
@@ -511,16 +519,16 @@ CV_HEADER = ["scheme", "variant", "year_pos", "obs_index", "year", "source_id",
 
 
 def write_cv_records(cv: CVResult, path) -> None:
+    kind = get_variant(cv.variant_id).family.kind
+    student = kind == "student"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CV_HEADER)
         for r in cv.records:
-            student = isinstance(r.pred, StudentPredictive)
             writer.writerow([
                 cv.scheme, str(r.variant_id), str(r.year_pos), str(r.obs_index),
                 str(r.year), r.source_id or "",
-                _fmt(r.lat), _fmt(r.lon), _fmt(r.day), _fmt(r.truth),
-                "student" if student else "gaussian",
+                _fmt(r.lat), _fmt(r.lon), _fmt(r.day), _fmt(r.truth), kind,
                 _fmt(r.pred.mean),
                 "" if student else _fmt(r.pred.variance),
                 _fmt(r.pred.f_var) if student else "",
@@ -531,14 +539,14 @@ def write_cv_records(cv: CVResult, path) -> None:
 
 
 def read_cv_records(path) -> CVResult:
+    """Records of one known scheme and variant, each of its variant
+    family's kind; a row that breaks this raises SchemaError at its line."""
     with open_text(path) as fh:
         reader = csv_rows(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != CV_HEADER:
             raise InputError(f"{path}: not a cv_records file")
-        scheme = "looo"
-        variant_id = 0
-        records = []
+        scheme, variant_id, records = "looo", 0, []
         for k, row in _data_rows(reader, len(CV_HEADER)):
             def num(c):
                 return _parse_float(row[c], CV_HEADER[c], k, finite=False)
@@ -546,9 +554,22 @@ def read_cv_records(path) -> CVResult:
             def count(c):
                 return _parse_int(row[c], CV_HEADER[c], k)
 
-            scheme = row[0]
-            variant_id = count(1)
-            if row[10] == "student":
+            if not records:
+                scheme, variant_id = row[0], count(1)
+                try:
+                    kind = get_variant(variant_id).family.kind
+                except InvalidParameterError as exc:
+                    raise SchemaError(str(exc), k) from None
+                if scheme not in ("looo", "lofo"):
+                    raise SchemaError(f"unknown cv scheme {scheme!r}", k)
+            elif (row[0], count(1)) != (scheme, variant_id):
+                raise SchemaError(f"scheme {row[0]!r} and variant {row[1]} differ "
+                                  f"from the first row's {scheme!r} and "
+                                  f"{variant_id}", k)
+            if row[10] != kind:
+                raise SchemaError(f"kind {row[10]!r} is not variant "
+                                  f"{variant_id}'s {kind!r}", k)
+            if kind == "student":
                 pred = StudentPredictive(num(11), num(13), num(14), num(15))
             else:
                 pred = GaussianPredictive(num(11), num(12))
@@ -556,9 +577,7 @@ def read_cv_records(path) -> CVResult:
                 count(2), count(3), count(4), row[5] or None,
                 num(6), num(7), num(8), num(9),
                 pred, variant_id, (count(16), count(17))))
-    result = CVResult(scheme, variant_id)
-    result.records = records
-    return result
+    return CVResult(scheme, variant_id, records)
 
 
 def _write_metrics(path, tables: dict) -> None:
@@ -667,10 +686,6 @@ def cmd_lagmaps(cfg: RunConfig) -> tuple[list, dict]:
     tables = {name: {(lat, lon): v for lat, lon, v in rows}
               for name, rows in values.items()}
     total = cfg.lag_normalization == "total"
-    if cfg.lag_normalization not in ("total", "process"):
-        raise InputError(
-            f"lag_normalization must be total or process, "
-            f"got {cfg.lag_normalization!r}")
     maps = {}
     if cfg.lag_zonal_km > 0.0:
         maps["lag_zonal"] = ("dlon", cfg.lag_zonal_km)
@@ -750,7 +765,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="random seed of simulate")
         p.add_argument("--variant", type=int, choices=range(1, 7),
                        help="model variant 1-6")
-        p.add_argument("--pressure", type=float, help="pressure level (db)")
+        p.add_argument("--pressure", type=_finite_float,
+                       help="pressure level (db)")
         p.add_argument("--scheme", choices=("looo", "lofo"),
                        help="cross-validation scheme")
         p.add_argument("--out", help="output directory")

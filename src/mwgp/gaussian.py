@@ -522,10 +522,15 @@ def holdout_predictions(Sigma: np.ndarray, y: np.ndarray, K_star: np.ndarray,
     return [GaussianPredictive(float(m), float(v)) for m, v in zip(mean, var)]
 
 
-def gaussian_interval(pred: GaussianPredictive, alpha: float) -> tuple[float, float]:
-    """Central (1 - alpha) predictive interval."""
-    if not (0.0 < alpha < 1.0):
+def gaussian_interval(pred: GaussianPredictive, alpha):
+    """Central (1 - alpha) predictive interval.
+
+    ``alpha`` may be an array; the bounds are then arrays of its shape.
+    """
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((a > 0.0) & (a < 1.0)):
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    z = float(ndtri(1.0 - alpha / 2.0))
-    half = z * math.sqrt(max(pred.variance, 0.0))
+    half = ndtri(1.0 - a / 2.0) * math.sqrt(max(pred.variance, 0.0))
+    if a.ndim == 0:
+        half = float(half)
     return pred.mean - half, pred.mean + half

@@ -334,15 +334,6 @@ def _laplace(blocks, prepared: _Prepared, params: StudentParams, want_grad: bool
     return total, grad
 
 
-def laplace_loglik(blocks, params: StudentParams, spatial: bool = False) -> float:
-    """Laplace-approximate log marginal likelihood, summed over blocks.
-
-    Empty blocks contribute exactly zero.  The value is the fit
-    objective's, bit for bit.
-    """
-    return _laplace(blocks, _Prepared(blocks, spatial), params, False)[0]
-
-
 def _encode_student(params: StudentParams, spatial: bool) -> np.ndarray:
     return np.append(_encode(params.cov, spatial), math.log(params.nu - 1.0))
 

@@ -21,18 +21,14 @@ from .errors import (
     InputError,
     InvalidParameterError,
 )
-from .gaussian import GaussianPredictive, YearBlock
-from .student import (
-    StudentParams,
-    StudentPredictive,
-    student_cdf,
-    student_interval,
-)
+from .gaussian import YearBlock
+from .student import StudentParams
 from .windows import (
     GridField,
     GridSpec,
     ModelVariant,
     WindowSpec,
+    get_variant,
     nearest_cell_index,
     single_blas_thread,
     window_rows,
@@ -128,7 +124,7 @@ class CVRecord:
     lon: float
     day: float
     truth: float
-    pred: GaussianPredictive | StudentPredictive
+    pred: object  # the variant family's predictive law
     variant_id: int
     cell: tuple[int, int]
 
@@ -298,12 +294,11 @@ DEFAULT_LEVELS = (0.50, 0.68, 0.80, 0.90, 0.95, 0.99)
 def calibration(cv: CVResult, levels=DEFAULT_LEVELS) -> CalibrationReport:
     """Standard-normal residual diagnostics of CV predictions.
 
-    Gaussian predictions standardize directly; Student predictions map
-    the exact probability integral transform (``student_cdf``) through
-    the normal quantile function and take every interval level from one
-    ``student_interval`` call.  Every zero-variance prediction is
-    flagged; one that also misses the truth becomes an infinite
-    residual, as does a transform that rounds to 0 or 1.
+    Every record is scored through its variant's model family: the
+    family's normal score, which flags degenerate predictions, and its
+    central interval at every level, the interval the map reports.  A
+    record is covered where lower <= truth <= upper, and the interval's
+    length is upper - lower.
     """
     if not cv.records:
         raise EmptyInputError("no cross-validation records to calibrate")
@@ -311,33 +306,18 @@ def calibration(cv: CVResult, levels=DEFAULT_LEVELS) -> CalibrationReport:
     for lv in levels:
         if not 0.0 < lv < 1.0:
             raise InvalidParameterError(f"confidence level {lv} outside (0, 1)")
-    z_gauss = {lv: float(ndtri(0.5 + lv / 2.0)) for lv in levels}
+    family = get_variant(cv.variant_id).family
     alphas = 1.0 - np.array(levels)
-    residuals = np.empty(len(cv.records))
-    covered = {lv: np.zeros(len(cv.records), dtype=bool) for lv in levels}
-    lengths = {lv: np.empty(len(cv.records)) for lv in levels}
+    truth = np.array([rec.truth for rec in cv.records])
+    residuals = np.empty(truth.size)
+    lower, upper = np.empty((2, len(levels), truth.size))
     n_flagged = 0
     for k, rec in enumerate(cv.records):
-        if isinstance(rec.pred, StudentPredictive):
-            z = float(ndtri(student_cdf(rec.pred, rec.truth)))
-            if not math.isfinite(z):
-                n_flagged += 1
-            lower, upper = student_interval(rec.pred, alphas)
-            for lv, lo, hi in zip(levels, lower, upper):
-                covered[lv][k] = lo <= rec.truth <= hi
-                lengths[lv][k] = hi - lo
-        else:
-            sd = math.sqrt(max(rec.pred.variance, 0.0))
-            err = rec.truth - rec.pred.mean
-            if sd > 0.0:
-                z = err / sd
-            else:
-                z = 0.0 if err == 0.0 else math.copysign(math.inf, err)
-                n_flagged += 1
-            for lv in levels:
-                covered[lv][k] = abs(err) <= z_gauss[lv] * sd
-                lengths[lv][k] = 2.0 * z_gauss[lv] * sd
-        residuals[k] = z
+        residuals[k], flagged = family.normal_score(rec.pred, rec.truth)
+        n_flagged += flagged
+        lower[:, k], upper[:, k] = family.interval(rec.pred, alphas)
+    covered = (lower <= truth) & (truth <= upper)
+    lengths = upper - lower
     finite = residuals[np.isfinite(residuals)]
     if finite.size == 0:
         raise EmptyInputError("no finite residuals to build a quantile curve")
@@ -349,9 +329,10 @@ def calibration(cv: CVResult, levels=DEFAULT_LEVELS) -> CalibrationReport:
         q_theory=q_theory,
         q_delta=q_sample - q_theory,
         levels=levels,
-        coverage={lv: float(np.mean(covered[lv])) for lv in levels},
-        mean_length={lv: float(np.mean(lengths[lv])) for lv in levels},
-        median_length={lv: float(np.quantile(lengths[lv], 0.5)) for lv in levels},
+        coverage={lv: float(np.mean(c)) for lv, c in zip(levels, covered)},
+        mean_length={lv: float(np.mean(ln)) for lv, ln in zip(levels, lengths)},
+        median_length={lv: float(np.quantile(ln, 0.5))
+                       for lv, ln in zip(levels, lengths)},
         n=len(cv.records),
         n_flagged=n_flagged,
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.special import ndtri
 
 from .covariance import (
     KM_PER_DEG,
@@ -57,6 +58,7 @@ from .student import (
     fit_mle_student,
     nu_variance_factor,
     predict_student,
+    student_cdf,
     student_interval,
 )
 
@@ -94,35 +96,12 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class ModelVariant:
-    """One row of the six-model study design.
-
-    ``time_mode`` selects the covariance (purely spatial or
-    space-time); ``nugget`` the microscale-variation law; ``months``
-    the temporal window length; ``reference`` marks the fixed-shape
-    baseline covariance that skips maximum likelihood entirely.
-    """
+    """One row of the six-model study design: the model family that fits
+    and predicts, and the temporal window length in months."""
 
     id: int
-    time_mode: str
-    nugget: str
+    family: ModelFamily
     months: int
-    reference: bool = False
-
-    def __post_init__(self):
-        if not 1 <= self.id <= 6:
-            raise InvalidParameterError(f"variant id must be 1..6, got {self.id}")
-        if self.time_mode not in ("spatial", "spatio-temporal"):
-            raise InvalidParameterError(f"unknown time_mode {self.time_mode!r}")
-        if self.nugget not in ("gaussian", "student"):
-            raise InvalidParameterError(f"unknown nugget {self.nugget!r}")
-        if self.months not in (1, 3):
-            raise InvalidParameterError(f"months must be 1 or 3, got {self.months}")
-        if self.reference and (self.time_mode != "spatial" or self.nugget != "gaussian"):
-            raise InvalidParameterError("reference variant is spatial Gaussian only")
-
-    @property
-    def spatial(self) -> bool:
-        return self.time_mode == "spatial"
 
     @property
     def mean_mode(self) -> str:
@@ -136,35 +115,6 @@ class ModelVariant:
     @property
     def t_win(self) -> float:
         return month_halfwidth_days(self.months)
-
-    @property
-    def family(self) -> "ModelFamily":
-        """The model family that fits and predicts for this variant."""
-        if self.reference:
-            return ReferenceFamily()
-        if self.nugget == "gaussian":
-            return GaussianFamily(self.spatial)
-        return StudentFamily(self.spatial)
-
-
-VARIANTS: dict[int, ModelVariant] = {
-    1: ModelVariant(1, "spatial", "gaussian", 1, reference=True),
-    2: ModelVariant(2, "spatial", "gaussian", 1),
-    3: ModelVariant(3, "spatial", "student", 1),
-    4: ModelVariant(4, "spatial", "gaussian", 3),
-    5: ModelVariant(5, "spatio-temporal", "gaussian", 3),
-    6: ModelVariant(6, "spatio-temporal", "student", 3),
-}
-
-
-def get_variant(variant_id: int) -> ModelVariant:
-    try:
-        vid = int(variant_id)
-        if vid != float(variant_id):  # refuse to truncate 2.5 to variant 2
-            raise ValueError(variant_id)
-        return VARIANTS[vid]
-    except (KeyError, ValueError, TypeError):
-        raise InvalidParameterError(f"unknown model variant {variant_id!r}") from None
 
 
 def cell_key(lat: float, lon: float) -> tuple[float, float]:
@@ -381,16 +331,30 @@ def _unit(ratio) -> float:
 class ModelFamily:
     """Fit, predictive law, interval, variance ratio and parameter names.
 
-    ``ModelVariant.family`` picks one; no caller branches on the variant
-    or the parameter type.  The variance ratio (post- to pre-data
-    predictive variance) lies in [0, 1] and is exactly 1 without data.
-    ``predict_folds`` scores the cross-validation folds of one window:
-    from one factor of it (kriging families) or fold by fold (Student).
+    Each ``ModelVariant`` holds one; no caller branches on the variant,
+    the parameter type or the predictive type.  The variance ratio
+    (post- to pre-data predictive variance) lies in [0, 1] and is
+    exactly 1 without data.  ``predict_folds`` scores the
+    cross-validation folds of one window: from one factor of it
+    (kriging families) or fold by fold (Student).  ``kind`` names the
+    predictive law in the CV record file.
     """
 
-    def interval(self, pred, alpha: float):
-        """Central (1 - alpha) predictive interval."""
+    kind = "gaussian"
+
+    def interval(self, pred, alpha):
+        """Central (1 - alpha) predictive interval; ``alpha`` may be an array."""
         return gaussian_interval(pred, alpha)
+
+    def normal_score(self, pred, truth: float) -> tuple[float, bool]:
+        """Standard-normal score of an observed value, and whether it is
+        flagged: the standardized error.  A zero-variance prediction is
+        flagged, and scores 0 on a hit and an infinity on a miss."""
+        sd = math.sqrt(max(pred.variance, 0.0))
+        err = truth - pred.mean
+        if sd > 0.0:
+            return err / sd, False
+        return (0.0 if err == 0.0 else math.copysign(math.inf, err)), True
 
     def predict_cell_year(self, center, block, params, alpha) -> CellPrediction:
         pred = self.predict(center, block, params)
@@ -510,6 +474,7 @@ class StudentFamily(ModelFamily):
     """
 
     spatial: bool
+    kind = "student"
 
     def fit(self, blocks, min_obs):
         return fit_mle_student(blocks, min_obs=min_obs, spatial=self.spatial)
@@ -520,6 +485,12 @@ class StudentFamily(ModelFamily):
     def interval(self, pred, alpha):
         return student_interval(pred, alpha)
 
+    def normal_score(self, pred, truth: float) -> tuple[float, bool]:
+        """The exact probability integral transform through the normal
+        quantile function; flagged where it rounds to 0 or 1."""
+        z = float(ndtri(student_cdf(pred, truth)))
+        return z, not math.isfinite(z)
+
     def variance_ratio(self, pred, params) -> float:
         if params.nu > 2.0:
             nug = params.cov.sigma2 * nu_variance_factor(params.nu)
@@ -529,6 +500,26 @@ class StudentFamily(ModelFamily):
     def param_values(self, params) -> dict:
         return {**GaussianFamily(self.spatial).param_values(params.cov),
                 "nu": params.nu}
+
+
+VARIANTS: dict[int, ModelVariant] = {
+    1: ModelVariant(1, ReferenceFamily(), 1),
+    2: ModelVariant(2, GaussianFamily(spatial=True), 1),
+    3: ModelVariant(3, StudentFamily(spatial=True), 1),
+    4: ModelVariant(4, GaussianFamily(spatial=True), 3),
+    5: ModelVariant(5, GaussianFamily(spatial=False), 3),
+    6: ModelVariant(6, StudentFamily(spatial=False), 3),
+}
+
+
+def get_variant(variant_id: int) -> ModelVariant:
+    try:
+        vid = int(variant_id)
+        if vid != float(variant_id):  # refuse to truncate 2.5 to variant 2
+            raise ValueError(variant_id)
+        return VARIANTS[vid]
+    except (KeyError, ValueError, TypeError):
+        raise InvalidParameterError(f"unknown model variant {variant_id!r}") from None
 
 
 def correlation_at_lag(params: CovParams, dlat: float = 0.0, dlon: float = 0.0,

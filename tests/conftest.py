@@ -48,6 +48,7 @@ from mwgp.gaussian import (
     PENALTY,
     GaussianPredictive,
     YearBlock,
+    _Prepared,
     _decode,
     _encode,
     _kernel_grad,
@@ -65,7 +66,7 @@ from mwgp.ingest import (
     _parse_int,
     csv_rows,
 )
-from mwgp.student import StudentPredictive
+from mwgp.student import StudentParams, StudentPredictive, _laplace
 from mwgp.validation import (
     CVRecord,
     CVResult,
@@ -124,6 +125,15 @@ def gauss_loglik(blocks, params: CovParams, spatial: bool = False) -> float:
     if sum(b.m for b in blocks) == 0:
         return 0.0
     return -float(packed_nll(_encode(params, spatial), PackedLags(blocks, spatial), False))
+
+
+def laplace_loglik(blocks, params: StudentParams, spatial: bool = False) -> float:
+    """Laplace-approximate log marginal likelihood, summed over blocks.
+
+    Empty blocks contribute exactly zero.  The value is the Student fit
+    objective's, bit for bit.
+    """
+    return _laplace(blocks, _Prepared(blocks, spatial), params, False)[0]
 
 
 def profiled_point(params: CovParams, spatial: bool = False) -> np.ndarray:

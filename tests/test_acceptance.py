@@ -29,7 +29,6 @@ from mwgp.gaussian import YearBlock, fit_mle_gaussian, pooled_window_variance
 from mwgp.student import (
     StudentParams,
     find_mode,
-    laplace_loglik,
     predict_student,
 )
 from mwgp.validation import (
@@ -53,6 +52,7 @@ from conftest import (
     dense_mvn_loglik,
     explicit_conditional,
     gauss_loglik,
+    laplace_loglik,
     profiled_point,
     rg_cov,
     scalar_laplace_loglik,

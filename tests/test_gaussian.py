@@ -629,7 +629,16 @@ class TestGaussianInterval:
         lo_n, hi_n = gaussian_interval(pred, narrow)
         assert lo_w <= lo_n + 1e-12 and hi_n <= hi_w + 1e-12
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
+    def test_array_alpha_matches_scalar_calls(self):
+        pred = GaussianPredictive(0.3, 2.0)
+        alphas = np.array([0.5, 0.1, 0.01])
+        lower, upper = gaussian_interval(pred, alphas)
+        assert lower.shape == upper.shape == (3,)
+        for a, lo, hi in zip(alphas, lower, upper):
+            assert gaussian_interval(pred, float(a)) == (lo, hi)
+        assert all(type(b) is float for b in gaussian_interval(pred, 0.1))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, [0.1, 1.0]])
     def test_alpha_validated(self, alpha):
         with pytest.raises(InvalidParameterError):
             gaussian_interval(GaussianPredictive(0, 1), alpha)

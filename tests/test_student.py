@@ -31,7 +31,6 @@ from mwgp.student import (
     StudentPredictive,
     find_mode,
     fit_mle_student,
-    laplace_loglik,
     _decode_student,
     _laplace,
     _encode_student,
@@ -44,7 +43,13 @@ from mwgp.student import (
 from mwgp.validation import simulate_field
 from mwgp.windows import GaussianFamily, single_blas_thread
 
-from conftest import deviation_sample, gauss_loglik, random_block, t_log_gamma_ratio
+from conftest import (
+    deviation_sample,
+    gauss_loglik,
+    laplace_loglik,
+    random_block,
+    t_log_gamma_ratio,
+)
 
 SP = StudentParams(CovParams(1.0, 2.0, 3.0, 6.0, 0.5), nu=4.0)
 

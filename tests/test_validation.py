@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import mwgp.windows
 from mwgp.covariance import CovParams, SpaceTimePoint, cov_matrix
 from mwgp.errors import (
     EmptyInputError,
@@ -379,7 +380,7 @@ print(len(cv.records), hashlib.sha256(repr(cv.records).encode()).hexdigest())
         for rec in cv.records:
             keep = np.ones(block.m, dtype=bool)
             keep[rec.obs_index] = False
-            expected = GaussianFamily(VARIANTS[2].spatial).predict(
+            expected = VARIANTS[2].family.predict(
                 SpaceTimePoint(rec.lat, rec.lon, rec.day),
                 block.subset(keep), params)
             assert rec.pred.mean == pytest.approx(expected.mean, rel=1e-9, abs=0)
@@ -564,7 +565,7 @@ class TestClosedFormCV:
                                  self.SPEC3, scheme, radius_steps=10.0)
         assert_matches_oracle(cv, oracle)
         first, second = [r.pred for r in cv.records if r.year == 1]
-        prior = reference_prior_var(params) if variant.reference else \
+        prior = reference_prior_var(params) if variant_id == 1 else \
             params.phi + params.sigma2
         emptied = [first, second] if scheme == "lofo" else [first]
         for pred in emptied:
@@ -733,6 +734,23 @@ class TestCalibration:
             for k, t in enumerate(truths)
         ]
         return CVResult("looo", 3, records)
+
+    @pytest.mark.parametrize("name", ["gaussian_interval", "student_interval"])
+    def test_intervals_come_from_the_family(self, monkeypatch, name):
+        # The map's interval routines, looked up where the benchmark
+        # tracer wraps them: one call per record for all levels.
+        original = getattr(mwgp.windows, name)
+        calls = []
+
+        def counted(pred, alpha):
+            calls.append(np.shape(alpha))
+            return original(pred, alpha)
+
+        monkeypatch.setattr(mwgp.windows, name, counted)
+        result = (make_result(stratified_normal(20)) if name == "gaussian_interval"
+                  else self.student_result(n=20))
+        calibration(result, levels=(0.5, 0.9))
+        assert calls == [(2,)] * 20
 
     def test_student_records_reuse_fold_deviation_samples(self):
         result = self.student_result(n=50)

@@ -6,6 +6,7 @@ and the grid sweep (including its parallel determinism and the
 nearest-cell parameter fallback).
 """
 
+import dataclasses
 import math
 import os
 import struct
@@ -125,23 +126,25 @@ class TestVariantRegistry:
         for vid, variant in VARIANTS.items():
             assert variant.id == vid
 
-    @pytest.mark.parametrize("vid,time_mode,nugget,months,ref,mean_mode", [
-        (1, "spatial", "gaussian", 1, True, "spatial"),
-        (2, "spatial", "gaussian", 1, False, "spatial"),
-        (3, "spatial", "student", 1, False, "spatial"),
-        (4, "spatial", "gaussian", 3, False, "spatio-temporal"),
-        (5, "spatio-temporal", "gaussian", 3, False, "spatio-temporal"),
-        (6, "spatio-temporal", "student", 3, False, "spatio-temporal"),
-    ])
-    def test_design_table(self, vid, time_mode, nugget, months, ref, mean_mode):
+    @pytest.mark.parametrize("vid,family,kind,months,mean_mode", [
+        (1, ReferenceFamily(), "gaussian", 1, "spatial"),
+        (2, GaussianFamily(spatial=True), "gaussian", 1, "spatial"),
+        (3, StudentFamily(spatial=True), "student", 1, "spatial"),
+        (4, GaussianFamily(spatial=True), "gaussian", 3, "spatio-temporal"),
+        (5, GaussianFamily(spatial=False), "gaussian", 3, "spatio-temporal"),
+        (6, StudentFamily(spatial=False), "student", 3, "spatio-temporal"),
+    ], ids=str)
+    def test_design_table(self, vid, family, kind, months, mean_mode):
         v = VARIANTS[vid]
-        assert v.time_mode == time_mode
-        assert v.nugget == nugget
+        assert v.family == family
+        assert v.family.kind == kind
         assert v.months == months
-        assert v.reference is ref
         assert v.mean_mode == mean_mode
-        assert v.spatial is (time_mode == "spatial")
         assert v.t_win == month_halfwidth_days(months)
+
+    def test_a_variant_is_its_family_and_window_length(self):
+        assert [f.name for f in dataclasses.fields(ModelVariant)] == \
+            ["id", "family", "months"]
 
     def test_get_variant_accepts_int_like(self):
         assert get_variant(5) is VARIANTS[5]
@@ -151,18 +154,6 @@ class TestVariantRegistry:
     def test_get_variant_rejects_unknown(self, bad):
         with pytest.raises(InvalidParameterError):
             get_variant(bad)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"id": 0, "time_mode": "spatial", "nugget": "gaussian", "months": 1},
-        {"id": 2, "time_mode": "diagonal", "nugget": "gaussian", "months": 1},
-        {"id": 2, "time_mode": "spatial", "nugget": "cauchy", "months": 1},
-        {"id": 2, "time_mode": "spatial", "nugget": "gaussian", "months": 2},
-        {"id": 2, "time_mode": "spatial", "nugget": "student", "months": 1,
-         "reference": True},
-    ])
-    def test_variant_validation(self, kwargs):
-        with pytest.raises(InvalidParameterError):
-            ModelVariant(**kwargs)
 
 
 class TestCellKey:
@@ -631,10 +622,10 @@ class TestModelFamily:
         assert fit.ok
 
         windowed = select_window(data, center, spec)
-        sp = variant.spatial
+        sp = vid in (2, 3, 4)
         if vid == 1:
             params = ReferenceParams(pooled_window_variance(windowed) / 1.15)
-        elif variant.nugget == "gaussian":
+        elif vid in (2, 4, 5):
             params, _ = fit_mle_gaussian(windowed, min_obs=spec.min_obs,
                                          spatial=sp)
         else:
@@ -645,7 +636,7 @@ class TestModelFamily:
         for block, cell in zip(windowed, fit.predictions):
             if vid == 1:
                 pred = ReferenceFamily().predict(center, block, params)
-            elif variant.nugget == "gaussian":
+            elif vid in (2, 4, 5):
                 pred = GaussianFamily(sp).predict(center, block, params)
             else:
                 pred = predict_student(center, block, params, spatial=sp)
