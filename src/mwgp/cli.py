@@ -14,7 +14,6 @@ time.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -33,21 +32,21 @@ from .gaussian import MIN_OBS, GaussianPredictive
 from .ingest import (
     FLOAT_FMT,
     MeanFieldConfig,
-    _data_rows,
     _parse_float,
     _parse_int,
     apply_filters,
-    csv_rows,
     estimate_mean_field,
     load_mask,
     open_text,
     parse_profiles,
     profiles_to_level,
     read_mean_field,
+    read_table,
     subtract_mean,
     write_mean_field,
     write_mean_field_gridded,
     write_profiles,
+    write_table,
     ProfileRecord,
 )
 from .student import StudentParams, StudentPredictive
@@ -189,34 +188,27 @@ class RunConfig:
         return WindowSpec(self.x_win, self.resolved_t_win(), self.min_obs)
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_OPTIONAL_FLOATS = {"t_win", "day_min", "day_max", "cv_day_min", "cv_day_max"}
-_OPTIONAL_INTS = {"threads"}
-_OPTIONAL_STRS = {"profiles", "mean", "mask", "records", "params_dir"}
-_BOOLS = {"fallback_nearest", "write_binary"}
+# key: (base type name, optional), read off annotations such as "float | None"
+_FIELD_TYPES = {f.name: (f.type.split(" | ")[0], f.type.endswith(" | None"))
+                for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise InputError(f"unknown config key {key!r}")
+    base, optional = _FIELD_TYPES[key]
     text = raw.strip()
-    if key in _OPTIONAL_STRS:
-        return text or None
-    if text.lower() in ("none", "") and (key in _OPTIONAL_FLOATS
-                                         or key in _OPTIONAL_INTS):
+    if optional and (not text if base == "str"
+                     else text.lower() in ("none", "")):
         return None
     try:
-        if key in _BOOLS:
+        if base == "bool":
             if text.lower() in ("1", "true", "yes", "on"):
                 return True
             if text.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(text)
-        if key in _OPTIONAL_INTS:
-            return int(text)
-        if key in _OPTIONAL_FLOATS or _FIELD_TYPES[key] == "float":
-            return _finite_float(text)
-        return type(getattr(RunConfig(), key))(text)
+        return {"float": _finite_float, "int": int, "str": str}[base](text)
     except ValueError:
         raise InputError(f"bad value for config key {key}: {raw!r}") from None
 
@@ -263,6 +255,10 @@ def build_config(args) -> RunConfig:
                          f"got {cfg.lag_normalization!r}")
     if cfg.radius_steps < 0.0:
         raise InputError(f"radius_steps must be >= 0, got {cfg.radius_steps}")
+    for key, least in (("sim_m", 1), ("sim_profiles_per_float", 1),
+                       ("sim_floats", 0), ("sim_years", 0)):
+        if getattr(cfg, key) < least:
+            raise InputError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -309,17 +305,12 @@ def write_manifest(cfg: RunConfig, command: str, outputs, extra=None) -> str:
     return path
 
 
-def _fmt(value: float) -> str:
-    return FLOAT_FMT % value
+GRID_HEADER = ["lat", "lon", "value"]
 
 
 def write_grid_csv(path, rows) -> None:
     """lat,lon,value rows at 17 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lat", "lon", "value"])
-        for lat, lon, value in rows:
-            writer.writerow([_fmt(lat), _fmt(lon), _fmt(value)])
+    write_table(path, GRID_HEADER, rows)
 
 
 def read_grid_csv(path):
@@ -327,14 +318,10 @@ def read_grid_csv(path):
 
     Values may be non-finite, as written (an infinite Student variance).
     """
-    with open_text(path) as fh:
-        reader = csv_rows(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["lat", "lon", "value"]:
-            raise InputError(f"{path}: expected header lat,lon,value")
+    with read_table(path, GRID_HEADER) as (_, rows):
         return [tuple(_parse_float(text, name, k, finite=False)
-                      for text, name in zip(row, ("lat", "lon", "value")))
-                for k, row in _data_rows(reader, 3)]
+                      for text, name in zip(row, GRID_HEADER))
+                for k, row in rows]
 
 
 def write_grid_binary(path, grid: GridSpec, values: dict) -> None:
@@ -350,9 +337,10 @@ def write_grid_binary(path, grid: GridSpec, values: dict) -> None:
         fh.write(arr.astype("<f8").tobytes())
     with open(f"{path}.txt", "w", encoding="utf-8") as fh:
         fh.write(f"dtype=<f8\norder=row-major\nn_lat={grid.n_lat}\n"
-                 f"n_lon={grid.n_lon}\nlat_min={_fmt(grid.lat_min)}\n"
-                 f"lon_min={_fmt(grid.lon_min)}\nlat_step={_fmt(grid.lat_step)}\n"
-                 f"lon_step={_fmt(grid.lon_step)}\n")
+                 f"n_lon={grid.n_lon}\nlat_min={FLOAT_FMT % grid.lat_min}\n"
+                 f"lon_min={FLOAT_FMT % grid.lon_min}\n"
+                 f"lat_step={FLOAT_FMT % grid.lat_step}\n"
+                 f"lon_step={FLOAT_FMT % grid.lon_step}\n")
 
 
 def _level_obs_to_profiles(blocks, pressure: float) -> list:
@@ -447,12 +435,12 @@ def cmd_map(cfg: RunConfig) -> tuple[list, dict]:
     grids = {"prediction": {}, "variance": {}, "variance_ratio": {},
              "interval_lower": {}, "interval_upper": {}}
     param_grids: dict[str, dict] = {}
-    statuses = {}
-    wall_times = {}
-    for res in field_.ordered():
+    statuses, wall_times, status_rows = {}, {}, []
+    for res in field_.ordered():  # flat-index order, as the files list cells
         key = (res.i, res.j)
         statuses[f"{res.i},{res.j}"] = res.fit.status
         wall_times[f"{res.i},{res.j}"] = res.wall_time
+        status_rows.append((res.lat, res.lon, res.fit.status))
         if res.fit.params is None:
             continue
         for name, value in family.param_values(res.fit.params).items():
@@ -467,27 +455,17 @@ def cmd_map(cfg: RunConfig) -> tuple[list, dict]:
         grids["interval_upper"][key] = pred.upper
 
     outputs = []
-    lats, lons = grid.lats, grid.lons
-
-    def rows_of(values: dict):
-        for (i, j) in sorted(values, key=lambda ij: grid.flat_index(*ij)):
-            yield lats[i], lons[j], values[(i, j)]
-
     for name, values in list(grids.items()) + [
             (f"param_{p}", v) for p, v in sorted(param_grids.items())]:
-        path = os.path.join(cfg.out, f"{name}.csv")
-        write_grid_csv(path, rows_of(values))
+        write_grid_csv(os.path.join(cfg.out, f"{name}.csv"),
+                       ((grid.lats[i], grid.lons[j], value)
+                        for (i, j), value in values.items()))
         outputs.append(f"{name}.csv")
         if cfg.write_binary:
             write_grid_binary(os.path.join(cfg.out, f"{name}.bin"), grid, values)
             outputs += [f"{name}.bin", f"{name}.bin.txt"]
-
-    status_path = os.path.join(cfg.out, "status.csv")
-    with open(status_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lat", "lon", "status"])
-        for res in field_.ordered():
-            writer.writerow([_fmt(res.lat), _fmt(res.lon), res.fit.status])
+    write_table(os.path.join(cfg.out, "status.csv"), ["lat", "lon", "status"],
+                status_rows)
     outputs.append("status.csv")
 
     return outputs, {
@@ -521,33 +499,20 @@ CV_HEADER = ["scheme", "variant", "year_pos", "obs_index", "year", "source_id",
 def write_cv_records(cv: CVResult, path) -> None:
     kind = get_variant(cv.variant_id).family.kind
     student = kind == "student"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CV_HEADER)
-        for r in cv.records:
-            writer.writerow([
-                cv.scheme, str(r.variant_id), str(r.year_pos), str(r.obs_index),
-                str(r.year), r.source_id or "",
-                _fmt(r.lat), _fmt(r.lon), _fmt(r.day), _fmt(r.truth), kind,
-                _fmt(r.pred.mean),
-                "" if student else _fmt(r.pred.variance),
-                _fmt(r.pred.f_var) if student else "",
-                _fmt(r.pred.scale) if student else "",
-                _fmt(r.pred.dof) if student else "",
-                str(r.cell[0]), str(r.cell[1]),
-            ])
+    write_table(path, CV_HEADER, (
+        (cv.scheme, r.variant_id, r.year_pos, r.obs_index, r.year, r.source_id,
+         r.lat, r.lon, r.day, r.truth, kind, r.pred.mean,
+         None if student else r.pred.variance,
+         *((r.pred.f_var, r.pred.scale, r.pred.dof) if student else [None] * 3),
+         *r.cell) for r in cv.records))
 
 
 def read_cv_records(path) -> CVResult:
     """Records of one known scheme and variant, each of its variant
     family's kind; a row that breaks this raises SchemaError at its line."""
-    with open_text(path) as fh:
-        reader = csv_rows(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != CV_HEADER:
-            raise InputError(f"{path}: not a cv_records file")
-        scheme, variant_id, records = "looo", 0, []
-        for k, row in _data_rows(reader, len(CV_HEADER)):
+    scheme, variant_id, records = "looo", 0, []
+    with read_table(path, CV_HEADER) as (_, rows):
+        for k, row in rows:
             def num(c):
                 return _parse_float(row[c], CV_HEADER[c], k, finite=False)
 
@@ -581,38 +546,21 @@ def read_cv_records(path) -> CVResult:
 
 
 def _write_metrics(path, tables: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "n", "RMSE", "MdAE", "Q3AE",
-                         "RMSE improvement %", "MdAE improvement %",
-                         "Q3AE improvement %"])
-        for name, table in tables.items():
-            imp = table.improvement or {}
-            writer.writerow([
-                name, str(table.n), _fmt(table.rmse), _fmt(table.mdae),
-                _fmt(table.q3ae),
-                _fmt(imp["rmse"]) if "rmse" in imp else "",
-                _fmt(imp["mdae"]) if "mdae" in imp else "",
-                _fmt(imp["q3ae"]) if "q3ae" in imp else "",
-            ])
+    write_table(path, ["model", "n", "RMSE", "MdAE", "Q3AE",
+                       "RMSE improvement %", "MdAE improvement %",
+                       "Q3AE improvement %"], (
+        (name, t.n, t.rmse, t.mdae, t.q3ae,
+         *map((t.improvement or {}).get, ("rmse", "mdae", "q3ae")))
+        for name, t in tables.items()))
 
 
 def _write_calibration(out_dir, report) -> list:
-    coverage_path = os.path.join(out_dir, "coverage.csv")
-    with open(coverage_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Level", "Empirical coverage", "Mean length",
-                         "Median length"])
-        for lv in report.levels:
-            writer.writerow([_fmt(lv), _fmt(report.coverage[lv]),
-                             _fmt(report.mean_length[lv]),
-                             _fmt(report.median_length[lv])])
-    curve_path = os.path.join(out_dir, "quantile_curve.csv")
-    with open(curve_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q_theory", "q_delta"])
-        for qt, qd in zip(report.q_theory, report.q_delta):
-            writer.writerow([_fmt(qt), _fmt(qd)])
+    write_table(os.path.join(out_dir, "coverage.csv"),
+                ["Level", "Empirical coverage", "Mean length", "Median length"],
+                ((lv, report.coverage[lv], report.mean_length[lv],
+                  report.median_length[lv]) for lv in report.levels))
+    write_table(os.path.join(out_dir, "quantile_curve.csv"),
+                ["q_theory", "q_delta"], zip(report.q_theory, report.q_delta))
     return ["coverage.csv", "quantile_curve.csv"]
 
 
@@ -673,7 +621,7 @@ def cmd_lagmaps(cfg: RunConfig) -> tuple[list, dict]:
     temporal = cfg.lag_days > 0.0
     if temporal:
         need.append("param_theta_t")
-    values = {}
+    tables = {}
     for name in need:
         path = os.path.join(src, f"{name}.csv")
         if not os.path.exists(path):
@@ -681,23 +629,22 @@ def cmd_lagmaps(cfg: RunConfig) -> tuple[list, dict]:
                 f"missing parameter grid {path}"
                 + (" (set lag_days=0 for spatial-only maps)"
                    if name == "param_theta_t" else ""))
-        values[name] = read_grid_csv(path)
-    cells = [(lat, lon) for lat, lon, _ in values["param_phi"]]
-    tables = {name: {(lat, lon): v for lat, lon, v in rows}
-              for name, rows in values.items()}
+        tables[name] = {(lat, lon): v for lat, lon, v in read_grid_csv(path)}
     total = cfg.lag_normalization == "total"
-    maps = {}
-    if cfg.lag_zonal_km > 0.0:
-        maps["lag_zonal"] = ("dlon", cfg.lag_zonal_km)
-    if cfg.lag_meridional_km > 0.0:
-        maps["lag_meridional"] = ("dlat", cfg.lag_meridional_km)
-    if temporal:
-        maps["lag_temporal"] = ("dt", cfg.lag_days)
+    lags = {  # map name: (lag size, the lag at a latitude)
+        "lag_zonal": (cfg.lag_zonal_km, lambda lat: {
+            "dlon": zonal_km_to_degrees(cfg.lag_zonal_km, lat)}),
+        "lag_meridional": (cfg.lag_meridional_km, lambda lat: {
+            "dlat": cfg.lag_meridional_km / KM_PER_DEG}),
+        "lag_temporal": (cfg.lag_days, lambda lat: {"dt": cfg.lag_days}),
+    }
     outputs = []
     os.makedirs(cfg.out, exist_ok=True)
-    for name, (axis, lag) in maps.items():
+    for name, (size, lag) in lags.items():
+        if size <= 0.0:
+            continue
         rows = []
-        for lat, lon in cells:
+        for lat, lon in tables["param_phi"]:
             try:
                 params = CovParams(
                     tables["param_phi"][(lat, lon)],
@@ -710,18 +657,9 @@ def cmd_lagmaps(cfg: RunConfig) -> tuple[list, dict]:
                 raise InputError(
                     f"parameter grids disagree on cells near ({lat}, {lon})"
                 ) from None
-            if axis == "dlon":
-                corr = correlation_at_lag(
-                    params, dlon=zonal_km_to_degrees(lag, lat),
-                    total_normalization=total, spatial=not temporal)
-            elif axis == "dlat":
-                corr = correlation_at_lag(
-                    params, dlat=lag / KM_PER_DEG,
-                    total_normalization=total, spatial=not temporal)
-            else:
-                corr = correlation_at_lag(params, dt=lag,
-                                          total_normalization=total)
-            rows.append((lat, lon, corr))
+            rows.append((lat, lon, correlation_at_lag(
+                params, **lag(lat), total_normalization=total,
+                spatial=not temporal)))
         write_grid_csv(os.path.join(cfg.out, f"{name}.csv"), rows)
         outputs.append(f"{name}.csv")
     return outputs, {}

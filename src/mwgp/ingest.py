@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -164,12 +165,16 @@ def csv_rows(lines, start: int = 1):
         raise SchemaError(str(exc), start + reader.line_num - 1) from None
 
 
-def _check_header(row, expected, line_number=1):
-    got = [c.strip() for c in row]
-    if got != expected:
+def _check_header(path, row, *headers):
+    """The one of ``headers`` that ``row``, line 1 of ``path``, matches
+    field by field once stripped; SchemaError at line 1 otherwise (a
+    ``row`` of None is an empty file)."""
+    got = [c.strip() for c in row or ()]
+    if got not in headers:
         raise SchemaError(
-            f"expected header {','.join(expected)}, got {','.join(got)}",
-            line_number)
+            f"{path}: expected header {' or '.join(map(','.join, headers))}, "
+            f"got {','.join(got) or 'nothing'}", 1)
+    return got
 
 
 def _data_rows(rows, n_fields: int, start: int = 2):
@@ -181,6 +186,30 @@ def _data_rows(rows, n_fields: int, start: int = 2):
             raise SchemaError(f"expected {n_fields} fields, got {len(row)}",
                               line_number)
         yield line_number, row
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: the header row, then ``rows``.  A float cell
+    (np.float64 included) is written at FLOAT_FMT, so it reads back bit
+    for bit; None is an empty cell; any other cell is written by str."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([FLOAT_FMT % c if isinstance(c, float) else c
+                          for c in row] for row in rows)
+
+
+@contextmanager
+def read_table(path, *headers):
+    """Read a CSV table whose line 1 is one of ``headers``: the header it
+    matches, and an iterator of (line number, row) over the non-blank
+    rows, each with that header's field count.  Rows are read as they
+    are asked for, so a caller's fault in one comes before a field-count
+    or csv fault of a later row."""
+    with open_text(path) as fh:
+        rows = csv_rows(fh)
+        header = _check_header(path, next(rows, None), *headers)
+        yield header, _data_rows(rows, len(header))
 
 
 def _columns(rows, start: int):
@@ -285,7 +314,7 @@ def parse_profiles(path) -> ProfileTable:
     chunks = [_chunk([], 2)]
     with open_text(path) as fh:
         for header in islice(csv_rows(fh), 1):
-            _check_header(header, PROFILE_HEADER)
+            _check_header(path, header, PROFILE_HEADER)
         chunk_lines = count(2, CHUNK_ROWS)
         while chunks[-1][-1] is None and (
                 text := list(islice(fh, CHUNK_ROWS))):
@@ -324,20 +353,9 @@ def parse_profiles(path) -> ProfileTable:
 
 def write_profiles(records, path) -> None:
     """Serialize profiles in the canonical CSV schema (round-trip exact)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_HEADER)
-        for rec in records:
-            for pressure, value in rec.levels:
-                writer.writerow([
-                    rec.source_id,
-                    FLOAT_FMT % rec.lat,
-                    FLOAT_FMT % rec.lon,
-                    str(rec.year),
-                    FLOAT_FMT % rec.day,
-                    FLOAT_FMT % pressure,
-                    FLOAT_FMT % value,
-                ])
+    write_table(path, PROFILE_HEADER, (
+        (rec.source_id, rec.lat, rec.lon, rec.year, rec.day, pressure, value)
+        for rec in records for pressure, value in rec.levels))
 
 
 def profiles_to_level(table: ProfileTable, level: float) -> list[YearBlock]:
@@ -580,18 +598,14 @@ def subtract_mean(blocks, mean: MeanField, mode: str = "spatio-temporal",
 
 
 def load_mask(path) -> frozenset:
-    """Read the excluded-cell mask CSV into canonical cell keys."""
-    cells = set()
-    with open_text(path) as fh:
-        reader = csv_rows(fh)
-        header = next(reader, None)
-        if header is not None:
-            _check_header(header, MASK_HEADER)
-        for line_number, row in _data_rows(reader, len(MASK_HEADER)):
-            lat = _parse_float(row[0], "lat", line_number)
-            lon = _parse_float(row[1], "lon", line_number)
-            cells.add(cell_key(lat, lon))
-    return frozenset(cells)
+    """Read the excluded-cell mask CSV into canonical cell keys; a
+    zero-byte file masks no cells."""
+    if os.path.getsize(path) == 0:
+        return frozenset()
+    with read_table(path, MASK_HEADER) as (_, rows):
+        return frozenset(cell_key(_parse_float(row[0], "lat", k),
+                                  _parse_float(row[1], "lon", k))
+                         for k, row in rows)
 
 
 def apply_filters(table: ProfileTable, time_window=None, mask=frozenset(),
@@ -618,30 +632,19 @@ def apply_filters(table: ProfileTable, time_window=None, mask=frozenset(),
 def write_mean_field(mean: MeanField, path) -> None:
     """Serialize a mean field in coefficient form."""
     names = coef_names(mean.n_harmonics)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEAN_COEF_HEADER)
-        for (i, j) in sorted(mean.coefs):
-            beta = mean.coefs[(i, j)]
-            lat = mean.grid.lats[i]
-            lon = mean.grid.lons[j]
-            row_names = names if beta.shape[0] > 1 else ["intercept"]
-            for name, value in zip(row_names, beta):
-                writer.writerow([FLOAT_FMT % lat, FLOAT_FMT % lon,
-                                 name, FLOAT_FMT % value])
+    write_table(path, MEAN_COEF_HEADER, (
+        (mean.grid.lats[i], mean.grid.lons[j], name, value)
+        for (i, j), beta in sorted(mean.coefs.items())
+        for name, value in zip(names if beta.shape[0] > 1 else ["intercept"],
+                               beta)))
 
 
 def write_mean_field_gridded(mean: MeanField, path,
                              eval_time: float | None = None) -> None:
     """Serialize the mean evaluated per cell at a fixed time."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEAN_GRID_HEADER)
-        for (i, j) in sorted(mean.coefs):
-            lat = mean.grid.lats[i]
-            lon = mean.grid.lons[j]
-            writer.writerow([FLOAT_FMT % lat, FLOAT_FMT % lon,
-                             FLOAT_FMT % mean.evaluate(i, j, eval_time)])
+    write_table(path, MEAN_GRID_HEADER, (
+        (mean.grid.lats[i], mean.grid.lons[j], mean.evaluate(i, j, eval_time))
+        for (i, j) in sorted(mean.coefs)))
 
 
 def read_mean_field(path) -> MeanField:
@@ -652,28 +655,22 @@ def read_mean_field(path) -> MeanField:
     coordinates (1 for a single row or column, where no step changes
     the nearest cell).  It may differ from the prediction grid.
     """
-    with open_text(path) as fh:
-        rows = list(csv_rows(fh))
-    if not rows:
-        raise SchemaError("empty mean-field file", 1)
-    header = [c.strip() for c in rows[0]]
-    if header not in (MEAN_GRID_HEADER, MEAN_COEF_HEADER):
-        raise SchemaError(
-            f"unrecognized mean-field header {','.join(header)}", 1)
     entries = []  # (line number, lat, lon, coefficient name, value)
     max_harmonic = 0
-    for k, row in _data_rows(rows[1:], len(header)):
-        name = row[2].strip() if header == MEAN_COEF_HEADER else "intercept"
-        if name[:3] in ("sin", "cos"):
-            try:
-                max_harmonic = max(max_harmonic, int(name[3:]))
-            except ValueError:
-                raise SchemaError(f"unknown coefficient {name!r}", k) from None
-        elif name not in SPATIAL_COEF_NAMES:
-            raise SchemaError(f"unknown coefficient {name!r}", k)
-        entries.append((k, _parse_float(row[0], "lat", k),
-                        _parse_float(row[1], "lon", k), name,
-                        _parse_float(row[-1], header[-1], k)))
+    with read_table(path, MEAN_GRID_HEADER, MEAN_COEF_HEADER) as (header, rows):
+        for k, row in rows:
+            name = row[2].strip() if header == MEAN_COEF_HEADER else "intercept"
+            if name[:3] in ("sin", "cos"):
+                try:
+                    max_harmonic = max(max_harmonic, int(name[3:]))
+                except ValueError:
+                    raise SchemaError(f"unknown coefficient {name!r}",
+                                      k) from None
+            elif name not in SPATIAL_COEF_NAMES:
+                raise SchemaError(f"unknown coefficient {name!r}", k)
+            entries.append((k, _parse_float(row[0], "lat", k),
+                            _parse_float(row[1], "lon", k), name,
+                            _parse_float(row[-1], header[-1], k)))
     if not entries:
         raise SchemaError("mean-field file has no cells")
     lats = sorted({e[1] for e in entries})

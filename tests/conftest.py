@@ -718,7 +718,7 @@ def parse_profiles_rows(path) -> list[ProfileRecord]:
         header = next(reader, None)
         if header is None:
             return records
-        _check_header(header, PROFILE_HEADER)
+        _check_header(path, header, PROFILE_HEADER)
         for line_number, row in _data_rows(reader, len(PROFILE_HEADER)):
             sid = row[0].strip()
             if not sid:

@@ -2,6 +2,7 @@
 layering, the simulate/mean/map/cv/calibrate/lagmaps pipeline, file
 formats, manifests, and error exits."""
 
+import dataclasses
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import mwgp
 from mwgp.cli import (
     CV_HEADER,
     RunConfig,
+    _coerce,
     build_config,
     config_hash,
     main,
@@ -29,8 +31,14 @@ from mwgp.cli import (
     write_grid_csv,
 )
 from mwgp.covariance import CovParams
-from mwgp.errors import InputError
-from mwgp.ingest import MEAN_COEF_HEADER, MEAN_GRID_HEADER, parse_profiles
+from mwgp.errors import InputError, SchemaError
+from mwgp.ingest import (
+    MEAN_COEF_HEADER,
+    MEAN_GRID_HEADER,
+    load_mask,
+    parse_profiles,
+    read_mean_field,
+)
 from mwgp.windows import (
     GridSpec,
     _blas_thread_controls,
@@ -83,7 +91,50 @@ def pipeline(tmp_path_factory):
             "map": map_out, "cv": cv, "cal": cal, "lag": lag}
 
 
+ERR = "InputError"
+# _coerce's value for a literal, then for "", " ", "none" and "NONE"
+FLOAT = ("2.5", 2.5, ERR, ERR, ERR, ERR)
+INT = ("3", 3, ERR, ERR, ERR, ERR)
+STR = ("lofo", "lofo", "", "", "none", "NONE")
+BOOL = ("Yes", True, ERR, ERR, ERR, ERR)
+OPTIONAL_FLOAT = ("2.5", 2.5, None, None, None, None)
+OPTIONAL_INT = ("3", 3, None, None, None, None)
+OPTIONAL_STR = ("x.csv", "x.csv", None, None, "none", "NONE")
+COERCED = {
+    "pressure": FLOAT, "variant": INT, "profiles": OPTIONAL_STR,
+    "mean": OPTIONAL_STR, "mask": OPTIONAL_STR, "out": STR,
+    "records": OPTIONAL_STR, "params_dir": OPTIONAL_STR,
+    "lat_min": FLOAT, "lat_max": FLOAT, "lon_min": FLOAT, "lon_max": FLOAT,
+    "lat_step": FLOAT, "lon_step": FLOAT, "eval_time": FLOAT, "eval_year": INT,
+    "x_win": FLOAT, "t_win": OPTIONAL_FLOAT, "min_obs": INT,
+    "day_min": OPTIONAL_FLOAT, "day_max": OPTIONAL_FLOAT, "alpha": FLOAT,
+    "levels": STR, "n_neighbors": INT, "weight_scale_km": FLOAT,
+    "n_harmonics": INT, "scheme": STR, "cv_day_min": OPTIONAL_FLOAT,
+    "cv_day_max": OPTIONAL_FLOAT, "radius_steps": FLOAT,
+    "baseline_variant": INT, "lag_zonal_km": FLOAT,
+    "lag_meridional_km": FLOAT, "lag_days": FLOAT, "lag_normalization": STR,
+    "sim_m": INT, "sim_years": INT, "sim_floats": INT,
+    "sim_profiles_per_float": INT, "sim_phi": FLOAT, "sim_theta_lat": FLOAT,
+    "sim_theta_lon": FLOAT, "sim_theta_t": FLOAT, "sim_sigma2": FLOAT,
+    "sim_nu": FLOAT, "sim_lat_min": FLOAT, "sim_lat_max": FLOAT,
+    "sim_lon_min": FLOAT, "sim_lon_max": FLOAT, "sim_day_min": FLOAT,
+    "sim_day_max": FLOAT, "sim_start_year": INT, "seed": INT,
+    "threads": OPTIONAL_INT, "fallback_nearest": BOOL, "write_binary": BOOL,
+}
+
+
 class TestConfigLayering:
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_each_key_coerces_by_its_annotation(self, key):
+        literal, *want = COERCED[key]
+        for raw, value in zip((literal, "", " ", "none", "NONE"), want):
+            if value == ERR:
+                with pytest.raises(InputError, match=f"config key {key}: "):
+                    _coerce(key, raw)
+            else:
+                got = _coerce(key, raw)
+                assert (got, type(got)) == (value, type(value)), raw
+
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.variant == 5
@@ -248,6 +299,33 @@ class TestGridFileIO:
         with pytest.raises(InputError):
             read_grid_csv(path)
 
+    READERS = [read_grid_csv, read_cv_records, load_mask, read_mean_field,
+               parse_profiles]
+
+    @pytest.mark.parametrize("read", READERS, ids=lambda f: f.__name__)
+    def test_wrong_header_is_a_schema_error_naming_the_file(self, tmp_path,
+                                                             read):
+        path = tmp_path / "wrong_header.csv"
+        path.write_text("a,b\n1,2\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            read(path)
+        assert err.value.line_number == 1
+        assert str(path) in str(err.value)
+        assert "got a,b" in str(err.value)
+
+    @pytest.mark.parametrize("read", READERS, ids=lambda f: f.__name__)
+    def test_each_reader_keeps_its_empty_file_rule(self, tmp_path, read):
+        # An empty mask masks nothing and an empty profile file holds no
+        # profiles; an empty grid, record or mean file is an error.
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        if read in (load_mask, parse_profiles):
+            assert len(read(path)) == 0
+        else:
+            with pytest.raises(SchemaError, match="got nothing") as err:
+                read(path)
+            assert err.value.line_number == 1
+
     def test_binary_dump_with_nan_holes(self, tmp_path):
         grid = GridSpec(0.0, 1.0, 0.0, 2.0)
         path = tmp_path / "field.bin"
@@ -285,6 +363,21 @@ class TestSimulate:
             assert len(r.levels) == 1
             assert r.levels[0][0] == 300.0
             assert -8.0 <= r.lat <= 8.0
+
+    @pytest.mark.parametrize("settings,key", [
+        (["sim_m=-5"], "sim_m"), (["sim_m=0"], "sim_m"),
+        (["sim_floats=3", "sim_profiles_per_float=-1"], "sim_profiles_per_float"),
+        (["sim_floats=3", "sim_profiles_per_float=0"], "sim_profiles_per_float"),
+        (["sim_floats=3", "sim_years=-2"], "sim_years"),
+        (["sim_floats=-2"], "sim_floats"),
+    ])
+    def test_nonsense_counts_rejected_naming_key(self, tmp_path, capsys,
+                                                 settings, key):
+        # In-process, so an uncaught exception (a traceback) fails the test.
+        sets = [a for s in settings for a in ("--set", s)]
+        assert run_cli("simulate", "--out", tmp_path / "sim", *sets) == 1
+        assert f"{key} must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
     def test_zero_years_writes_header_only(self, tmp_path):
         out = tmp_path / "sim"

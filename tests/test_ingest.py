@@ -36,10 +36,12 @@ from mwgp.ingest import (
     parse_profiles,
     profiles_to_level,
     read_mean_field,
+    read_table,
     subtract_mean,
     write_mean_field,
     write_mean_field_gridded,
     write_profiles,
+    write_table,
 )
 from mwgp.covariance import SpaceTimePoint, rg_distances
 from mwgp.windows import (
@@ -111,6 +113,47 @@ class TestProfileRecord:
         table = profile_table([make_profile()])
         np.testing.assert_array_equal(table.pressure, [290.0, 310.0])
         np.testing.assert_array_equal(table.value, [10.0, 9.0])
+
+
+class TestTableFiles:
+    FLOATS = [0.1, 1.0 / 3.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+              1.7976931348623157e308, np.float64(math.pi), np.float64(-0.0),
+              np.float64(-math.inf), np.float64(math.nan)]
+
+    def test_floats_round_trip_bit_for_bit(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["k", "x"], [(k, x) for k, x in enumerate(self.FLOATS)])
+        with read_table(path, ["k", "x"]) as (header, rows):
+            rows = list(rows)
+        assert header == ["k", "x"]
+        assert [(k, int(row[0])) for k, row in rows] == [
+            (k + 2, k) for k in range(len(self.FLOATS))]
+        back = np.array([float(row[1]) for _, row in rows])
+        assert back.tobytes() == np.array(self.FLOATS).tobytes()
+
+    def test_none_is_an_empty_cell_and_other_cells_are_str(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b", "c", "d", "e"],
+                    [(None, 7, np.int64(-3), "f 1", 2.5), ("x", None, 0, "", None)])
+        assert path.read_bytes() == b"a,b,c,d,e\r\n,7,-3,f 1,2.5\r\nx,,0,,\r\n"
+
+    def test_header_is_one_of_several(self, tmp_path):
+        path = write_lines(tmp_path / "t.csv", [" b , a ", "", "1,2", "3,4"])
+        with read_table(path, ["a", "b"], ["b", "a"]) as (header, rows):
+            assert header == ["b", "a"]
+            assert list(rows) == [(3, ["1", "2"]), (4, ["3", "4"])]
+        with pytest.raises(SchemaError, match="expected header a or a,b, got b,a"):
+            with read_table(path, ["a"], ["a", "b"]):
+                pass
+
+    def test_rows_are_read_as_they_are_asked_for(self, tmp_path):
+        # The caller's fault in row 2 comes before the field count of row 3.
+        path = write_lines(tmp_path / "t.csv", ["a,b", "1,x", "1,2,3"])
+        with pytest.raises(SchemaError, match="field b") as err:
+            with read_table(path, ["a", "b"]) as (_, rows):
+                for k, row in rows:
+                    ingest._parse_float(row[1], "b", k)
+        assert err.value.line_number == 2
 
 
 class TestProfileRoundTrip:
