@@ -21,9 +21,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy
-from scipy import linalg as sla
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.special import ndtri
 
 from .covariance import (
     CovParams,
@@ -42,6 +39,120 @@ from .errors import (
 
 LOG_2PI = math.log(2.0 * math.pi)
 PENALTY = 1e12  # objective at points whose exp transform over- or underflows
+
+
+def _scipy_ext(package: str, name: str):
+    """scipy's compiled module ``scipy.<package>.<name>``, without its package.
+
+    Each package's ``__init__`` imports ``scipy._lib._array_api``, which
+    pulls in numpy.f2py, numpy.testing, numpy.ma and more: about half of
+    a process's start-up.  The compiled cores used here (LAPACK, the
+    special-function ufuncs, L-BFGS-B) need none of it.  The module is
+    found in the package's directory and registered under its real
+    name, so a later import of the package reuses it.
+    """
+    full = f"scipy.{package}.{name}"
+    if full not in sys.modules:
+        where = os.path.join(scipy.__path__[0], package)
+        spec = importlib.machinery.PathFinder.find_spec(full, [where])
+        if spec is None:
+            raise ImportError(f"scipy's compiled {name} is not in {where}", name=full)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full] = module
+    return sys.modules[full]
+
+
+_flapack = _scipy_ext("linalg", "_flapack")
+dpotrf, dpotri, dpotrs, dtrtrs = (_flapack.dpotrf, _flapack.dpotri,
+                                  _flapack.dpotrs, _flapack.dtrtrs)
+
+
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor with a zeroed upper triangle, the LAPACK call
+    of ``scipy.linalg.cholesky``; LinAlgError where ``a`` is not positive
+    definite."""
+    L, info = dpotrf(a, lower=1, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return L
+
+
+# Cephes' ndtri (S. L. Moshier): the rational approximations of the normal
+# quantile for |p - 1/2| <= 1/2 - exp(-2), then in z = 1/sqrt(-2 log p) for
+# z above 1/8 and below it.  Each list runs from the leading coefficient;
+# a Q list's monic leading 1 is implied.
+_NDTRI_EXPM2 = 0.13533528323661269189  # exp(-2)
+_NDTRI_S2PI = 2.50662827463100050242   # sqrt(2 pi)
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _ratio(x: float, p, q) -> float:
+    """x p(x) / q(x), q monic, in Cephes' order: Horner's rule for each
+    polynomial (polevl, p1evl), then x p(x), then the quotient."""
+    num, den = p[0], x + q[0]
+    for c in p[1:]:
+        num = num * x + c
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def _ndtri(p: float) -> float:
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    if p < 0.0 or p > 1.0:
+        return math.nan
+    upper = p > 1.0 - _NDTRI_EXPM2
+    y = 1.0 - p if upper else p
+    if y > _NDTRI_EXPM2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * _ratio(y2, _NDTRI_P0, _NDTRI_Q0)) * _NDTRI_S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    coef = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - _ratio(z, *coef)
+    return x if upper else -x
+
+
+def ndtri(p):
+    """Standard normal quantile, to the bit ``scipy.special.ndtri``.
+
+    A float for a scalar ``p``, else an array of its shape; -inf at 0,
+    inf at 1 and nan outside [0, 1].
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        return _ndtri(float(p))
+    return np.fromiter(map(_ndtri, p.ravel().tolist()), float, p.size).reshape(p.shape)
 
 
 @dataclass
@@ -151,11 +262,18 @@ def chol_spd(mat: np.ndarray, scale: float,
 
 
 def _spd_inverse(L: np.ndarray) -> np.ndarray:
-    """Full symmetric inverse from a lower Cholesky factor."""
+    """Full symmetric inverse from a lower Cholesky factor.
+
+    dpotri leaves the upper triangle as it was, so it is overwritten from
+    the lower one in place: the result stays in dpotri's Fortran order,
+    which the products of ``holdout_predictions`` round by.
+    """
     inv, info = dpotri(L, lower=1)
     if info != 0:
         raise FactorizationError(f"dpotri failed with info={info}")
-    return inv + np.tril(inv, -1).T
+    upper = np.triu_indices_from(inv, 1)
+    inv[upper] = inv.T[upper]
+    return inv
 
 
 class _Prepared:
@@ -211,6 +329,17 @@ def _lag_kernel(prepared: _Prepared, inv2: np.ndarray):
     return D, np.exp(-D)
 
 
+def _range_grad(prepared: _Prepared, WE: np.ndarray, D: np.ndarray,
+                inv2: np.ndarray) -> np.ndarray:
+    """Gradient wrt log theta_k of sum_ij G_ij E_ij, G held fixed.
+
+    ``WE`` holds (G_ij + G_ji) E_ij on the packed pairs and is
+    overwritten; the gradient is theta_k^-2 lag_k.(WE / D).
+    """
+    np.divide(WE, D, out=WE, where=D > 0.0)
+    return inv2 * (prepared.lags @ WE)
+
+
 def _kernel_grad(prepared: _Prepared, W: np.ndarray, D: np.ndarray,
                  E: np.ndarray, inv2: np.ndarray, phi: float, diag: float):
     """Gradient wrt (log phi, log theta_k) of sum_ij G_ij K_ij, G held fixed.
@@ -222,8 +351,7 @@ def _kernel_grad(prepared: _Prepared, W: np.ndarray, D: np.ndarray,
     """
     W *= E
     g_phi = phi * (float(np.sum(W)) + diag)
-    np.divide(W, D, out=W, where=D > 0.0)
-    return g_phi, phi * (inv2 * (prepared.lags @ W))  # phi * inv2 alone may overflow
+    return g_phi, phi * _range_grad(prepared, W, D, inv2)  # phi * inv2 alone may overflow
 
 
 def _nll(z: np.ndarray, prepared: _Prepared, want_grad: bool):
@@ -266,36 +394,14 @@ def _nll(z: np.ndarray, prepared: _Prepared, want_grad: bool):
     if not want_grad:
         return f
     W = alpha[prepared.rows] * (alpha / phi)[prepared.cols] - sigma[prepared.flat]
-    diag = 0.5 * (float(alpha @ alpha) / phi - trace)
+    W *= E
     g = np.empty(z.size)
-    g[:-1] = _kernel_grad(prepared, W, D, E, inv2, 1.0, diag)[1]
-    g[-1] = tau * diag
+    g[:-1] = _range_grad(prepared, W, D, inv2)
+    g[-1] = tau * (0.5 * (float(alpha @ alpha) / phi - trace))
     return f, np.negative(g, out=g)
 
 
-def _load_setulb():
-    """scipy's compiled L-BFGS-B core, loaded without ``scipy.optimize``.
-
-    The package's ``__init__`` (linprog, shgo, sparse, ...) would add
-    about 0.1 s and 17 MB to every process that imports this module,
-    and the core needs none of it.  The module is found in scipy's
-    ``optimize`` directory and registered under its own name, so a later
-    ``import scipy.optimize`` reuses it.
-    """
-    name = "scipy.optimize._lbfgsb"
-    if name not in sys.modules:
-        where = os.path.join(scipy.__path__[0], "optimize")
-        spec = importlib.machinery.PathFinder.find_spec(name, [where])
-        if spec is None:
-            raise ImportError(f"scipy's L-BFGS-B core _lbfgsb is not in {where}",
-                              name=name)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return sys.modules[name].setulb
-
-
-setulb = _load_setulb()
+setulb = _scipy_ext("optimize", "_lbfgsb").setulb
 # scipy.optimize._lbfgsb_py's tables for setulb's task codes.
 STATUS_MESSAGES = {0: "START", 1: "NEW_X", 2: "RESTART", 3: "FG",
                    4: "CONVERGENCE", 5: "STOP", 6: "WARNING", 7: "ERROR",
@@ -484,8 +590,8 @@ def predict_gaussian(Sigma: np.ndarray, y: np.ndarray, k_star: np.ndarray,
     """
     sill, prior, scale = units
     L = chol_spd(Sigma, sill, year_index)
-    alpha = sla.cho_solve((L, True), y, check_finite=False)
-    w = sla.solve_triangular(L, k_star, lower=True, check_finite=False)
+    alpha = dpotrs(L, y, lower=1)[0]
+    w = dtrtrs(L, k_star, lower=1)[0]
     return GaussianPredictive(float(k_star @ alpha),
                               scale * min(max(prior - float(w @ w), 0.0), prior))
 
@@ -501,7 +607,7 @@ def holdout_predictions(Sigma: np.ndarray, y: np.ndarray, K_star: np.ndarray,
     and the variance prior_var - k'Pk + (Pk)_R' P_RR^-1 (Pk)_R, clamped
     into [0, prior_var].  LinAlgError when Sigma's plain Cholesky fails.
     """
-    P = _spd_inverse(sla.cholesky(Sigma, lower=True, check_finite=False))
+    P = _spd_inverse(cholesky(Sigma))
     K_star = K_star.copy()
     for f, rem in enumerate(removals):
         K_star[f, rem] = 0.0
@@ -525,12 +631,13 @@ def holdout_predictions(Sigma: np.ndarray, y: np.ndarray, K_star: np.ndarray,
 def gaussian_interval(pred: GaussianPredictive, alpha):
     """Central (1 - alpha) predictive interval.
 
-    ``alpha`` may be an array; the bounds are then arrays of its shape.
+    ``alpha`` may be an array, and so may the law's mean and variance;
+    the bounds then broadcast to their shapes.
     """
     a = np.asarray(alpha, dtype=float)
     if not np.all((a > 0.0) & (a < 1.0)):
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    half = ndtri(1.0 - a / 2.0) * math.sqrt(max(pred.variance, 0.0))
-    if a.ndim == 0:
+    half = ndtri(1.0 - a / 2.0) * np.sqrt(np.maximum(pred.variance, 0.0))
+    if half.ndim == 0:
         half = float(half)
     return pred.mean - half, pred.mean + half

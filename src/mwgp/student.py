@@ -40,9 +40,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.lapack import dgetrf
-from scipy.special import digamma, ndtr, ndtri, polygamma, stdtrit
 
 from .covariance import CovParams, cov_matrix, cross_cov_vector
 from .errors import InputError, InvalidParameterError, ModeFindingError
@@ -57,13 +54,25 @@ from .gaussian import (
     _kernel_grad,
     _lag_kernel,
     _Prepared,
+    _scipy_ext,
     lbfgsb,
     check_window,
     chol_spd,
+    cholesky,
     default_init,
+    dpotrs,
+    dtrtrs,
     fit_mle_gaussian,
+    ndtri,
     pooled_window_variance,
 )
+
+_flapack = _scipy_ext("linalg", "_flapack")
+dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
+_ufuncs = _scipy_ext("special", "_special_ufuncs")
+# scipy.special's digamma and ndtr are these ufuncs, and its
+# polygamma(1, x) is zeta(2, x), the Hurwitz zeta function
+digamma, ndtr, _zeta = _ufuncs.psi, _ufuncs.ndtr, _ufuncs._zeta
 
 MODE_MAX_ITER = 60
 NEWTON_DECREMENT_TOL = 1e-13  # mode search stops at lambda^2 <= this * (1 + |Psi|)
@@ -201,9 +210,9 @@ def _newton(y: np.ndarray, K: np.ndarray, sigma: float, nu: float,
         w = np.maximum(_t_w_raw(y - f, sigma, nu), 0.0)
         sw = np.sqrt(w)
         B = np.eye(y.size) + sw[:, None] * K * sw[None, :]
-        LB = sla.cholesky(B, lower=True, check_finite=False)
+        LB = cholesky(B)
         b = w * f + g
-        c = sla.cho_solve((LB, True), sw * (K @ b), check_finite=False)
+        c = dpotrs(LB, sw * (K @ b), lower=1)[0]
         a_new = b - sw * c
         f_new = K @ a_new
         df, da = f_new - f, a_new - a
@@ -249,7 +258,7 @@ def find_mode(block: YearBlock, params: StudentParams,
     ratio = nu / (nu - 2.0) if nu > 2.2 else 10.0
     s2 = cov.sigma2 * ratio
     L = chol_spd(K + s2 * np.eye(m), cov.phi, block.year)
-    a_gauss = sla.cho_solve((L, True), y, check_finite=False)
+    a_gauss = dpotrs(L, y, lower=1)[0]
     f, a, psi, gn, it, ok = _newton(y, K, sigma, nu, K @ a_gauss, a_gauss)
     diags = {"grad_norm": gn, "psi": psi, "iterations": it}
     if not ok:
@@ -264,8 +273,8 @@ def find_mode(block: YearBlock, params: StudentParams,
         # Floored steps converge only linearly where W_raw < 0; one exact
         # Newton step, (df, da) = (A^-1 K grad, A^-T grad), finishes.
         grad = _t_grad(y - f, sigma, nu) - a
-        f_new = f + sla.lu_solve((lu, piv), K @ grad, check_finite=False)
-        a_new = a + sla.lu_solve((lu, piv), grad, trans=1, check_finite=False)
+        f_new = f + dgetrs(lu, piv, K @ grad)[0]
+        a_new = a + dgetrs(lu, piv, grad, trans=1)[0]
         psi_new = _t_loglik(y - f_new, sigma, nu) - 0.5 * float(f_new @ a_new)
         if psi_new < psi:
             break
@@ -312,10 +321,10 @@ def _laplace(blocks, prepared: _Prepared, params: StudentParams, want_grad: bool
         a, w = state.a, state.w_raw
         r = block.values - state.f_hat
         den = s + r * r
-        C = sla.lu_solve(state.lu, K, check_finite=False)
+        C = dgetrs(*state.lu, K)[0]
         dC = np.diag(C)
         s2 = dC * (nu + 1.0) * r * (r * r - 3.0 * s) / den ** 3
-        u = sla.lu_solve(state.lu, s2, trans=1, check_finite=False)
+        u = dgetrs(*state.lu, s2, trans=1)[0]
         M = np.outer(a, 0.5 * a + u) + 0.5 * (w[:, None] * C * w[None, :] - np.diag(w))
         W[pairs] = M[rows, cols] + M[cols, rows]
         diag += float(np.trace(M))
@@ -379,7 +388,7 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
         try:
             value, grad = _laplace(blocks, prepared,
                                    _decode_student(x, init.cov, spatial), True)
-        except (ModeFindingError, sla.LinAlgError):
+        except (ModeFindingError, np.linalg.LinAlgError):
             failures[0] += 1
             return PENALTY, np.zeros_like(x)
         return -value, -grad
@@ -419,8 +428,8 @@ def predict_student(target, block: YearBlock, params: StudentParams,
     f_mean = float(k_star @ state.a)
     sw = np.sqrt(state.w)
     B = np.eye(block.m) + sw[:, None] * K * sw[None, :]
-    LB = sla.cholesky(B, lower=True, check_finite=False)
-    v = sla.solve_triangular(LB, sw * k_star, lower=True, check_finite=False)
+    LB = cholesky(B)
+    v = dtrtrs(LB, sw * k_star, lower=1)[0]
     f_var = cov.phi - float(v @ v)
     f_var = min(max(f_var, 0.0), cov.phi)
     return StudentPredictive(f_mean, f_var, math.sqrt(cov.sigma2), params.nu)
@@ -436,7 +445,7 @@ def _scale_mixture(pred: StudentPredictive) -> tuple[np.ndarray, np.ndarray]:
     """
     k = 0.5 * pred.dof
     v = LAW_SPAN[0] + LAW_STEP * np.arange(round(np.ptp(LAW_SPAN) / LAW_STEP) + 1)
-    u = digamma(k) - math.log(k) + math.sqrt(polygamma(1, k)) * v
+    u = digamma(k) - math.log(k) + math.sqrt(_zeta(2.0, k)) * v
     log_w = -k * (np.expm1(u) - u)  # u - e^u + 1, no cancellation as u -> 0
     w = np.exp(log_w - log_w.max())
     return np.sqrt(pred.f_var + pred.scale ** 2 * np.exp(-u)), w / w.sum()
@@ -454,16 +463,19 @@ def student_interval(pred: StudentPredictive, alpha):
     ``alpha`` may be an array; the bounds are then arrays of its shape.
     The half-width h solves P(Y - f_mean <= -h) = alpha/2 by Newton
     steps on all levels at once.  They start from the lower bound
-    max(sd z(1 - alpha), s t(1 - alpha), 0) (P(|X + Y| > c) >= P(|X| > c)/2
-    for independent symmetric X, Y) and, the tail mass being convex in
-    h, rise monotonically to the root without overshooting.
+    max(sd z, s z, 0), z = z(1 - alpha) the normal quantile: P(|X + Y| > c)
+    >= P(|X| > c)/2 for independent symmetric X, Y, and the t quantile
+    t(1 - alpha) is at least z, a t variable being a scale mixture
+    Z/sqrt(G) with Phi(x sqrt(g)) concave in g.  The tail mass being
+    convex in h, the steps rise monotonically to the root without
+    overshooting.
     """
     a = np.asarray(alpha, dtype=float)
     if not np.all((a > 0.0) & (a < 1.0)):
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
     tau, w = _scale_mixture(pred)
-    h = np.maximum(np.maximum(math.sqrt(pred.f_var) * ndtri(1.0 - a),
-                              pred.scale * stdtrit(pred.dof, 1.0 - a)), 0.0)
+    z = ndtri(1.0 - a)
+    h = np.maximum(np.maximum(math.sqrt(pred.f_var) * z, pred.scale * z), 0.0)
     for _ in range(HALF_WIDTH_MAX_ITER):
         r = h[..., None] / tau
         gap = a / 2.0 - np.sum(w * ndtr(-r), axis=-1)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .covariance import CovParams, SpaceTimePoint, as_point_array, cov_matrix, wrap_dlon
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     InputError,
     InvalidParameterError,
 )
-from .gaussian import YearBlock
+from .gaussian import YearBlock, ndtri
 from .student import StudentParams
 from .windows import (
     GridField,
@@ -296,7 +295,7 @@ def calibration(cv: CVResult, levels=DEFAULT_LEVELS) -> CalibrationReport:
 
     Every record is scored through its variant's model family: the
     family's normal score, which flags degenerate predictions, and its
-    central interval at every level, the interval the map reports.  A
+    central intervals at every level, the intervals the map reports.  A
     record is covered where lower <= truth <= upper, and the interval's
     length is upper - lower.
     """
@@ -310,12 +309,11 @@ def calibration(cv: CVResult, levels=DEFAULT_LEVELS) -> CalibrationReport:
     alphas = 1.0 - np.array(levels)
     truth = np.array([rec.truth for rec in cv.records])
     residuals = np.empty(truth.size)
-    lower, upper = np.empty((2, len(levels), truth.size))
     n_flagged = 0
     for k, rec in enumerate(cv.records):
         residuals[k], flagged = family.normal_score(rec.pred, rec.truth)
         n_flagged += flagged
-        lower[:, k], upper[:, k] = family.interval(rec.pred, alphas)
+    lower, upper = family.intervals([rec.pred for rec in cv.records], alphas)
     covered = (lower <= truth) & (truth <= upper)
     lengths = upper - lower
     finite = residuals[np.isfinite(residuals)]

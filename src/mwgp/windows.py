@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .covariance import (
     KM_PER_DEG,
@@ -50,6 +49,7 @@ from .gaussian import (
     gaussian_interval,
     gaussian_system,
     holdout_predictions,
+    ndtri,
     pooled_window_variance,
     predict_gaussian,
 )
@@ -346,6 +346,14 @@ class ModelFamily:
         """Central (1 - alpha) predictive interval; ``alpha`` may be an array."""
         return gaussian_interval(pred, alpha)
 
+    def intervals(self, preds, alpha):
+        """Lower and upper bounds of every law in ``preds`` at every level of
+        the array ``alpha``, each (alpha.size, len(preds)): one interval call
+        on the stacked means and variances."""
+        law = GaussianPredictive(np.array([p.mean for p in preds]),
+                                 np.array([p.variance for p in preds]))
+        return gaussian_interval(law, np.asarray(alpha)[:, None])
+
     def normal_score(self, pred, truth: float) -> tuple[float, bool]:
         """Standard-normal score of an observed value, and whether it is
         flagged: the standardized error.  A zero-variance prediction is
@@ -485,10 +493,15 @@ class StudentFamily(ModelFamily):
     def interval(self, pred, alpha):
         return student_interval(pred, alpha)
 
+    def intervals(self, preds, alpha):
+        """One interval call per law: each has a quadrature rule of its own."""
+        bounds = np.array([student_interval(p, alpha) for p in preds])
+        return bounds[:, 0].T, bounds[:, 1].T
+
     def normal_score(self, pred, truth: float) -> tuple[float, bool]:
         """The exact probability integral transform through the normal
         quantile function; flagged where it rounds to 0 or 1."""
-        z = float(ndtri(student_cdf(pred, truth)))
+        z = ndtri(student_cdf(pred, truth))
         return z, not math.isfinite(z)
 
     def variance_ratio(self, pred, params) -> float:

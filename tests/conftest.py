@@ -16,7 +16,7 @@ import pytest
 from scipy import linalg as sla
 from scipy import optimize, stats
 from scipy.linalg.lapack import dpotri, dpotrs
-from scipy.special import stdtrit
+from scipy.special import ndtr, ndtri, stdtrit
 
 from mwgp.covariance import (
     KM_PER_DEG,
@@ -66,7 +66,14 @@ from mwgp.ingest import (
     _parse_int,
     csv_rows,
 )
-from mwgp.student import StudentParams, StudentPredictive, _laplace
+from mwgp.student import (
+    HALF_WIDTH_MAX_ITER,
+    HALF_WIDTH_RTOL,
+    StudentParams,
+    StudentPredictive,
+    _laplace,
+    _scale_mixture,
+)
 from mwgp.validation import (
     CVRecord,
     CVResult,
@@ -639,6 +646,28 @@ def run_cv_per_fold(data, grid, field_, variant, spec, scheme="looo",
                 year_pos, obs_index, o.year, o.source_id, o.lat, o.lon,
                 o.day, o.value, pred, variant.id, (cell.i, cell.j)))
     return result
+
+
+def stdtrit_half_width(pred: StudentPredictive, alpha) -> np.ndarray:
+    """Half-widths of the central (1 - alpha) intervals, Newton started
+    from max(sd z(1 - alpha), s t(1 - alpha), 0) with scipy's t quantile.
+
+    The oracle for the library's normal-quantile start: the same rule and
+    steps, a start nearer the root.
+    """
+    a = np.asarray(alpha, dtype=float)
+    tau, w = _scale_mixture(pred)
+    h = np.maximum(np.maximum(math.sqrt(pred.f_var) * ndtri(1.0 - a),
+                              pred.scale * stdtrit(pred.dof, 1.0 - a)), 0.0)
+    for _ in range(HALF_WIDTH_MAX_ITER):
+        r = h[..., None] / tau
+        gap = a / 2.0 - np.sum(w * ndtr(-r), axis=-1)
+        dens = np.sum(w * np.exp(-0.5 * r * r) / tau, axis=-1) / math.sqrt(2.0 * math.pi)
+        step = gap / dens
+        h = h - step
+        if np.all(np.abs(step) <= HALF_WIDTH_RTOL * h):
+            break
+    return h
 
 
 def deviation_sample(pred: StudentPredictive, n_samples: int,

@@ -822,19 +822,23 @@ class TestLagmapsCommand:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a third of a second per interpreter and the
-    # package needs only two of its quantile functions, which come from
-    # scipy.special.  This process already imported scipy.stats (the
-    # test oracles use it), so the check runs in a fresh interpreter.
+    # scipy.stats costs about a third of a second per interpreter, and
+    # every scipy package imports scipy._lib._array_api, which pulls in
+    # numpy.f2py and more: about half of the rest.  The package loads
+    # the compiled cores it needs without them.  This process already
+    # imported them all (the test oracles use them), so the check runs
+    # in a fresh interpreter.
     src = os.path.dirname(os.path.dirname(mwgp.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    unloaded = ["scipy.stats", "scipy._lib._array_api", "scipy.linalg",
+                "scipy.special", "scipy.optimize", "numpy.f2py"]
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mwgp.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, mwgp.cli; print([m in sys.modules for m in {unloaded!r}])"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == repr([False] * len(unloaded))
 
 
 def test_synthetic_pipeline_script_runs_every_stage(tmp_path):

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
+from scipy import linalg as sla
+from scipy import special
 from scipy.optimize import _lbfgsb_py
 
 from mwgp.covariance import CovParams, SpaceTimePoint
@@ -33,12 +35,17 @@ from mwgp.gaussian import (
     _encode,
     _nll,
     _Prepared,
-    _load_setulb,
+    _scipy_ext,
+    _spd_inverse,
     chol_spd,
+    cholesky,
     default_init,
+    dpotrs,
+    dtrtrs,
     fit_mle_gaussian,
     gaussian_interval,
     lbfgsb,
+    ndtri,
 )
 from mwgp.validation import simulate_field
 from mwgp.windows import GaussianFamily
@@ -406,28 +413,49 @@ class TestLbfgsb:
             assert f < PENALTY
 
 
-# Fits and a tiny map in a fresh interpreter; argv[1] == "optimize-first"
-# imports scipy.optimize before the package.  Prints each fit's repr
-# (exact for floats), the map's prediction digest, whether scipy.optimize
-# ended up loaded, and whether scipy.optimize, imported last, drives the
-# package's L-BFGS-B core.
+# Fits, predictions, intervals and a tiny map in a fresh interpreter.
+# argv[1] imports scipy's linalg, special and optimize packages "first"
+# (before the package), "after" it (before any fit), or "never".
+# Prints each result's repr (exact for floats), the map's prediction
+# digest, whether the three packages ended up loaded, and, with them
+# imported last, whether each drives the compiled module the package
+# loaded.
 LOADER_SCRIPT = """
 import hashlib, pathlib, sys, tempfile
-if sys.argv[1] == "optimize-first":
-    import scipy.optimize
+PACKAGES = ("scipy.linalg", "scipy.special", "scipy.optimize")
+def import_packages():
+    import scipy.linalg, scipy.optimize, scipy.special
+if sys.argv[1] == "first":
+    import_packages()
 import numpy as np
 from mwgp.cli import main
-from mwgp.covariance import CovParams
-from mwgp.gaussian import fit_mle_gaussian
-from mwgp.student import fit_mle_student
-from mwgp.validation import simulate_field
+from mwgp.covariance import CovParams, SpaceTimePoint
+from mwgp.gaussian import (GaussianPredictive, fit_mle_gaussian,
+                           gaussian_interval, holdout_predictions,
+                           predict_gaussian, gaussian_system)
+from mwgp.student import fit_mle_student, predict_student, student_interval
+from mwgp.validation import DEFAULT_LEVELS, simulate_field
+if sys.argv[1] == "after":
+    import_packages()
 
 rng = np.random.default_rng(5)
 locs = np.column_stack([rng.uniform(-6, 6, 40), rng.uniform(-6, 6, 40),
                         rng.uniform(0, 60, 40)])
 blocks = simulate_field(CovParams(1.0, 3.0, 5.0, 5.0, 0.3), locs, 2, 5)
-print(repr(fit_mle_gaussian(blocks)))
-print(repr(fit_mle_student(blocks)))
+alphas = 1.0 - np.array(DEFAULT_LEVELS)
+gfit, _ = fit_mle_gaussian(blocks)
+sfit, _ = fit_mle_student(blocks)
+target = SpaceTimePoint(0.5, -0.5, 30.0)
+Sigma, K_star = gaussian_system([target], blocks[0], gfit)
+gpred = predict_gaussian(Sigma, blocks[0].values, K_star[0],
+                         (gfit.phi, gfit.phi + gfit.sigma2, 1.0))
+spred = predict_student(target, blocks[0], sfit)
+for value in (gfit, sfit, gpred, spred,
+              holdout_predictions(Sigma, blocks[0].values, np.repeat(K_star, 2, 0),
+                                  gfit.phi + gfit.sigma2, [[3], [4, 7]]),
+              [b.tolist() for b in gaussian_interval(gpred, alphas)],
+              [b.tolist() for b in student_interval(spred, alphas)]):
+    print(repr(value))
 with tempfile.TemporaryDirectory() as tmp:
     assert main(["simulate", "--out", f"{tmp}/sim", "--seed", "5",
                  "--set", "sim_m=60", "--set", "sim_years=2"]) == 0
@@ -437,10 +465,16 @@ with tempfile.TemporaryDirectory() as tmp:
                  "--set", "lon_min=0", "--set", "lon_max=0"]) == 0
     print(hashlib.sha256(pathlib.Path(tmp, "map", "prediction.csv")
                          .read_bytes()).hexdigest())
-print("scipy.optimize" in sys.modules)
-import mwgp.gaussian, scipy.optimize._lbfgsb_py
-print(scipy.optimize._lbfgsb_py._lbfgsb.setulb is mwgp.gaussian.setulb)
+print([name in sys.modules for name in PACKAGES])
+import_packages()
+import mwgp.gaussian, mwgp.student, scipy.linalg.lapack, scipy.optimize._lbfgsb_py
+print([scipy.optimize._lbfgsb_py._lbfgsb.setulb is mwgp.gaussian.setulb,
+       scipy.linalg.lapack.dpotrf is mwgp.gaussian.dpotrf,
+       scipy.linalg.lapack.dgetrs is mwgp.student.dgetrs,
+       scipy.special.digamma is mwgp.student.digamma,
+       scipy.special.ndtr is mwgp.student.ndtr])
 """
+N_RESULTS = 8  # the lines before the loaded flags
 
 
 def run_loader_script(mode: str) -> list[str]:
@@ -456,29 +490,130 @@ def run_loader_script(mode: str) -> list[str]:
 
 @pytest.fixture(scope="module")
 def loader_runs():
-    return {mode: run_loader_script(mode) for mode in ("package-only", "optimize-first")}
+    return {mode: run_loader_script(mode) for mode in ("never", "first", "after")}
 
 
-class TestSetulbLoader:
-    """The L-BFGS-B core is loaded without importing scipy.optimize."""
+class TestScipyExtLoader:
+    """scipy's compiled cores are loaded without their packages."""
 
-    def test_package_runs_without_scipy_optimize(self, loader_runs):
-        assert loader_runs["package-only"][3:] == ["False", "True"]
+    def test_package_runs_without_the_scipy_packages(self, loader_runs):
+        assert loader_runs["never"][N_RESULTS:] == ["[False, False, False]",
+                                                    "[True, True, True, True, True]"]
 
-    def test_fits_equal_after_scipy_optimize_import(self, loader_runs):
-        alone, after = loader_runs["package-only"], loader_runs["optimize-first"]
-        assert after[3:] == ["True", "True"]
-        assert alone[:3] == after[:3]
+    @pytest.mark.parametrize("mode", ["first", "after"])
+    def test_results_equal_whenever_the_packages_are_imported(self, loader_runs, mode):
+        runs = loader_runs[mode]
+        assert runs[N_RESULTS:] == ["[True, True, True]",
+                                    "[True, True, True, True, True]"]
+        assert runs[:N_RESULTS] == loader_runs["never"][:N_RESULTS]
 
     def test_message_tables_are_scipys(self):
         assert STATUS_MESSAGES == _lbfgsb_py.status_messages
         assert TASK_MESSAGES == _lbfgsb_py.task_messages
 
-    def test_changed_scipy_layout_names_the_directory(self, monkeypatch, tmp_path):
-        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
+    @pytest.mark.parametrize("package, name", [("optimize", "_lbfgsb"),
+                                               ("linalg", "_flapack"),
+                                               ("special", "_special_ufuncs")])
+    def test_changed_scipy_layout_names_the_directory(self, monkeypatch, tmp_path,
+                                                      package, name):
+        monkeypatch.delitem(sys.modules, f"scipy.{package}.{name}")
         monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "optimize"))):
-            _load_setulb()
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / package))):
+            _scipy_ext(package, name)
+
+    def test_registered_module_is_reused(self):
+        assert _scipy_ext("linalg", "_flapack") is sys.modules["scipy.linalg._flapack"]
+        assert mwgp.gaussian.dpotrf is sla.lapack.dpotrf
+
+
+def assert_bitwise(actual, expected):
+    """Equal to the bit, NaN matching NaN."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(actual[~nan].view(np.int64),
+                                  expected[~nan].view(np.int64))
+
+
+def ndtri_points() -> np.ndarray:
+    """Probabilities over all three branches of Cephes' ndtri, both tails,
+    the branch edges and the special values."""
+    rng = np.random.default_rng(11)
+    expm2, expm32 = math.exp(-2.0), math.exp(-32.0)
+    eps = np.finfo(float).eps
+    edges = [expm2, 1.0 - expm2, expm32, 1.0 - expm32, 0.5]
+    edges += [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)]
+    return np.concatenate([
+        rng.uniform(expm2, 1.0 - expm2, 40_000),            # central
+        np.exp(-rng.uniform(2.0, 32.0, 25_000)),           # lower tail, z < 8
+        np.exp(-rng.uniform(32.0, 744.0, 25_000)),         # lower tail, z >= 8
+        1.0 - np.exp(-rng.uniform(2.0, 36.0, 20_000)),     # upper tail
+        1.0 - eps / 2.0 * np.arange(1, 300),               # upper tail, z >= 8
+        edges, [0.0, 1.0, 5e-324, 2.2e-308, -1e-300, -0.5, 1.5, 1.0 + eps,
+                np.inf, -np.inf, np.nan]])
+
+
+class TestScipySources:
+    """The package's own sources of scipy functions, to the bit."""
+
+    def test_ndtri_array(self):
+        p = ndtri_points()
+        assert p.size >= 100_000
+        assert_bitwise(ndtri(p), special.ndtri(p))
+        grid = p[:p.size // 3 * 3].reshape(3, -1)
+        assert_bitwise(ndtri(grid), special.ndtri(grid))
+
+    def test_ndtri_scalar(self):
+        p = ndtri_points()[::40].tolist() + [0.0, 1.0, -0.5, 1.5, math.nan]
+        for x in p:
+            value = ndtri(x)
+            assert type(value) is float
+            assert_bitwise(value, special.ndtri(x))
+        assert_bitwise(ndtri(np.float64(0.3)), special.ndtri(0.3))
+
+    @pytest.mark.parametrize("m", [48, 120, 260])
+    def test_lapack_call_sites(self, m):
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((m, m))
+        A = X @ X.T / m + 0.05 * np.eye(m)
+        L = cholesky(A)
+        assert_bitwise(L, sla.cholesky(A, lower=True, check_finite=False))
+        for b in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            assert_bitwise(dpotrs(L, b, lower=1)[0],
+                           sla.cho_solve((L, True), b, check_finite=False))
+            assert_bitwise(dtrtrs(L, b, lower=1)[0],
+                           sla.solve_triangular(L, b, lower=True, check_finite=False))
+
+    def test_cholesky_of_non_pd_raises_linalg_error(self):
+        A = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            cholesky(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            sla.cholesky(A, lower=True, check_finite=False)
+
+    def test_spd_inverse_reads_the_lower_triangle_alone(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((30, 30))
+        A = X @ X.T / 30 + 0.1 * np.eye(30)
+        L = cholesky(A)
+        dirty = L + np.triu(rng.standard_normal((30, 30)), 1)
+        assert_bitwise(_spd_inverse(dirty), _spd_inverse(L))
+        np.testing.assert_allclose(_spd_inverse(L), np.linalg.inv(A), rtol=1e-9, atol=1e-9)
+
+    def test_spd_inverse_keeps_dpotri_layout(self):
+        # Kriging products round by the operand's memory order, so the
+        # inverse is the zero-upper factor's dpotri result, mirrored, in
+        # dpotri's Fortran order: a C-ordered copy moves CV predictions.
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((40, 40))
+        A = X @ X.T / 40 + 0.1 * np.eye(40)
+        inv = sla.lapack.dpotri(sla.cholesky(A, lower=True), lower=1)[0]
+        P = _spd_inverse(cholesky(A))
+        assert P.flags.f_contiguous
+        assert_bitwise(P, inv + np.tril(inv, -1).T)
+        y = rng.standard_normal(40)
+        assert_bitwise(P @ y, (inv + np.tril(inv, -1).T) @ y)
 
 
 class TestFitMleGaussian:

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import integrate, linalg as sla, optimize, special, stats
 from scipy.special import ndtri, stdtrit
 
 import mwgp.student
@@ -40,7 +40,7 @@ from mwgp.student import (
     student_cdf,
     student_interval,
 )
-from mwgp.validation import simulate_field
+from mwgp.validation import DEFAULT_LEVELS, simulate_field
 from mwgp.windows import GaussianFamily, single_blas_thread
 
 from conftest import (
@@ -48,6 +48,7 @@ from conftest import (
     gauss_loglik,
     laplace_loglik,
     random_block,
+    stdtrit_half_width,
     t_log_gamma_ratio,
 )
 
@@ -478,6 +479,61 @@ class TestStudentInterval:
         lower, upper = student_interval(self.PRED, alphas)
         for a, lo, hi in zip(alphas, lower, upper):
             assert (lo, hi) == student_interval(self.PRED, float(a))
+
+
+class TestScipySources:
+    """The special functions and LAPACK calls, to the bit scipy's."""
+
+    def test_digamma_and_ndtr_are_scipys_ufuncs(self):
+        assert mwgp.student.digamma is special.digamma
+        assert mwgp.student.ndtr is special.ndtr
+
+    def test_zeta_is_the_trigamma(self):
+        k = np.concatenate([0.5 * np.geomspace(1.0 + 1e-9, 1e9, 20_000),
+                            [0.505, 0.75, 1.0, 2.0, 15.0, 5e5]])
+        trigamma = special.polygamma(1, k)
+        np.testing.assert_array_equal(mwgp.student._zeta(2.0, k).view(np.int64),
+                                      trigamma.view(np.int64))
+        for x in k[::500]:
+            assert mwgp.student._zeta(2.0, float(x)) == special.polygamma(1, float(x))
+
+    @pytest.mark.parametrize("m", [48, 120, 260])
+    def test_lu_solve_call_sites(self, m):
+        rng = np.random.default_rng(m)
+        K = cov_matrix(rng.uniform(-5.0, 5.0, (m, 3)), SP.cov)
+        A = np.eye(m) + K * rng.uniform(-0.2, 1.0, m)[None, :]
+        lu, piv, info = mwgp.student.dgetrf(A)
+        assert info == 0
+        for b in (rng.standard_normal(m), K):
+            for trans in (0, 1):
+                expected = sla.lu_solve((lu, piv), b, trans=trans, check_finite=False)
+                np.testing.assert_array_equal(
+                    mwgp.student.dgetrs(lu, piv, b, trans=trans)[0].view(np.int64),
+                    expected.view(np.int64))
+
+
+HALF_WIDTH_LAWS = [StudentPredictive(0.3, f_var, 0.7, dof)
+                   for dof in (1.01, 1.5, 2.0, 4.0, 30.0, 1e6)
+                   for f_var in (0.0, 1e-6, 40.0)]
+
+
+class TestHalfWidthStart:
+    """The normal-quantile Newton start against scipy's t-quantile start."""
+
+    ALPHAS = 1.0 - np.array(DEFAULT_LEVELS)
+
+    @pytest.mark.parametrize("pred", HALF_WIDTH_LAWS)
+    def test_within_4_ulps_of_the_stdtrit_start(self, pred):
+        half = half_widths(pred, self.ALPHAS)
+        oracle = stdtrit_half_width(pred, self.ALPHAS)
+        assert np.all(np.abs(half - oracle) <= 4.0 * np.spacing(oracle))
+
+    @pytest.mark.parametrize("pred", HALF_WIDTH_LAWS)
+    def test_start_is_below_the_root(self, monkeypatch, pred):
+        monkeypatch.setattr(mwgp.student, "HALF_WIDTH_MAX_ITER", 0)  # h = the start
+        start = half_widths(pred, self.ALPHAS)
+        assert np.all(start >= 0.0)
+        assert np.all(start <= stdtrit_half_width(pred, self.ALPHAS))
 
 
 class TestStudentPit:
