@@ -47,7 +47,6 @@ from .ingest import (
     write_mean_field_gridded,
     write_profiles,
     write_table,
-    ProfileRecord,
 )
 from .student import StudentParams, StudentPredictive
 from .validation import (
@@ -266,9 +265,19 @@ def config_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def config_hash(cfg: RunConfig) -> str:
-    text = json.dumps(config_dict(cfg), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+INPUT_KEYS = ("profiles", "mean", "mask", "records")
+
+
+def config_hash(cfg: RunConfig, inputs: dict) -> str:
+    """sha256 of every key but ``out``, each input path replaced by its
+    file's sha256 from ``inputs``, so the same run over the same input
+    bytes hashes alike wherever its files live.  ``params_dir`` stays a
+    path."""
+    values = config_dict(cfg)
+    del values["out"]
+    for key in INPUT_KEYS:
+        values[key] = inputs.get(values[key], values[key])
+    return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
 
 
 def _file_hash(path) -> str:
@@ -280,6 +289,8 @@ def _file_hash(path) -> str:
 
 
 def write_manifest(cfg: RunConfig, command: str, outputs, extra=None) -> str:
+    paths = [getattr(cfg, key) for key in INPUT_KEYS]
+    inputs = {p: _file_hash(p) for p in paths if p and os.path.exists(p)}
     manifest = {
         "command": command,
         "package_version": __version__,
@@ -288,14 +299,10 @@ def write_manifest(cfg: RunConfig, command: str, outputs, extra=None) -> str:
         "scipy": __import__("scipy").__version__,
         "blas_threads": [get() for get, _ in _blas_thread_controls()],
         "config": config_dict(cfg),
-        "config_hash": config_hash(cfg),
-        "inputs": {},
+        "config_hash": config_hash(cfg, inputs),
+        "inputs": inputs,
         "outputs": sorted(outputs),
     }
-    for key in ("profiles", "mean", "mask", "records"):
-        path = getattr(cfg, key)
-        if path and os.path.exists(path):
-            manifest["inputs"][path] = _file_hash(path)
     if extra:
         manifest.update(extra)
     path = os.path.join(cfg.out, "manifest.json")
@@ -343,24 +350,12 @@ def write_grid_binary(path, grid: GridSpec, values: dict) -> None:
                  f"lon_step={FLOAT_FMT % grid.lon_step}\n")
 
 
-def _level_obs_to_profiles(blocks, pressure: float) -> list:
-    records = []
-    for block in blocks:
-        for k in range(block.m):
-            sid = (str(block.source_ids[k]) if block.source_ids is not None
-                   else f"obs{len(records):07d}")
-            records.append(ProfileRecord(
-                sid, float(block.lat[k]), float(block.lon[k]), int(block.year),
-                float(block.t[k]), ((pressure, float(block.values[k])),)))
-    return records
-
-
 def cmd_simulate(cfg: RunConfig) -> tuple[list, dict]:
     """Write a synthetic single-level profile dataset."""
     os.makedirs(cfg.out, exist_ok=True)
     out_path = os.path.join(cfg.out, "profiles.csv")
     if cfg.sim_years == 0:
-        write_profiles([], out_path)
+        write_profiles([], cfg.pressure, out_path)
         return ["profiles.csv"], {}
     cov = CovParams(cfg.sim_phi, cfg.sim_theta_lat, cfg.sim_theta_lon,
                     cfg.sim_theta_t, cfg.sim_sigma2)
@@ -382,7 +377,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[list, dict]:
         ])
         blocks = simulate_field(params, locs, cfg.sim_years, field_seed,
                                 start_year=cfg.sim_start_year)
-    write_profiles(_level_obs_to_profiles(blocks, cfg.pressure), out_path)
+    write_profiles(blocks, cfg.pressure, out_path)
     return ["profiles.csv"], {}
 
 
@@ -404,11 +399,12 @@ def _load_level_blocks(cfg: RunConfig):
     return profiles_to_level(records, cfg.pressure), mask
 
 
-def _map_field(cfg: RunConfig, variant):
-    """Load the year blocks, residualized when a mean-field file is given,
-    and map the grid.  Returns (blocks, grid, spec, field, number of
-    observations without a mean, seconds of the sweep alone)."""
-    blocks, mask = _load_level_blocks(cfg)
+def _map_field(cfg: RunConfig, variant, loaded):
+    """Map the grid from ``loaded``, the (year blocks, mask) of
+    ``_load_level_blocks``, residualized when a mean-field file is given.
+    Returns (blocks, grid, spec, field, number of observations without a
+    mean, seconds of the sweep alone)."""
+    blocks, mask = loaded
     n_excluded = 0
     if cfg.mean:
         blocks, n_excluded = subtract_mean(blocks, read_mean_field(cfg.mean),
@@ -428,7 +424,8 @@ def _map_field(cfg: RunConfig, variant):
 def cmd_map(cfg: RunConfig) -> tuple[list, dict]:
     """Fit every grid cell and write the gridded output files."""
     variant = get_variant(cfg.variant)
-    _, grid, _, field_, n_excluded, wall = _map_field(cfg, variant)
+    _, grid, _, field_, n_excluded, wall = _map_field(cfg, variant,
+                                                      _load_level_blocks(cfg))
     os.makedirs(cfg.out, exist_ok=True)
 
     family = variant.family
@@ -564,10 +561,10 @@ def _write_calibration(out_dir, report) -> list:
     return ["coverage.csv", "quantile_curve.csv"]
 
 
-def _run_cv_for_variant(cfg: RunConfig, variant_id: int):
+def _run_cv_for_variant(cfg: RunConfig, variant_id: int, loaded):
     variant = get_variant(variant_id)
     blocks, grid, spec, field_, _, _ = _map_field(
-        replace(cfg, variant=variant_id), variant)
+        replace(cfg, variant=variant_id), variant, loaded)
     cv = run_cv(blocks, grid, field_, variant, spec, cfg.scheme,
                 _closed_window(cfg.cv_day_min, cfg.cv_day_max), cfg.radius_steps)
     return cv, field_
@@ -575,7 +572,8 @@ def _run_cv_for_variant(cfg: RunConfig, variant_id: int):
 
 def cmd_cv(cfg: RunConfig) -> tuple[list, dict]:
     """Cross-validate and write records, metrics, and calibration."""
-    cv, field_ = _run_cv_for_variant(cfg, cfg.variant)
+    loaded = _load_level_blocks(cfg)  # the variant and its baseline share it
+    cv, field_ = _run_cv_for_variant(cfg, cfg.variant, loaded)
     os.makedirs(cfg.out, exist_ok=True)
     outputs = ["cv_records.csv", "metrics.csv"]
     write_cv_records(cv, os.path.join(cfg.out, "cv_records.csv"))
@@ -584,7 +582,7 @@ def cmd_cv(cfg: RunConfig) -> tuple[list, dict]:
              "n_failed": cv.n_failed,
              "status_counts": dict(field_.status_counts)}
     if cfg.baseline_variant:
-        base_cv, _ = _run_cv_for_variant(cfg, cfg.baseline_variant)
+        base_cv, _ = _run_cv_for_variant(cfg, cfg.baseline_variant, loaded)
         tables[f"variant {cfg.baseline_variant}"] = point_metrics(base_cv)
         tables[f"variant {cfg.variant}"] = point_metrics(
             cv, baseline=base_cv, baseline_name=f"variant {cfg.baseline_variant}")

@@ -486,58 +486,30 @@ def _decode(x: np.ndarray, template: CovParams, spatial: bool) -> CovParams:
     return CovParams(*v)
 
 
-def degenerate_variance(values: np.ndarray, var: float) -> bool:
-    """True when a sample variance is indistinguishable from rounding noise.
-
-    Nearly identical values can yield a tiny positive variance through
-    catastrophic cancellation; such a number is cancellation error, not
-    an estimate, so it is compared against the squared rounding level of
-    the data magnitude.
-    """
-    scale = float(np.mean(np.square(values))) if values.size else 0.0
-    eps = float(np.finfo(float).eps)
-    return var <= (8.0 * eps) ** 2 * max(scale, np.finfo(float).tiny)
-
-
-def pooled_window_variance(blocks) -> float:
-    """Unbiased empirical variance pooled over all windowed values.
-
-    Raises InsufficientDataError below two values and
-    InsufficientVarianceError where the variance is rounding noise.
-    """
+def pooled_window_variance(blocks, min_obs: int = 2) -> float:
+    """Admit a window for a fit: the unbiased variance pooled over all its
+    values.  Raises InsufficientDataError below max(min_obs, 2)
+    observations, and InsufficientVarianceError where the variance is at
+    most the squared rounding level of the data magnitude, the noise
+    that cancellation leaves of nearly identical values."""
     values = [b.values for b in blocks if b.m > 0]
-    total = sum(v.shape[0] for v in values)
-    if total < 2:
+    n_obs, least = sum(v.shape[0] for v in values), max(min_obs, 2)
+    if n_obs < least:
         raise InsufficientDataError(
-            f"variance estimate needs >= 2 observations, got {total}")
+            f"{n_obs} observations < required minimum {least}")
     values = np.concatenate(values)
     var = float(np.var(values, ddof=1))
-    if var <= 0.0 or degenerate_variance(values, var):
+    scale = max(float(np.mean(np.square(values))), np.finfo(float).tiny)
+    if var <= (8.0 * float(np.finfo(float).eps)) ** 2 * scale:
         raise InsufficientVarianceError("window values are numerically constant")
     return var
 
 
-def default_init(blocks) -> CovParams:
-    """Half the pooled variance to each of GP sill and nugget; 5 deg / 5 d ranges."""
-    v = pooled_window_variance(blocks)
-    return CovParams(phi=0.5 * v, theta_lat=5.0, theta_lon=5.0,
-                     theta_t=5.0, sigma2=0.5 * v)
-
-
-def check_window(blocks, min_obs: int) -> int:
-    """Observation count of a window that can support a fit.
-
-    Raises InsufficientDataError below ``min_obs`` observations and
-    InsufficientVarianceError when every value is identical.
-    """
-    n_obs = sum(b.m for b in blocks)
-    if n_obs < min_obs:
-        raise InsufficientDataError(
-            f"{n_obs} observations < required minimum {min_obs}")
-    values = np.concatenate([b.values for b in blocks if b.m > 0])
-    if float(np.ptp(values)) == 0.0:
-        raise InsufficientVarianceError("all window values identical")
-    return n_obs
+def default_init(var: float) -> CovParams:
+    """Half the window's pooled variance to each of GP sill and nugget;
+    5 deg / 5 d ranges."""
+    return CovParams(phi=0.5 * var, theta_lat=5.0, theta_lon=5.0,
+                     theta_t=5.0, sigma2=0.5 * var)
 
 
 def fit_mle_gaussian(blocks, init: CovParams | None = None,
@@ -547,14 +519,15 @@ def fit_mle_gaussian(blocks, init: CovParams | None = None,
 
     L-BFGS-B with analytic gradients on ``_nll``'s log ranges and
     log tau = log sigma2 / phi, then phi_hat from one more evaluation at
-    the returned point.  With ``spatial`` the time range is carried
-    through from ``init``.  Non-convergence is flagged in the report;
-    the best iterate is still returned.
+    the returned point, after ``pooled_window_variance`` admits the
+    window.  With ``spatial`` the time range is carried through from
+    ``init``.  Non-convergence is flagged in the report; the best
+    iterate is still returned.
     """
-    check_window(blocks, min_obs)
+    var = pooled_window_variance(blocks, min_obs)
     prepared = _Prepared(blocks, spatial)
     if init is None:
-        init = default_init(blocks)
+        init = default_init(var)
     x0 = _encode(init, spatial)
     z, _, g, nit, nfev, success, message = lbfgsb(
         lambda z: _nll(z, prepared, True), np.append(x0[1:-1], x0[-1] - x0[0]))

@@ -351,11 +351,18 @@ def parse_profiles(path) -> ProfileTable:
                         value)
 
 
-def write_profiles(records, path) -> None:
-    """Serialize profiles in the canonical CSV schema (round-trip exact)."""
-    write_table(path, PROFILE_HEADER, (
-        (rec.source_id, rec.lat, rec.lon, rec.year, rec.day, pressure, value)
-        for rec in records for pressure, value in rec.levels))
+def write_profiles(blocks, pressure: float, path) -> None:
+    """Write year blocks as one-level profiles at ``pressure`` in the
+    canonical CSV schema (round-trip exact), one row per observation.
+    Rows of a block without source ids are numbered obs0000000, ... by
+    their row in the file."""
+    rows = []
+    for b in blocks:
+        sids = (b.source_ids.tolist() if b.source_ids is not None else
+                [f"obs{k:07d}" for k in range(len(rows), len(rows) + b.m)])
+        rows += zip(sids, b.lat.tolist(), b.lon.tolist(), repeat(int(b.year)),
+                    b.t.tolist(), repeat(float(pressure)), b.values.tolist())
+    write_table(path, PROFILE_HEADER, rows)
 
 
 def profiles_to_level(table: ProfileTable, level: float) -> list[YearBlock]:

@@ -56,7 +56,6 @@ from .gaussian import (
     _Prepared,
     _scipy_ext,
     lbfgsb,
-    check_window,
     chol_spd,
     cholesky,
     default_init,
@@ -356,18 +355,19 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
                     spatial: bool = False) -> tuple[StudentParams, FitReport]:
     """Maximize the Laplace-approximate likelihood.
 
-    L-BFGS-B on (log phi, log ranges, log sigma2, log(nu - 1)) with
-    the analytic Laplace gradient, each coordinate bounded to
-    within LOG_BAND of the window's default start (``default_init`` at
-    nu = STUDENT_INIT_NU).  When no init is given the covariance
-    initialization comes from a Gaussian-nugget fit, with the t scale
-    chosen to variance-match the fitted Gaussian nugget at the initial
-    nu; the start is clipped into the box.  The final iterate is
-    returned, and the report's message names any parameter it leaves
-    on a bound.  Raises ModeFindingError if the fit ends at a point
-    whose mode search failed.
+    ``pooled_window_variance`` admits the window, and its variance serves
+    both the default start and the scale floor below.  L-BFGS-B on
+    (log phi, log ranges, log sigma2, log(nu - 1)) with the analytic
+    Laplace gradient, each coordinate bounded to within LOG_BAND of the
+    window's default start (``default_init`` at nu = STUDENT_INIT_NU).
+    When no init is given the covariance initialization comes from a
+    Gaussian-nugget fit, with the t scale chosen to variance-match the
+    fitted Gaussian nugget at the initial nu; the start is clipped into
+    the box.  The final iterate is returned, and the report's message
+    names any parameter it leaves on a bound.  Raises ModeFindingError
+    if the fit ends at a point whose mode search failed.
     """
-    n_obs = check_window(blocks, min_obs)
+    var = pooled_window_variance(blocks, min_obs)
     nu0 = STUDENT_INIT_NU
     if init is None:
         gfit, _ = fit_mle_gaussian(blocks, min_obs=min_obs, spatial=spatial)
@@ -375,10 +375,9 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
         # mode search an un-evaluable start; floor the initial scale at
         # a small fraction of the data variance and let the optimizer
         # shrink it again from an evaluable point.
-        s2 = max(gfit.sigma2, 1e-3 * pooled_window_variance(blocks)) \
-            / nu_variance_factor(nu0)
+        s2 = max(gfit.sigma2, 1e-3 * var) / nu_variance_factor(nu0)
         init = StudentParams(replace(gfit, sigma2=s2), nu0)
-    center = _encode_student(StudentParams(default_init(blocks), nu0), spatial)
+    center = _encode_student(StudentParams(default_init(var), nu0), spatial)
     lo, hi = center - LOG_BAND, center + LOG_BAND
 
     prepared = _Prepared(blocks, spatial)
@@ -407,7 +406,8 @@ def fit_mle_student(blocks, init: StudentParams | None = None,
                 n for n, h in zip(names, hit) if h)
     report = FitReport(loglik=-float(f), grad_norm=float(np.max(np.abs(g))),
                        n_iter=nit, n_evals=nfev, converged=success,
-                       message=message, n_obs=n_obs, n_mode_failures=failures[0])
+                       message=message, n_obs=prepared.n_obs,
+                       n_mode_failures=failures[0])
     return _decode_student(x, init.cov, spatial), report
 
 

@@ -435,7 +435,7 @@ class ReferenceFamily(KrigingFamily):
     """
 
     def fit(self, blocks, min_obs):
-        return ReferenceParams(pooled_window_variance(blocks)
+        return ReferenceParams(pooled_window_variance(blocks, min_obs)
                                / (1.0 + RG_DEFAULT.noise_signal_ratio)), None
 
     def system(self, targets, block, params):
@@ -584,17 +584,15 @@ def fit_grid_point(data, center: SpaceTimePoint, variant: ModelVariant,
                    spec: WindowSpec, alpha: float = 0.32) -> CellFit:
     """Fit one grid cell and predict every year at the cell center.
 
-    A MappingError or LinAlgError becomes a status, so a grid sweep does
-    not abort because one window is degenerate; an InvalidParameterError
-    and programming errors raise.  Reference-variant cells skip maximum
-    likelihood and use the fixed-shape covariance with the windowed
-    plug-in variance.
+    The family's fit admits the window against ``spec.min_obs``.  A
+    MappingError or LinAlgError becomes a status, so a grid sweep does
+    not abort because one window is degenerate or too small; an
+    InvalidParameterError and programming errors raise.  Reference-variant
+    cells skip maximum likelihood and use the fixed-shape covariance with
+    the windowed plug-in variance.
     """
     windowed = select_window(data, center, spec)
     n_obs = sum(b.m for b in windowed)
-    if n_obs < spec.min_obs:
-        return CellFit("insufficient_data", n_obs,
-                       message=f"{n_obs} observations < minimum {spec.min_obs}")
     family = variant.family
     try:
         params, report = family.fit(windowed, spec.min_obs)

@@ -38,6 +38,8 @@ from mwgp.covariance import (
 from mwgp.errors import (
     FactorizationError,
     InputError,
+    InsufficientDataError,
+    InsufficientVarianceError,
     InvalidParameterError,
     MappingError,
     SchemaError,
@@ -65,6 +67,7 @@ from mwgp.ingest import (
     _parse_float,
     _parse_int,
     csv_rows,
+    write_table,
 )
 from mwgp.student import (
     HALF_WIDTH_MAX_ITER,
@@ -79,6 +82,7 @@ from mwgp.validation import (
     CVResult,
     _usable_cells,
 )
+from mwgp.windows import ReferenceParams
 
 # Canonical parameter set used across modules when the exact values
 # are immaterial; chosen so no two scales coincide.
@@ -543,6 +547,89 @@ def profile_table(records) -> ProfileTable:
         [getattr(r, a) for r in recs], np.int64 if a == "year" else float)
         for a in ("lat", "lon", "year", "day")),
         np.cumsum([0] + [len(r.levels) for r in recs]), *levels.T)
+
+
+def write_profile_records(records, path) -> None:
+    """Write ``ProfileRecord``s, one row per level, in the profile schema."""
+    write_table(path, PROFILE_HEADER, (
+        (rec.source_id, rec.lat, rec.lon, rec.year, rec.day, pressure, value)
+        for rec in records for pressure, value in rec.levels))
+
+
+def level_obs_to_profiles(blocks, pressure: float) -> list[ProfileRecord]:
+    """One single-level ``ProfileRecord`` per block observation, numbering
+    rows without source ids by their position: the record path that
+    ``simulate`` wrote through before ``write_profiles`` took blocks."""
+    records = []
+    for block in blocks:
+        for k in range(block.m):
+            sid = (str(block.source_ids[k]) if block.source_ids is not None
+                   else f"obs{len(records):07d}")
+            records.append(ProfileRecord(
+                sid, float(block.lat[k]), float(block.lon[k]), int(block.year),
+                float(block.t[k]), ((pressure, float(block.values[k])),)))
+    return records
+
+
+def degenerate_variance_oracle(values: np.ndarray, var: float) -> bool:
+    """True when a sample variance is at or below the squared rounding
+    level of the data magnitude."""
+    scale = float(np.mean(np.square(values))) if values.size else 0.0
+    eps = float(np.finfo(float).eps)
+    return var <= (8.0 * eps) ** 2 * max(scale, np.finfo(float).tiny)
+
+
+def pooled_variance_oracle(blocks) -> float:
+    """The pooled window variance as it was before it took ``min_obs``."""
+    values = [b.values for b in blocks if b.m > 0]
+    total = sum(v.shape[0] for v in values)
+    if total < 2:
+        raise InsufficientDataError(
+            f"variance estimate needs >= 2 observations, got {total}")
+    values = np.concatenate(values)
+    var = float(np.var(values, ddof=1))
+    if var <= 0.0 or degenerate_variance_oracle(values, var):
+        raise InsufficientVarianceError("window values are numerically constant")
+    return var
+
+
+def check_window_oracle(blocks, min_obs: int) -> int:
+    """The kriging fits' own window check: the count, then identical values."""
+    n_obs = sum(b.m for b in blocks)
+    if n_obs < min_obs:
+        raise InsufficientDataError(
+            f"{n_obs} observations < required minimum {min_obs}")
+    values = np.concatenate([b.values for b in blocks if b.m > 0])
+    if float(np.ptp(values)) == 0.0:
+        raise InsufficientVarianceError("all window values identical")
+    return n_obs
+
+
+def admission_chain_oracle(blocks, min_obs: int, reference: bool):
+    """(outcome, variance) of a window under the checks that one admission
+    function replaced: ``fit_grid_point``'s count gate, then, for the
+    fitted families, ``check_window``, then the pooled variance, and the
+    first parameters built from it (``ReferenceParams`` for the reference
+    family, the default start otherwise).  The outcome is a cell status,
+    an exception type that raises out of the cell, or "admitted" with
+    the variance."""
+    if sum(b.m for b in blocks) < min_obs:
+        return "insufficient_data", None
+    try:
+        if not reference:
+            check_window_oracle(blocks, min_obs)
+        var = pooled_variance_oracle(blocks)
+        if reference:
+            ReferenceParams(var / (1.0 + RG_DEFAULT.noise_signal_ratio))
+        else:
+            CovParams(0.5 * var, 5.0, 5.0, 5.0, 0.5 * var)
+    except InsufficientDataError:
+        return "insufficient_data", None
+    except InsufficientVarianceError:
+        return "no_variance", None
+    except InvalidParameterError:
+        return InvalidParameterError, None
+    return "admitted", var
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import mwgp
+import mwgp.cli
 from mwgp.cli import (
     CV_HEADER,
     RunConfig,
@@ -45,6 +46,8 @@ from mwgp.windows import (
     correlation_at_lag,
     zonal_km_to_degrees,
 )
+
+from conftest import level_obs_to_profiles, write_profile_records
 
 
 def run_cli(*args):
@@ -222,9 +225,9 @@ class TestConfigLayering:
         a = RunConfig()
         b = RunConfig()
         c = RunConfig(seed=1)
-        assert config_hash(a) == config_hash(b)
-        assert config_hash(a) != config_hash(c)
-        assert len(config_hash(a)) == 64
+        assert config_hash(a, {}) == config_hash(b, {})
+        assert config_hash(a, {}) != config_hash(c, {})
+        assert len(config_hash(a, {})) == 64
 
     @pytest.mark.parametrize("command,setting", [
         ("map", "pressure=inf"), ("map", "lon_step=inf"), ("map", "lat_step=nan"),
@@ -378,6 +381,27 @@ class TestSimulate:
         assert run_cli("simulate", "--out", tmp_path / "sim", *sets) == 1
         assert f"{key} must be >= " in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--set", "sim_floats=3",
+                                           "--set", "sim_profiles_per_float=4"]])
+    def test_bytes_are_the_record_paths(self, tmp_path, mode):
+        spy = mock.Mock(wraps=mwgp.cli.write_profiles)
+        with mock.patch.object(mwgp.cli, "write_profiles", spy):
+            assert run_cli(*self.sim_args(tmp_path / "sim"), *mode,
+                           "--set", "sim_lon_min=170", "--set", "sim_lon_max=190") == 0
+        blocks, pressure, path = spy.call_args.args
+        assert pressure == 300.0
+        write_profile_records(level_obs_to_profiles(blocks, pressure),
+                              tmp_path / "records.csv")
+        assert (tmp_path / "records.csv").read_bytes() \
+            == (tmp_path / "sim" / "profiles.csv").read_bytes()
+
+    @pytest.mark.parametrize("setting", ["sim_lat_max=95", "sim_lat_min=-90.5"])
+    def test_latitudes_off_the_globe_write_nothing(self, tmp_path, capsys, setting):
+        assert run_cli("simulate", "--out", tmp_path / "sim", "--set", "sim_m=400",
+                       "--set", setting) == 1
+        assert "latitude outside [-90, 90]" in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "profiles.csv").exists()
 
     def test_zero_years_writes_header_only(self, tmp_path):
         out = tmp_path / "sim"
@@ -633,6 +657,33 @@ class TestCVCommand:
         assert set(manifest["coverage"]) == {"0.5", "0.68", "0.8", "0.9",
                                              "0.95", "0.99"}
 
+    def test_profiles_parsed_once_for_variant_and_baseline(self, pipeline, tmp_path):
+        # Variant 4 subtracts the spatio-temporal mean, its baseline 1 the
+        # spatial one, each from the blocks of one parse; each record file
+        # is the one a run of its variant alone writes.
+        common = ["--profiles", pipeline["profiles"], "--mean",
+                  pipeline["mean"] / "mean_field.csv", *GRID_ARGS,
+                  "--set", "radius_steps=10"]
+        parse = mock.Mock(wraps=mwgp.cli.parse_profiles)
+        subtract = mock.Mock(wraps=mwgp.cli.subtract_mean)
+        with mock.patch.object(mwgp.cli, "parse_profiles", parse), \
+                mock.patch.object(mwgp.cli, "subtract_mean", subtract):
+            assert run_cli("cv", *common, "--variant", 4, "--out", tmp_path / "both",
+                           "--set", "baseline_variant=1") == 0
+        assert parse.call_count == 1
+        assert [c.args[2] for c in subtract.call_args_list] == [
+            "spatio-temporal", "spatial"]
+        for variant in (4, 1):
+            assert run_cli("cv", *common, "--variant", variant,
+                           "--out", tmp_path / f"v{variant}") == 0
+        both = tmp_path / "both"
+        assert (both / "cv_records.csv").read_bytes() \
+            == (tmp_path / "v4" / "cv_records.csv").read_bytes()
+        assert (both / "cv_records_baseline.csv").read_bytes() \
+            == (tmp_path / "v1" / "cv_records.csv").read_bytes()
+        for name in ("coverage.csv", "quantile_curve.csv"):
+            assert (both / name).read_bytes() == (tmp_path / "v4" / name).read_bytes()
+
     def test_calibration_outputs(self, pipeline):
         lines = (pipeline["cv"] / "coverage.csv").read_text().splitlines()
         assert lines[0] == "Level,Empirical coverage,Mean length,Median length"
@@ -717,6 +768,55 @@ class TestManifests:
         for stage in self.STAGES:
             for path in pipeline[stage].glob("*.csv"):
                 assert "wall" not in path.read_text(encoding="utf-8"), path
+
+
+class TestConfigHash:
+    """The manifest's ``config_hash`` names the run, not where its files live."""
+
+    SIM = ["--seed", 4, "--set", "sim_m=40", "--set", "sim_years=2",
+           "--set", "sim_lat_min=-3", "--set", "sim_lat_max=3",
+           "--set", "sim_lon_min=-3", "--set", "sim_lon_max=3"]
+    ONE_CELL = ["--variant", 1, "--set", "lat_min=0", "--set", "lat_max=0",
+                "--set", "lon_min=0", "--set", "lon_max=0"]
+
+    @staticmethod
+    def manifest(path):
+        return json.loads((path / "manifest.json").read_text())
+
+    def test_same_run_in_two_directories_hashes_alike(self, tmp_path):
+        for name in ("a", "b"):
+            assert run_cli("simulate", "--out", tmp_path / name / "sim", *self.SIM) == 0
+        copy = tmp_path / "b" / "inputs" / "profiles.csv"
+        copy.parent.mkdir()
+        shutil.copyfile(tmp_path / "a" / "sim" / "profiles.csv", copy)
+        for name, profiles in (("a", tmp_path / "a" / "sim" / "profiles.csv"),
+                               ("b", copy)):
+            assert run_cli("map", "--profiles", profiles, *self.ONE_CELL,
+                           "--out", tmp_path / name / "map") == 0
+        for stage in ("sim", "map"):
+            a, b = (self.manifest(tmp_path / name / stage) for name in "ab")
+            assert a["config"]["out"] != b["config"]["out"]
+            assert a["config_hash"] == b["config_hash"], stage
+        a, b = (self.manifest(tmp_path / name / "map") for name in "ab")
+        assert a["config"]["profiles"] != b["config"]["profiles"]
+        assert list(a["inputs"].values()) == list(b["inputs"].values())
+
+        lines = copy.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:-1] + ["12.5"])
+        copy.write_text("\n".join(lines) + "\n")
+        assert run_cli("map", "--profiles", copy, *self.ONE_CELL,
+                       "--out", tmp_path / "edited") == 0
+        edited = self.manifest(tmp_path / "edited")
+        assert edited["config"] == {**b["config"], "out": str(tmp_path / "edited")}
+        assert edited["config_hash"] != b["config_hash"]
+
+    def test_params_dir_stays_a_path(self, tmp_path):
+        a, b = RunConfig(params_dir="x"), RunConfig(params_dir="y")
+        assert config_hash(a, {}) != config_hash(b, {})
+        assert config_hash(a, {}) == config_hash(dataclasses.replace(a, out="elsewhere"), {})
+        named = RunConfig(profiles="p.csv")
+        assert config_hash(named, {"p.csv": "0" * 64}) \
+            == config_hash(RunConfig(profiles="q.csv"), {"q.csv": "0" * 64})
 
 
 class TestSeedIndependence:

@@ -46,6 +46,7 @@ from mwgp.gaussian import (
     gaussian_interval,
     lbfgsb,
     ndtri,
+    pooled_window_variance,
 )
 from mwgp.validation import simulate_field
 from mwgp.windows import GaussianFamily
@@ -346,11 +347,13 @@ class TestLbfgsb:
             rng = np.random.default_rng(seed)
             blocks = [random_block(rng, int(rng.integers(30, 61)), year=y) for y in (0, 1)]
             prepared = _Prepared(blocks, spatial)
+            init = default_init(pooled_window_variance(blocks))
             out.append((lambda z, p=prepared: _nll(z, p, True),
-                        profiled_point(default_init(blocks), spatial)))
+                        profiled_point(init, spatial)))
         blocks = synth_blocks(CovParams(1.0, 3.0, 5.0, 5.0, 0.3), 46, 2, seed=11)
         prepared = _Prepared(blocks, False)
-        out.append((lambda z: _nll(z, prepared, True), profiled_point(default_init(blocks))))
+        init = default_init(pooled_window_variance(blocks))
+        out.append((lambda z: _nll(z, prepared, True), profiled_point(init)))
         return out
 
     @staticmethod
@@ -632,7 +635,7 @@ class TestFitMleGaussian:
     def test_ascent_from_default_init(self):
         params = CovParams(1.0, 3.0, 5.0, 5.0, 0.3)
         blocks = synth_blocks(params, 60, 2, seed=11)
-        init = default_init(blocks)
+        init = default_init(pooled_window_variance(blocks))
         fitted, report = fit_mle_gaussian(blocks, init)
         assert gauss_loglik(blocks, fitted) >= gauss_loglik(blocks, init) - 1e-6
         assert report.loglik == pytest.approx(gauss_loglik(blocks, fitted),

@@ -43,7 +43,8 @@ from mwgp.ingest import (
     write_profiles,
     write_table,
 )
-from mwgp.covariance import SpaceTimePoint, rg_distances
+from mwgp.covariance import CovParams, SpaceTimePoint, rg_distances
+from mwgp.validation import simulate_field, synthetic_float_blocks
 from mwgp.windows import (
     GridSpec,
     ReferenceFamily,
@@ -55,11 +56,13 @@ from mwgp.windows import (
 from conftest import (
     apply_filters_loop,
     cell_for_scan,
+    level_obs_to_profiles,
     nearest_rows_scan,
     parse_profiles_rows,
     profile_table,
     profiles_to_level_loop,
     subtract_mean_loop,
+    write_profile_records,
 )
 
 
@@ -166,7 +169,7 @@ class TestProfileRoundTrip:
                          levels=((300.0, 9.0),)),
         ]
         path = tmp_path / "profiles.csv"
-        write_profiles(records, path)
+        write_profile_records(records, path)
         assert list(parse_profiles(path)) == records
 
     def test_irrational_coordinates_survive_round_trip(self, tmp_path):
@@ -174,12 +177,71 @@ class TestProfileRoundTrip:
                            day=math.sqrt(2020.0),
                            levels=((1.0 / 3.0, 17.123456789012345),))
         path = tmp_path / "profiles.csv"
-        write_profiles([rec], path)
+        write_profile_records([rec], path)
         back = parse_profiles(path)[0]
         assert back.lat == rec.lat
         assert back.lon == rec.lon
         assert back.day == rec.day
         assert back.levels == rec.levels
+
+
+class TestWriteProfiles:
+    """``write_profiles`` writes year blocks byte for byte as the
+    single-level record path, ``level_obs_to_profiles``, did."""
+
+    @staticmethod
+    def random_blocks(seed):
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for year in (2005, 2007, 2008):
+            m = int(rng.integers(0, 6))
+            ids = (np.array([f"f{year}-{k}" for k in range(m)])
+                   if rng.random() < 0.5 else None)
+            blocks.append(YearBlock(
+                year, rng.uniform(-90.0, 90.0, m), rng.uniform(-400.0, 400.0, m),
+                rng.uniform(0.0, 365.0, m), rng.normal(10.0, 3.0, m), ids))
+        return blocks
+
+    @staticmethod
+    def assert_record_bytes(tmp_path, blocks, pressure):
+        write_profiles(blocks, pressure, tmp_path / "blocks.csv")
+        write_profile_records(level_obs_to_profiles(blocks, pressure),
+                              tmp_path / "records.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() \
+            == (tmp_path / "records.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_blocks_write_as_records(self, tmp_path, seed):
+        self.assert_record_bytes(tmp_path, self.random_blocks(seed), 287.5)
+
+    def test_simulated_blocks_write_as_records(self, tmp_path):
+        rng = np.random.default_rng(3)
+        locs = np.column_stack([rng.uniform(-8, 8, 30), rng.uniform(170, 190, 30),
+                                rng.uniform(0, 91, 30)])
+        for blocks in (simulate_field(CovParams(1.0, 3.0, 5.0, 5.0, 0.3), locs, 3, 5),
+                       synthetic_float_blocks(CovParams(1.0, 3.0, 5.0, 5.0, 0.3),
+                                              4, 3, 2, 6)):
+            self.assert_record_bytes(tmp_path, blocks, 300.0)
+
+    def test_rows_without_ids_are_numbered_by_file_row(self, tmp_path):
+        def block(year, m, ids=None):
+            return YearBlock(year, np.zeros(m), np.array([190.0, -185.0, 540.0])[:m],
+                             np.arange(m, dtype=float), np.ones(m), ids)
+
+        blocks = [block(1, 2), block(2, 0), block(3, 3, ["a", "b", "c"]), block(4, 2)]
+        path = tmp_path / "p.csv"
+        write_profiles(blocks, 300.0, path)
+        self.assert_record_bytes(tmp_path, blocks, 300.0)
+        table = parse_profiles(path)
+        assert table.source_ids == ["obs0000000", "obs0000001", "a", "b", "c",
+                                    "obs0000005", "obs0000006"]
+        assert table.lon.tolist() == [-170.0, 175.0, -170.0, 175.0, -180.0,
+                                      -170.0, 175.0]
+
+    def test_no_blocks_write_the_header_alone(self, tmp_path):
+        write_profiles([], 300.0, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() \
+            == (",".join(PROFILE_HEADER) + "\r\n").encode()
 
 
 class TestProfileParsing:
@@ -628,7 +690,7 @@ class TestPlainChunkReader:
             tuple(zip((250.0, 300.0, 350.0), rng.normal(10.0, 2.0, 3))))
             for k in range(700)]
         path = tmp_path / "p.csv"
-        write_profiles(records, path)
+        write_profile_records(records, path)
         spy = mock.Mock(wraps=ingest._chunk)
         with mock.patch.object(ingest, "CHUNK_ROWS", 256), \
                 mock.patch.object(ingest, "_chunk", spy):

@@ -23,6 +23,7 @@ from mwgp.gaussian import (
     YearBlock,
     _Prepared,
     default_init,
+    pooled_window_variance,
 )
 from mwgp.student import (
     LOG_BAND,
@@ -337,7 +338,8 @@ class TestFitMleStudent:
         *_, success, message = res
         assert report.message == message + "; at upper bound: theta_lon, nu"
         assert report.converged == success
-        hi = math.log(default_init(blocks).theta_lon) + LOG_BAND
+        start = default_init(pooled_window_variance(blocks))
+        hi = math.log(start.theta_lon) + LOG_BAND
         assert fitted.cov.theta_lon == math.exp(hi)
 
     def test_gaussian_data_fit_stays_inside_the_box(self):
@@ -361,7 +363,7 @@ class TestFitMleStudent:
         # Each corner either scores finitely, with a finite gradient, or
         # fails its mode search cleanly; none under- or overflows.
         block = random_block(np.random.default_rng(11), 30)
-        template = default_init([block])
+        template = default_init(pooled_window_variance([block]))
         center = _encode_student(StudentParams(template, STUDENT_INIT_NU), spatial)
         finite = 0
         for signs in itertools.product((-1.0, 1.0), repeat=center.size):

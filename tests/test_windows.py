@@ -18,6 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mwgp.gaussian
+import mwgp.student
+import mwgp.windows
 from mwgp.covariance import KM_PER_DEG, CovParams, SpaceTimePoint
 from mwgp.errors import (
     InsufficientDataError,
@@ -65,6 +68,7 @@ from mwgp.windows import (
 )
 
 from conftest import (
+    admission_chain_oracle,
     exp_cov,
     gaussian_folds_oracle,
     predict_gaussian_oracle,
@@ -799,6 +803,123 @@ class TestFitGridPoint:
         assert pred.variance == pytest.approx(
             fit.params.phi + fit.params.sigma2, rel=1e-15)
         assert pred.variance_ratio == 1.0
+
+
+class _Admitted(Exception):
+    """Raised at a kriging fit's default start, once the window is admitted."""
+
+
+class TestAdmission:
+    """One admission per window, ``pooled_window_variance``, called first
+    by every family's fit, against the checks it replaced
+    (``admission_chain_oracle``)."""
+
+    CENTER = SpaceTimePoint(0.0, 0.0, 45.5)
+
+    @pytest.fixture
+    def admissions(self, monkeypatch):
+        """The variance of every admission, in call order; None where it raised."""
+        calls, admit = [], mwgp.gaussian.pooled_window_variance
+
+        def spy(blocks, min_obs=2):
+            calls.append(None)
+            calls[-1] = admit(blocks, min_obs)
+            return calls[-1]
+
+        for module in (mwgp.windows, mwgp.gaussian, mwgp.student):
+            monkeypatch.setattr(module, "pooled_window_variance", spy)
+        return calls
+
+    @staticmethod
+    def random_window(rng):
+        """Year blocks, some empty, of 0-30 observations at the cell center."""
+        n = int(rng.integers(0, 4) if rng.random() < 0.3 else rng.integers(0, 31))
+        kind = rng.choice(["normal", "identical", "floor", "huge", "tiny", "nan"])
+        x = float(rng.standard_normal()) * 10.0 ** rng.choice(
+            [-155.0, -150.0, rng.uniform(-3.0, 3.0), 150.0])
+        if kind == "identical":
+            values = np.full(n, x)
+        elif kind == "floor":  # a spread of ulps around the rounding-noise bound
+            s = int(rng.integers(4, 30))
+            values = x + np.spacing(abs(x)) * rng.integers(-s, s + 1, n)
+        else:
+            scale = {"huge": 1e150, "tiny": 1e-150}.get(kind, 10.0 ** rng.uniform(-3, 3))
+            values = scale * rng.standard_normal(n)
+            if kind == "nan" and n:
+                values[rng.integers(n)] = np.nan
+        cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(0, 3))))
+        return [YearBlock(year, np.zeros(v.size), np.zeros(v.size),
+                          np.full(v.size, 45.5), v)
+                for year, v in enumerate(np.split(values, cuts))]
+
+    def outcome(self, blocks, variant, min_obs):
+        """The cell's status, "admitted", or the type that raised out of it."""
+        try:
+            fit = fit_grid_point(blocks, self.CENTER, variant,
+                                 WindowSpec(1.0, 1.0, min_obs))
+        except _Admitted:
+            return "admitted"
+        except InvalidParameterError:
+            return InvalidParameterError
+        assert fit.n_obs == sum(b.m for b in blocks)
+        return "admitted" if fit.ok else fit.status
+
+    def test_every_window_keeps_its_outcome(self, admissions, monkeypatch):
+        def start(var):
+            init(var)  # a NaN variance raises here, as before
+            raise _Admitted
+
+        init = mwgp.gaussian.default_init
+        monkeypatch.setattr(mwgp.gaussian, "default_init", start)
+        rng = np.random.default_rng(2718)
+        seen = set()
+        for _ in range(500):
+            blocks = self.random_window(rng)
+            min_obs = int(rng.integers(1, 3) if rng.random() < 0.3
+                          else rng.integers(1, 26))
+            n_obs = sum(b.m for b in blocks)
+            for vid in (1, 2, 5, 6):
+                want, var = admission_chain_oracle(blocks, min_obs, vid == 1)
+                if (n_obs, min_obs, want) == (1, 1, "no_variance"):
+                    want = "insufficient_data"  # the one status that moves
+                del admissions[:]
+                got = self.outcome(blocks, VARIANTS[vid], min_obs)
+                assert got == want, (vid, min_obs, [b.values for b in blocks])
+                seen.add(want)
+                if want == "admitted":
+                    assert len(admissions) == (2 if vid == 6 else 1)
+                    assert {struct.pack("<d", v) for v in admissions} \
+                        == {struct.pack("<d", var)}
+        assert seen == {"admitted", "insufficient_data", "no_variance",
+                        InvalidParameterError}
+
+    @pytest.mark.parametrize("vid", sorted(VARIANTS))
+    def test_one_observation_at_min_obs_one_is_insufficient(self, vid):
+        # The fitted families reported no_variance here, from their
+        # identical-values check; the reference family said
+        # insufficient_data, as every family now does.
+        block = YearBlock(0, np.zeros(1), np.zeros(1), np.full(1, 45.5),
+                          np.array([0.7]))
+        fit = fit_grid_point([block], self.CENTER, VARIANTS[vid],
+                             WindowSpec(1.0, 1.0, 1))
+        assert (fit.status, fit.n_obs) == ("insufficient_data", 1)
+        assert fit.message == "1 observations < required minimum 2"
+        before = "insufficient_data" if vid == 1 else "no_variance"
+        assert admission_chain_oracle([block], 1, vid == 1)[0] == before
+
+    def test_each_fit_admits_its_window_once_the_student_twice(self, admissions):
+        blocks = gp_blocks(m=25, seed=19)
+        for family, n in ((ReferenceFamily(), 1), (GaussianFamily(True), 1),
+                          (StudentFamily(True), 2)):
+            del admissions[:]
+            family.fit(blocks, 20)
+            assert admissions == [pooled_window_variance(blocks)] * n, family
+
+    def test_fit_grid_point_leaves_the_count_to_the_fit(self, admissions):
+        fit = fit_grid_point(gp_blocks(m=5), self.CENTER, VARIANTS[2],
+                             WindowSpec(10.0, month_halfwidth_days(1), 20))
+        assert (fit.status, fit.n_obs) == ("insufficient_data", 5)
+        assert admissions == [None]  # the fit's own admission raised
 
 
 class TestMapGrid:
