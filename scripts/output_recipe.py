@@ -12,6 +12,8 @@ PYTHONPATH set to the given source tree and BLAS pinned to one thread:
   ``--threads 2`` with binary dumps, ``map --mean``, ``cv --scheme
   lofo`` against a variant-1 baseline, and ``calibrate`` of its
   records;
+* ``cv --scheme looo --mean`` for variant 5 against a variant-1
+  baseline, the two sharing one read of the mean field;
 * ``lagmaps`` from the variant 2 (``lag_days=0``), 5 and 6 maps.
 
 ``<out>/digests.txt`` then holds one ``sha256  relpath`` line per
@@ -69,6 +71,9 @@ def run_recipe(env, out: Path) -> None:
               "--scheme", "lofo", "--set", "baseline_variant=1")
         stage(env, out, "calibrate", "--records",
               out / f"cv_v{v}" / "cv_records.csv", "--out", out / f"cal_v{v}")
+    stage(env, out, "cv", "--profiles", profiles, "--variant", 5, *GRID,
+          "--mean", mean_field, "--out", out / "cv_mean_v5", "--scheme", "looo",
+          "--set", "baseline_variant=1")
     for v, extra in ((2, ["--set", "lag_days=0"]), (5, []), (6, [])):
         stage(env, out, "lagmaps", "--params-dir", out / f"map_v{v}",
               "--out", out / f"lag_v{v}", *extra)

@@ -78,7 +78,6 @@ from .windows import (
     VARIANTS,
     CellFit,
     CellPrediction,
-    CellResult,
     GridField,
     GridSpec,
     ModelVariant,

@@ -254,6 +254,10 @@ def build_config(args) -> RunConfig:
                          f"got {cfg.lag_normalization!r}")
     if cfg.radius_steps < 0.0:
         raise InputError(f"radius_steps must be >= 0, got {cfg.radius_steps}")
+    if None not in (cfg.cv_day_min, cfg.cv_day_max) \
+            and cfg.cv_day_max < cfg.cv_day_min:
+        raise InputError(f"cv_day_max {cfg.cv_day_max} precedes "
+                         f"cv_day_min {cfg.cv_day_min}")
     for key, least in (("sim_m", 1), ("sim_profiles_per_float", 1),
                        ("sim_floats", 0), ("sim_years", 0)):
         if getattr(cfg, key) < least:
@@ -399,16 +403,16 @@ def _load_level_blocks(cfg: RunConfig):
     return profiles_to_level(records, cfg.pressure), mask
 
 
-def _map_field(cfg: RunConfig, variant, loaded):
+def _map_field(cfg: RunConfig, variant, loaded, mean):
     """Map the grid from ``loaded``, the (year blocks, mask) of
-    ``_load_level_blocks``, residualized when a mean-field file is given.
-    Returns (blocks, grid, spec, field, number of observations without a
-    mean, seconds of the sweep alone)."""
+    ``_load_level_blocks``, residualized when ``mean``, the parsed
+    mean field, is not None.  Returns (blocks, grid, spec, field, number
+    of observations without a mean, seconds of the sweep alone)."""
     blocks, mask = loaded
     n_excluded = 0
-    if cfg.mean:
-        blocks, n_excluded = subtract_mean(blocks, read_mean_field(cfg.mean),
-                                           variant.mean_mode, cfg.eval_time)
+    if mean is not None:
+        blocks, n_excluded = subtract_mean(blocks, mean, variant.mean_mode,
+                                           cfg.eval_time)
     years = [b.year for b in blocks]
     if blocks and cfg.eval_year not in years:
         raise InputError(
@@ -424,8 +428,9 @@ def _map_field(cfg: RunConfig, variant, loaded):
 def cmd_map(cfg: RunConfig) -> tuple[list, dict]:
     """Fit every grid cell and write the gridded output files."""
     variant = get_variant(cfg.variant)
-    _, grid, _, field_, n_excluded, wall = _map_field(cfg, variant,
-                                                      _load_level_blocks(cfg))
+    _, grid, _, field_, n_excluded, wall = _map_field(
+        cfg, variant, _load_level_blocks(cfg),
+        read_mean_field(cfg.mean) if cfg.mean else None)
     os.makedirs(cfg.out, exist_ok=True)
 
     family = variant.family
@@ -433,16 +438,15 @@ def cmd_map(cfg: RunConfig) -> tuple[list, dict]:
              "interval_lower": {}, "interval_upper": {}}
     param_grids: dict[str, dict] = {}
     statuses, wall_times, status_rows = {}, {}, []
-    for res in field_.ordered():  # flat-index order, as the files list cells
-        key = (res.i, res.j)
-        statuses[f"{res.i},{res.j}"] = res.fit.status
-        wall_times[f"{res.i},{res.j}"] = res.wall_time
-        status_rows.append((res.lat, res.lon, res.fit.status))
-        if res.fit.params is None:
+    for key, fit in field_.ordered():  # flat-index order, as the files list cells
+        statuses["%d,%d" % key] = fit.status
+        wall_times["%d,%d" % key] = fit.wall_time
+        status_rows.append((*grid.center(*key), fit.status))
+        if fit.params is None:
             continue
-        for name, value in family.param_values(res.fit.params).items():
+        for name, value in family.param_values(fit.params).items():
             param_grids.setdefault(name, {})[key] = value
-        pred = res.fit.prediction_for(grid.eval_year)
+        pred = fit.prediction_for(grid.eval_year)
         if pred is None:
             continue
         grids["prediction"][key] = pred.mean
@@ -561,28 +565,31 @@ def _write_calibration(out_dir, report) -> list:
     return ["coverage.csv", "quantile_curve.csv"]
 
 
-def _run_cv_for_variant(cfg: RunConfig, variant_id: int, loaded):
-    variant = get_variant(variant_id)
-    blocks, grid, spec, field_, _, _ = _map_field(
-        replace(cfg, variant=variant_id), variant, loaded)
-    cv = run_cv(blocks, grid, field_, variant, spec, cfg.scheme,
-                _closed_window(cfg.cv_day_min, cfg.cv_day_max), cfg.radius_steps)
-    return cv, field_
-
-
 def cmd_cv(cfg: RunConfig) -> tuple[list, dict]:
     """Cross-validate and write records, metrics, and calibration."""
-    loaded = _load_level_blocks(cfg)  # the variant and its baseline share it
-    cv, field_ = _run_cv_for_variant(cfg, cfg.variant, loaded)
+    # the variant and its baseline share one load of the profiles and the mean
+    loaded = _load_level_blocks(cfg)
+    mean = read_mean_field(cfg.mean) if cfg.mean else None
+    variant_ids = ((cfg.variant, cfg.baseline_variant) if cfg.baseline_variant
+                   else (cfg.variant,))
+    cvs, status_counts = [], []
+    for variant_id in variant_ids:
+        variant = get_variant(variant_id)
+        blocks, grid, spec, field_, _, _ = _map_field(
+            replace(cfg, variant=variant_id), variant, loaded, mean)
+        cvs.append(run_cv(blocks, grid, field_, variant, spec, cfg.scheme,
+                          _closed_window(cfg.cv_day_min, cfg.cv_day_max),
+                          cfg.radius_steps))
+        status_counts.append(dict(field_.status_counts))
+    cv = cvs[0]
     os.makedirs(cfg.out, exist_ok=True)
     outputs = ["cv_records.csv", "metrics.csv"]
     write_cv_records(cv, os.path.join(cfg.out, "cv_records.csv"))
     tables = {}
     extra = {"n_folds": len(cv.records), "n_skipped": cv.n_skipped,
-             "n_failed": cv.n_failed,
-             "status_counts": dict(field_.status_counts)}
+             "n_failed": cv.n_failed, "status_counts": status_counts[0]}
     if cfg.baseline_variant:
-        base_cv, _ = _run_cv_for_variant(cfg, cfg.baseline_variant, loaded)
+        base_cv = cvs[1]
         tables[f"variant {cfg.baseline_variant}"] = point_metrics(base_cv)
         tables[f"variant {cfg.variant}"] = point_metrics(
             cv, baseline=base_cv, baseline_name=f"variant {cfg.baseline_variant}")

@@ -147,11 +147,13 @@ class CVResult:
 
 
 def _usable_cells(field_: GridField):
-    cells = [r for r in field_.ordered() if r.fit.params is not None]
+    """((i, j), params, lat, lon) of every cell with parameters, in flat
+    index order, and arrays of their latitudes and longitudes."""
+    cells = [(ij, fit.params, *field_.grid.center(*ij))
+             for ij, fit in field_.ordered() if fit.params is not None]
     if not cells:
         return None
-    lat = np.array([r.lat for r in cells])
-    lon = np.array([r.lon for r in cells])
+    lat, lon = np.array([c[2:] for c in cells]).T
     return cells, lat, lon
 
 
@@ -199,16 +201,15 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
                 continue
             cells, clat, clon = lookup
             ci = nearest_cell_index(o.lat, o.lon, clat, clon)
-            d = math.hypot(cells[ci].lat - o.lat,
-                           float(wrap_dlon(cells[ci].lon - o.lon)))
+            d = math.hypot(clat[ci] - o.lat, float(wrap_dlon(clon[ci] - o.lon)))
             if d > cap:
                 result.n_skipped += 1
                 continue
             groups.setdefault(ci, []).append(o)
         scored = []
         for ci, held in groups.items():
-            cell = cells[ci]
-            center = SpaceTimePoint(cell.lat, cell.lon, grid.eval_time)
+            ij, params, lat, lon = cells[ci]
+            center = SpaceTimePoint(lat, lon, grid.eval_time)
             win = window_rows(block, center, spec)
             if scheme == "looo":
                 removals = [np.flatnonzero(win == o.obs_index) for o in held]
@@ -217,8 +218,8 @@ def run_cv(data, grid: GridSpec, field_: GridField, variant: ModelVariant,
                 removals = [np.flatnonzero(ids == o.source_id) for o in held]
             targets = [SpaceTimePoint(o.lat, o.lon, o.day) for o in held]
             preds = family.predict_folds(targets, block.subset(win),
-                                         removals, cell.fit.params)
-            scored += [replace(o, pred=pred, cell=(cell.i, cell.j))
+                                         removals, params)
+            scored += [replace(o, pred=pred, cell=ij)
                        for o, pred in zip(held, preds)]
         for rec in sorted(scored, key=lambda r: r.obs_index):
             if rec.pred is None:

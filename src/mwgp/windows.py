@@ -183,6 +183,10 @@ class GridSpec:
     def flat_index(self, i: int, j: int) -> int:
         return i * self.n_lon + j
 
+    def center(self, i: int, j: int) -> tuple[float, float]:
+        """(lat, lon) of cell (i, j)."""
+        return float(self.lats[i]), float(self.lons[j])
+
     def cells(self):
         """Yield (i, j, lat, lon) for every unmasked, in-bounds cell."""
         lats = self.lats
@@ -235,7 +239,12 @@ class CellPrediction:
 
 @dataclass
 class CellFit:
-    """Outcome of fitting and predicting at a single grid cell."""
+    """The one record of a mapped cell: its status, the size of its
+    window, the parameters and fit report, the per-year predictions.
+
+    Wall time is diagnostic only and excluded from equality and repr so
+    that determinism checks compare numeric payloads.
+    """
 
     status: str
     n_obs: int
@@ -243,6 +252,7 @@ class CellFit:
     report: FitReport | None = None
     predictions: tuple[CellPrediction, ...] = ()
     message: str = ""
+    wall_time: float = field(default=0.0, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -256,24 +266,8 @@ class CellFit:
 
 
 @dataclass
-class CellResult:
-    """A cell fit tagged with its grid position.
-
-    Wall time is diagnostic only and excluded from equality so that
-    determinism checks compare numeric payloads.
-    """
-
-    i: int
-    j: int
-    lat: float
-    lon: float
-    fit: CellFit
-    wall_time: float = field(default=0.0, compare=False)
-
-
-@dataclass
 class GridField:
-    """Mapped field: one CellResult per computed cell.
+    """Mapped field: (i, j) to the CellFit of every computed cell.
 
     Masked or out-of-bounds cells are absent.  Failed cells are
     present with an explanatory status and carry no fabricated values.
@@ -281,15 +275,16 @@ class GridField:
 
     grid: GridSpec
     variant_id: int
-    cells: dict[tuple[int, int], CellResult] = field(default_factory=dict)
+    cells: dict[tuple[int, int], CellFit] = field(default_factory=dict)
 
     @property
     def status_counts(self) -> Counter:
-        return Counter(c.fit.status for c in self.cells.values())
+        return Counter(c.status for c in self.cells.values())
 
-    def ordered(self) -> list[CellResult]:
-        return [self.cells[k] for k in sorted(self.cells,
-                                              key=lambda ij: self.grid.flat_index(*ij))]
+    def ordered(self) -> list[tuple[tuple[int, int], CellFit]]:
+        """((i, j), record) of every cell in ascending flat index."""
+        return sorted(self.cells.items(),
+                      key=lambda item: self.grid.flat_index(*item[0]))
 
 
 def nearest_cell_index(lat: float, lon: float, cell_lat, cell_lon) -> int:
@@ -329,7 +324,7 @@ def _unit(ratio) -> float:
 
 
 class ModelFamily:
-    """Fit, predictive law, interval, variance ratio and parameter names.
+    """Fit, predictive law, intervals, variance ratio and parameter names.
 
     Each ``ModelVariant`` holds one; no caller branches on the variant,
     the parameter type or the predictive type.  The variance ratio
@@ -341,10 +336,6 @@ class ModelFamily:
     """
 
     kind = "gaussian"
-
-    def interval(self, pred, alpha):
-        """Central (1 - alpha) predictive interval; ``alpha`` may be an array."""
-        return gaussian_interval(pred, alpha)
 
     def intervals(self, preds, alpha):
         """Lower and upper bounds of every law in ``preds`` at every level of
@@ -363,12 +354,6 @@ class ModelFamily:
         if sd > 0.0:
             return err / sd, False
         return (0.0 if err == 0.0 else math.copysign(math.inf, err)), True
-
-    def predict_cell_year(self, center, block, params, alpha) -> CellPrediction:
-        pred = self.predict(center, block, params)
-        lower, upper = self.interval(pred, alpha)
-        return CellPrediction(block.year, pred.mean, pred.variance, lower, upper,
-                              self.variance_ratio(pred, params), block.m)
 
     def predict_folds(self, targets, block, removals, params) -> list:
         """Law of each target with the block rows ``removals[f]`` left out.
@@ -490,9 +475,6 @@ class StudentFamily(ModelFamily):
     def predict(self, target, block, params):
         return predict_student(target, block, params, spatial=self.spatial)
 
-    def interval(self, pred, alpha):
-        return student_interval(pred, alpha)
-
     def intervals(self, preds, alpha):
         """One interval call per law: each has a quadrature rule of its own."""
         bounds = np.array([student_interval(p, alpha) for p in preds])
@@ -580,28 +562,40 @@ def _status_for(exc: Exception) -> str:
     return "error"
 
 
+def _predict_cell(family, center, windowed, params, alpha):
+    """Per-year predictions at the cell center: the family's law of each
+    block, the bounds of every year from one ``family.intervals`` call,
+    then the variance ratio."""
+    preds = [family.predict(center, block, params) for block in windowed]
+    lower, upper = family.intervals(preds, np.array([alpha]))
+    return tuple(
+        CellPrediction(block.year, pred.mean, pred.variance, float(lo), float(hi),
+                       family.variance_ratio(pred, params), block.m)
+        for block, pred, lo, hi in zip(windowed, preds, lower[0], upper[0]))
+
+
 def fit_grid_point(data, center: SpaceTimePoint, variant: ModelVariant,
                    spec: WindowSpec, alpha: float = 0.32) -> CellFit:
     """Fit one grid cell and predict every year at the cell center.
 
-    The family's fit admits the window against ``spec.min_obs``.  A
-    MappingError or LinAlgError becomes a status, so a grid sweep does
-    not abort because one window is degenerate or too small; an
-    InvalidParameterError and programming errors raise.  Reference-variant
-    cells skip maximum likelihood and use the fixed-shape covariance with
-    the windowed plug-in variance.
+    The one place a cell's record is decided.  The family's fit admits
+    the window against ``spec.min_obs``.  Every MappingError or
+    LinAlgError becomes a status with the window's size, so a grid
+    sweep does not abort because one window is degenerate, too small or
+    holds a NaN; an ``error`` cell's message names the exception type.
+    Programming errors raise.  Reference-variant cells skip maximum
+    likelihood and use the fixed-shape covariance with the windowed
+    plug-in variance.
     """
     windowed = select_window(data, center, spec)
     n_obs = sum(b.m for b in windowed)
-    family = variant.family
     try:
-        params, report = family.fit(windowed, spec.min_obs)
-        preds = tuple(family.predict_cell_year(center, block, params, alpha)
-                      for block in windowed)
-    except InvalidParameterError:
-        raise
-    except (MappingError, np.linalg.LinAlgError) as exc:  # degenerate window
-        return CellFit(_status_for(exc), n_obs, message=str(exc))
+        params, report = variant.family.fit(windowed, spec.min_obs)
+        preds = _predict_cell(variant.family, center, windowed, params, alpha)
+    except (MappingError, np.linalg.LinAlgError) as exc:
+        status = _status_for(exc)
+        message = f"{type(exc).__name__}: {exc}" if status == "error" else str(exc)
+        return CellFit(status, n_obs, message=message)
     return CellFit("ok", n_obs, params=params, report=report, predictions=preds)
 
 
@@ -663,22 +657,14 @@ def _init_pool_worker(payload):
 
 
 def _run_cell(task):
-    """Fit one cell from the worker-global payload.
-
-    A MappingError or LinAlgError that escapes ``fit_grid_point``, such
-    as an InvalidParameterError, becomes an ``error`` cell; programming
-    errors raise.
-    """
+    """Fit one cell from the worker-global payload and time the call."""
     i, j, lat, lon = task
     data, variant, spec, alpha, eval_time = _PAYLOAD
     center = SpaceTimePoint(lat, lon, eval_time)
     start = time.perf_counter()
-    try:
-        fit = fit_grid_point(data, center, variant, spec, alpha)
-    except (MappingError, np.linalg.LinAlgError) as exc:
-        fit = CellFit("error", 0, message=f"{type(exc).__name__}: {exc}")
-    elapsed = time.perf_counter() - start
-    return CellResult(i, j, lat, lon, fit, elapsed)
+    fit = fit_grid_point(data, center, variant, spec, alpha)
+    fit.wall_time = time.perf_counter() - start
+    return (i, j), fit
 
 
 def map_grid(data, grid: GridSpec, variant: ModelVariant, spec: WindowSpec,
@@ -704,8 +690,7 @@ def map_grid(data, grid: GridSpec, variant: ModelVariant, spec: WindowSpec,
                                      initializer=_init_pool_worker,
                                      initargs=(payload,)) as ex:
                 results = list(ex.map(_run_cell, tasks, chunksize=chunk))
-        field_ = GridField(grid, variant.id,
-                           {(r.i, r.j): r for r in results})
+        field_ = GridField(grid, variant.id, dict(results))
         if fallback_nearest:
             _apply_nearest_fallback(field_, data, variant, spec, alpha)
     return field_
@@ -715,30 +700,31 @@ def _apply_nearest_fallback(field_: GridField, data, variant, spec,
                             alpha) -> None:
     """Borrow parameters from the nearest fitted cell for failed cells.
 
-    Predictions are recomputed with the donor's parameters and the
-    failed cell's own window; no refit is attempted.  Ties break to
-    the lower flat index.  Cells skipped for lack of data stay skipped.
+    Predictions are recomputed through the sweep's own step with the
+    donor's parameters and the failed cell's own window; no refit is
+    attempted, so the borrowed record has no FitReport.  Ties break to
+    the lower flat index.  Cells skipped for lack of data stay skipped,
+    and a cell whose prediction fails keeps its status.
     """
-    donors = [r for r in field_.ordered() if r.fit.ok]
+    grid = field_.grid
+    cells = field_.ordered()
+    donors = [(ij, fit) for ij, fit in cells if fit.ok]
     if not donors:
         return
-    lat, lon = np.array([(d.lat, d.lon) for d in donors]).T
-    family = variant.family
-    for res in field_.ordered():
-        if res.fit.ok or res.fit.status == "insufficient_data":
+    lat, lon = np.array([grid.center(*ij) for ij, _ in donors]).T
+    for ij, fit in cells:
+        if fit.ok or fit.status == "insufficient_data":
             continue
-        best = donors[nearest_cell_index(res.lat, res.lon, lat, lon)]
-        center = SpaceTimePoint(res.lat, res.lon, field_.grid.eval_time)
-        windowed = select_window(data, center, spec)
+        center = SpaceTimePoint(*grid.center(*ij), grid.eval_time)
+        (di, dj), donor = donors[nearest_cell_index(center.lat, center.lon, lat, lon)]
         try:
-            preds = tuple(
-                family.predict_cell_year(center, block, best.fit.params, alpha)
-                for block in windowed
-            )
+            preds = _predict_cell(variant.family, center,
+                                  select_window(data, center, spec),
+                                  donor.params, alpha)
         except (MappingError, np.linalg.LinAlgError) as exc:
-            res.fit.message += f"; fallback failed: {exc}"
+            fit.message += f"; fallback failed: {exc}"
             continue
-        res.fit = CellFit(
-            "fallback", res.fit.n_obs, params=best.fit.params,
-            report=best.fit.report, predictions=preds,
-            message=f"parameters borrowed from cell ({best.i}, {best.j})")
+        field_.cells[ij] = CellFit(
+            "fallback", fit.n_obs, params=donor.params, predictions=preds,
+            message=f"parameters borrowed from cell ({di}, {dj})",
+            wall_time=fit.wall_time)

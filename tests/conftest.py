@@ -709,14 +709,14 @@ def run_cv_per_fold(data, grid, field_, variant, spec, scheme="looo",
                 result.n_skipped += 1
                 continue
             cells, clat, clon = lookup
-            cflat = [grid.flat_index(r.i, r.j) for r in cells]
+            cflat = [grid.flat_index(*ij) for ij, _, _, _ in cells]
             ci = nearest_cell_lexsort(o.lat, o.lon, clat, clon, cflat)
-            cell = cells[ci]
-            d = math.hypot(cell.lat - o.lat, float(wrap_dlon(cell.lon - o.lon)))
+            ij, params, lat, lon = cells[ci]
+            d = math.hypot(lat - o.lat, float(wrap_dlon(lon - o.lon)))
             if d > cap:
                 result.n_skipped += 1
                 continue
-            center = SpaceTimePoint(cell.lat, cell.lon, grid.eval_time)
+            center = SpaceTimePoint(lat, lon, grid.eval_time)
             wmask = window_mask(block, center, spec)
             if scheme == "looo":
                 wmask[obs_index] = False
@@ -724,14 +724,13 @@ def run_cv_per_fold(data, grid, field_, variant, spec, scheme="looo",
                 wmask &= block.source_ids != o.source_id
             target = SpaceTimePoint(o.lat, o.lon, o.day)
             try:
-                pred = family.predict(target, block.subset(wmask),
-                                      cell.fit.params)
+                pred = family.predict(target, block.subset(wmask), params)
             except (MappingError, np.linalg.LinAlgError):
                 result.n_failed += 1
                 continue
             result.records.append(CVRecord(
                 year_pos, obs_index, o.year, o.source_id, o.lat, o.lon,
-                o.day, o.value, pred, variant.id, (cell.i, cell.j)))
+                o.day, o.value, pred, variant.id, ij))
     return result
 
 

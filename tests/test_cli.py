@@ -573,6 +573,18 @@ class TestMapCommand:
         assert capsys.readouterr().err.startswith("error: radius_steps")
         assert not (tmp_path / "c").exists()
 
+    def test_inverted_cv_day_window_fails_before_mapping(self, tmp_path, pipeline,
+                                                         capsys):
+        with mock.patch("mwgp.cli.map_grid") as map_grid:
+            assert run_cli("cv", "--profiles", pipeline["profiles"],
+                           "--variant", 2, "--out", tmp_path / "c", *GRID_ARGS,
+                           "--set", "cv_day_min=50", "--set", "cv_day_max=40") == 1
+        map_grid.assert_not_called()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "cv_day_min" in err and "cv_day_max" in err
+        assert not (tmp_path / "c").exists()
+
     def test_missing_profiles_flag_fails(self, tmp_path, capsys):
         assert run_cli("map", "--out", tmp_path / "m") == 1
         assert "profiles" in capsys.readouterr().err
@@ -659,20 +671,29 @@ class TestCVCommand:
 
     def test_profiles_parsed_once_for_variant_and_baseline(self, pipeline, tmp_path):
         # Variant 4 subtracts the spatio-temporal mean, its baseline 1 the
-        # spatial one, each from the blocks of one parse; each record file
-        # is the one a run of its variant alone writes.
+        # spatial one, each from the blocks of one parse and the field of
+        # one read of the mean file; each record file is the one a run of
+        # its variant alone writes.
         common = ["--profiles", pipeline["profiles"], "--mean",
                   pipeline["mean"] / "mean_field.csv", *GRID_ARGS,
                   "--set", "radius_steps=10"]
         parse = mock.Mock(wraps=mwgp.cli.parse_profiles)
+        read, means = mwgp.cli.read_mean_field, []
+
+        def read_mean(path):
+            means.append(read(path))
+            return means[-1]
+
         subtract = mock.Mock(wraps=mwgp.cli.subtract_mean)
         with mock.patch.object(mwgp.cli, "parse_profiles", parse), \
+                mock.patch.object(mwgp.cli, "read_mean_field", read_mean), \
                 mock.patch.object(mwgp.cli, "subtract_mean", subtract):
             assert run_cli("cv", *common, "--variant", 4, "--out", tmp_path / "both",
                            "--set", "baseline_variant=1") == 0
         assert parse.call_count == 1
-        assert [c.args[2] for c in subtract.call_args_list] == [
-            "spatio-temporal", "spatial"]
+        assert len(means) == 1
+        assert [c.args[1:3] for c in subtract.call_args_list] == [
+            (means[0], "spatio-temporal"), (means[0], "spatial")]
         for variant in (4, 1):
             assert run_cli("cv", *common, "--variant", variant,
                            "--out", tmp_path / f"v{variant}") == 0

@@ -325,7 +325,7 @@ class TestRunCV:
         data = simulate_field(StudentParams(TRUE, nu=4.0), locs, 1, seed=47)
         grid = GridSpec(0.0, 0.0, 0.0, 0.0, eval_time=45.5)
         field_ = map_grid(data, grid, VARIANTS[3], self.SPEC)
-        assert field_.cells[(0, 0)].fit.ok
+        assert field_.cells[(0, 0)].ok
 
         def broken(self, target, block, params):
             raise TypeError("injected")
@@ -374,7 +374,7 @@ print(len(cv.records), hashlib.sha256(repr(cv.records).encode()).hexdigest())
         data = simulate_field(TRUE, locs, 1, seed=29)
         grid = GridSpec(0.0, 0.0, 0.0, 0.0, eval_time=45.5)
         field_ = map_grid(data, grid, VARIANTS[2], self.SPEC)
-        params = field_.cells[(0, 0)].fit.params
+        params = field_.cells[(0, 0)].params
         cv = run_cv(data, grid, field_, VARIANTS[2], self.SPEC)
         block = data[0]
         for rec in cv.records:
@@ -415,7 +415,7 @@ print(len(cv.records), hashlib.sha256(repr(cv.records).encode()).hexdigest())
         data = simulate_field(TRUE, locs, 1, seed=41)
         grid = GridSpec(0.0, 0.0, 0.0, 0.0, eval_time=45.5)
         field_ = map_grid(data, grid, VARIANTS[1], self.SPEC)
-        params = field_.cells[(0, 0)].fit.params
+        params = field_.cells[(0, 0)].params
         assert isinstance(params, ReferenceParams)
         cv = run_cv(data, grid, field_, VARIANTS[1], self.SPEC)
         rec = cv.records[0]
@@ -432,7 +432,7 @@ print(len(cv.records), hashlib.sha256(repr(cv.records).encode()).hexdigest())
         data = simulate_field(StudentParams(TRUE, nu=4.0), locs, 1, seed=47)
         grid = GridSpec(0.0, 0.0, 0.0, 0.0, eval_time=45.5)
         field_ = map_grid(data, grid, VARIANTS[3], self.SPEC)
-        assert field_.cells[(0, 0)].fit.ok
+        assert field_.cells[(0, 0)].ok
         cv = run_cv(data, grid, field_, VARIANTS[3], self.SPEC)
         assert cv.records
         assert all(isinstance(r.pred, StudentPredictive) for r in cv.records)
@@ -552,7 +552,7 @@ class TestClosedFormCV:
         grid = GridSpec(0.0, 0.0, 0.0, 0.0, eval_time=45.5)
         variant = VARIANTS[variant_id]
         field_ = map_grid(data, grid, variant, self.SPEC3)
-        params = field_.cells[(0, 0)].fit.params
+        params = field_.cells[(0, 0)].params
         # A later year with one float: its first profile is alone in the
         # window, its second lies outside it, at the first one's latitude
         # (some fits end at a latitude range far below a degree).
@@ -580,7 +580,7 @@ class TestClosedFormCV:
         field_ = map_grid(data, grid, VARIANTS[2], self.SPEC3)
         # No nugget and a duplicated first point: the full window's
         # plain Cholesky meets an exactly zero pivot.
-        field_.cells[(0, 0)].fit.params = CovParams(1.0, 3.0, 5.0, 5.0, 0.0)
+        field_.cells[(0, 0)].params = CovParams(1.0, 3.0, 5.0, 5.0, 0.0)
         b = data[0]
         dup = np.r_[0, np.arange(b.m)]
         ids = b.source_ids[dup].copy()
@@ -589,7 +589,7 @@ class TestClosedFormCV:
                           b.values[dup], ids)]
         window = data[0].subset(window_rows(
             data[0], SpaceTimePoint(0.0, 0.0, 45.5), self.SPEC3))
-        Sigma = cov_matrix(window.points, field_.cells[(0, 0)].fit.params)
+        Sigma = cov_matrix(window.points, field_.cells[(0, 0)].params)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(Sigma)
         cv = run_cv(data, grid, field_, VARIANTS[2], self.SPEC3, scheme,

@@ -25,6 +25,7 @@ from mwgp.covariance import KM_PER_DEG, CovParams, SpaceTimePoint
 from mwgp.errors import (
     InsufficientDataError,
     InsufficientVarianceError,
+    FactorizationError,
     InvalidParameterError,
     MappingError,
 )
@@ -853,15 +854,17 @@ class TestAdmission:
                 for year, v in enumerate(np.split(values, cuts))]
 
     def outcome(self, blocks, variant, min_obs):
-        """The cell's status, "admitted", or the type that raised out of it."""
+        """The cell's status, or "admitted"; an InvalidParameterError, which
+        the oracle raises, is an ``error`` cell of the window's size."""
         try:
             fit = fit_grid_point(blocks, self.CENTER, variant,
                                  WindowSpec(1.0, 1.0, min_obs))
         except _Admitted:
             return "admitted"
-        except InvalidParameterError:
-            return InvalidParameterError
         assert fit.n_obs == sum(b.m for b in blocks)
+        if fit.status == "error":
+            assert fit.message.startswith("InvalidParameterError: ")
+            return InvalidParameterError
         return "admitted" if fit.ok else fit.status
 
     def test_every_window_keeps_its_outcome(self, admissions, monkeypatch):
@@ -915,6 +918,19 @@ class TestAdmission:
             family.fit(blocks, 20)
             assert admissions == [pooled_window_variance(blocks)] * n, family
 
+    @pytest.mark.parametrize("vid", sorted(VARIANTS))
+    def test_nan_window_is_an_error_cell(self, vid):
+        # The NaN passes the admission; the parameters built on it raise an
+        # InvalidParameterError, which fit_grid_point makes the cell's status.
+        values = np.linspace(-1.0, 1.0, 30)
+        values[7] = np.nan
+        block = YearBlock(0, np.zeros(30), np.zeros(30), np.full(30, 45.5), values)
+        fit = fit_grid_point([block], self.CENTER, VARIANTS[vid],
+                             WindowSpec(1.0, 1.0, 20))
+        assert (fit.status, fit.n_obs) == ("error", 30)
+        assert fit.message.startswith("InvalidParameterError: ")
+        assert (fit.params, fit.report, fit.predictions) == (None, None, ())
+
     def test_fit_grid_point_leaves_the_count_to_the_fit(self, admissions):
         fit = fit_grid_point(gp_blocks(m=5), self.CENTER, VARIANTS[2],
                              WindowSpec(10.0, month_halfwidth_days(1), 20))
@@ -931,8 +947,8 @@ class TestMapGrid:
         field_ = map_grid(data, grid, VARIANTS[2],
                           WindowSpec(5.0, month_halfwidth_days(1), 20))
         assert field_.status_counts == {"ok": 1, "insufficient_data": 1}
-        assert field_.cells[(0, 0)].fit.ok
-        assert not field_.cells[(1, 0)].fit.ok
+        assert field_.cells[(0, 0)].ok
+        assert not field_.cells[(1, 0)].ok
 
     def test_fully_masked_grid_is_empty(self):
         grid = GridSpec(0.0, 1.0, 0.0, 1.0,
@@ -962,7 +978,7 @@ t = rng.uniform(31.0, 60.0, 400)
 vals = np.sin(lat) * np.cos(0.7 * lon) + 0.3 * rng.standard_normal(400)
 field_ = map_grid([YearBlock(0, lat, lon, t, vals)], GridSpec(-1, 1, -1, 1),
                   VARIANTS[2], WindowSpec(2.0, 15.21875))
-fits = [(key, res.fit) for key, res in sorted(field_.cells.items())]
+fits = sorted(field_.cells.items())
 print(field_.status_counts["ok"], hashlib.sha256(repr(fits).encode()).hexdigest())
 """
 
@@ -995,7 +1011,7 @@ print(field_.status_counts["ok"], hashlib.sha256(repr(fits).encode()).hexdigest(
         data = gp_blocks(m=35, seed=9)
         grid = GridSpec(-1.0, 0.0, -1.0, 0.0, eval_time=45.5)
         field_ = map_grid(data, grid, VARIANTS[2], self.SPEC)
-        flat = [grid.flat_index(r.i, r.j) for r in field_.ordered()]
+        flat = [grid.flat_index(*ij) for ij, _ in field_.ordered()]
         assert flat == sorted(flat)
 
     def fallback_setup(self):
@@ -1025,11 +1041,44 @@ print(field_.status_counts["ok"], hashlib.sha256(repr(fits).encode()).hexdigest(
         assert field_.status_counts == {"ok": 1, "fallback": 1}
         donor = field_.cells[(0, 0)]
         borrowed = field_.cells[(0, 1)]
-        assert borrowed.fit.params == donor.fit.params
-        assert "(0, 0)" in borrowed.fit.message
-        pred = borrowed.fit.prediction_for(0)
+        assert borrowed.params == donor.params
+        assert "(0, 0)" in borrowed.message
+        pred = borrowed.prediction_for(0)
         assert pred is not None
         assert math.isfinite(pred.mean) and pred.variance > 0.0
+
+    def test_fallback_record_is_the_cells_own(self):
+        # The borrowed record keeps its own window's size and the donor's
+        # parameters, but no FitReport: no fit of its window succeeded.
+        data, grid, spec = self.fallback_setup()
+        failed = map_grid(data, grid, VARIANTS[2], spec).cells[(0, 1)]
+        field_ = map_grid(data, grid, VARIANTS[2], spec, fallback_nearest=True)
+        donor, borrowed = field_.cells[(0, 0)], field_.cells[(0, 1)]
+        assert donor.report is not None
+        assert (borrowed.status, borrowed.n_obs) == ("fallback", failed.n_obs)
+        assert borrowed.n_obs == 25 != donor.n_obs
+        assert borrowed.params == donor.params
+        assert borrowed.report is None
+        assert borrowed.message == "parameters borrowed from cell (0, 0)"
+        assert [p.n_obs for p in borrowed.predictions] == [25]
+
+    def test_fallback_that_fails_keeps_its_status(self, monkeypatch):
+        data, grid, spec = self.fallback_setup()
+        failed = map_grid(data, grid, VARIANTS[2], spec).cells[(0, 1)]
+        predict = GaussianFamily.predict
+
+        def broken(self, target, block, params):
+            if target.lon > 15.0:  # only the failed cell's fallback
+                raise FactorizationError("injected")
+            return predict(self, target, block, params)
+
+        monkeypatch.setattr(GaussianFamily, "predict", broken)
+        field_ = map_grid(data, grid, VARIANTS[2], spec, fallback_nearest=True)
+        cell = field_.cells[(0, 1)]
+        assert field_.status_counts == {"ok": 1, "no_variance": 1}
+        assert (cell.status, cell.n_obs) == ("no_variance", failed.n_obs)
+        assert cell.message == failed.message + "; fallback failed: injected"
+        assert (cell.params, cell.report, cell.predictions) == (None, None, ())
 
     def test_programming_error_in_fallback_raises(self, monkeypatch):
         data, grid, spec = self.fallback_setup()
@@ -1055,17 +1104,29 @@ print(field_.status_counts["ok"], hashlib.sha256(repr(fits).encode()).hexdigest(
         with pytest.raises(TypeError, match="injected"):
             map_grid(data, grid, VARIANTS[2], self.SPEC, n_workers=n_workers)
 
-    def test_invalid_parameter_in_fit_becomes_error_cells(self, monkeypatch):
-        def broken(self, blocks, min_obs):
-            raise InvalidParameterError("injected")
-
-        monkeypatch.setattr(GaussianFamily, "fit", broken)
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("cause", ["injected", "nan"])
+    def test_invalid_parameter_in_fit_becomes_error_cells(self, monkeypatch,
+                                                          n_workers, cause):
+        # Each error cell keeps its window's size and the exception's type.
         data = gp_blocks(m=35, seed=9)
+        if cause == "injected":
+            def broken(self, blocks, min_obs):
+                raise InvalidParameterError("injected")
+
+            monkeypatch.setattr(GaussianFamily, "fit", broken)
+        else:
+            data[0].values[:] = np.nan
         grid = GridSpec(-1.0, 0.0, -1.0, 0.0, eval_time=45.5)
-        field_ = map_grid(data, grid, VARIANTS[2], self.SPEC)
+        field_ = map_grid(data, grid, VARIANTS[2], self.SPEC, n_workers=n_workers)
         assert field_.status_counts == {"error": 4}
-        assert all(r.fit.message == "InvalidParameterError: injected"
-                   for r in field_.ordered())
+        for (i, j), fit in field_.ordered():
+            center = SpaceTimePoint(*grid.center(i, j), grid.eval_time)
+            window = select_window(data, center, self.SPEC)
+            assert fit.n_obs == sum(b.m for b in window) > 0
+            assert fit.message.startswith("InvalidParameterError: ")
+            if cause == "injected":
+                assert fit.message == "InvalidParameterError: injected"
 
     def test_fallback_leaves_data_starved_cells_alone(self):
         data = gp_blocks(m=30, seed=31, span=2.0)
